@@ -16,7 +16,7 @@ from .dense import DenseParams, DenseWitness, dense_greedy_embed, lovasz_partiti
 from .drc import DegenerateBudget, drc_bandwidth_embed, drc_select
 from .graphs import Graph, WeightedGraph
 from .harness import ConfigError, VerificationError, load_config, run_experiment
-from .morphisms import CapacityProfile, find_capacity_homomorphism, find_weighted_embedding
+from .morphisms import CapacityProfile, find_capacity_homomorphism
 from .oracles import ramsey_number, stable_ramsey, weighted_ramsey
 from .pipeline import PipelineParams, transference_pipeline
 from .regularity import (
@@ -75,15 +75,12 @@ def cmd_hom(args: argparse.Namespace) -> int:
     g = _graph_arg(args.source)
     h = _graph_arg(args.target)
     if args.weights is not None:
-        gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-        vmap = find_weighted_embedding(gw, h)
-        status = "found" if vmap else "none"
+        profile = CapacityProfile.weight_cap(_weights_arg(args.weights, g.n))
     else:
         profile = CapacityProfile.uniform_count_cap(h.n, args.count_cap)
-        outcome = find_capacity_homomorphism(g, h, profile, budget=args.budget)
-        vmap = outcome.vmap
-        status = outcome.status
-    print(json.dumps({"status": status, "image": list(vmap.image) if vmap else None}))
+    outcome = find_capacity_homomorphism(g, h, profile, budget=args.budget)
+    vmap = outcome.vmap
+    print(json.dumps({"status": outcome.status, "image": list(vmap.image) if vmap else None}))
     return 0
 
 

@@ -125,10 +125,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
-
-
 def codegree(g: Graph, xs: Iterable[int]) -> int:
     """Number of common neighbors of the (nonempty) vertex set xs."""
     xs = list(xs)
@@ -257,9 +253,6 @@ class EdgeColoring:
         return EdgeColoring.from_red_adj(
             self.host, [self.host.adj[v] & ~self.red_adj[v] for v in range(self.host.n)]
         )
-
-    def red_edge_key(self) -> tuple[int, ...]:
-        return tuple(self.red_adj)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -2,8 +2,9 @@
 
 A run is a grid of (instance, seed) cells.  Cells execute in a worker pool
 but results are emitted in deterministic cell order, so the CSV is
-byte-identical for any worker count.  Every positive result is re-verified
-independently; a failed verification aborts the run (soundness tripwire).
+byte-identical for any worker count.  Every positive result and oracle witness
+is re-verified independently; a failed verification aborts the run
+(soundness tripwire).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .drc import DegenerateBudget, drc_bandwidth_embed, drc_properties, drc_sele
 from .bandwidth import heuristic_labeling
 from .dense import wheel_mono_embed
 from .graphs import Graph, WeightedGraph, mask_of
-from .morphisms import VertexMap, verify_homomorphism
+from .morphisms import VerificationError, VertexMap, verify_homomorphism
 from .oracles import ramsey_number, stable_ramsey, weighted_ramsey, mono_copy_search
 from .regularity import Partition
 from .rga import RgaParams, rga_blowup_embed
@@ -34,10 +35,6 @@ CSV_COLUMNS = ("schema_version", "task", "instance", "seed", "outcome", "value",
 
 class ConfigError(ValueError):
     pass
-
-
-class VerificationError(RuntimeError):
-    """A positive result failed independent verification."""
 
 
 @dataclass(frozen=True)
@@ -249,8 +246,8 @@ def _run_cell(task: str, instance: dict, seed: int) -> CellResult:
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResult]], dict]:
     """Execute all cells and return (rows, summary); writes CSV/JSON when the
-    config names output paths.  Raises VerificationError on any positive
-    result that fails its independent recheck."""
+    config names output paths.  Raises VerificationError on any result
+    that fails its independent recheck, oracle witnesses included."""
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}")
     workers = cfg.workers
@@ -279,9 +276,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResu
 
     rows = [(i, seed, results[(i, seed)]) for i, seed in cells]
     for i, seed, res in rows:
-        if res.outcome == "some" and res.verified is False:
+        if res.verified is False:
             raise VerificationError(
-                f"instance {i} seed {seed}: positive result failed verification"
+                f"instance {i} seed {seed}: {res.outcome} result failed verification"
             )
 
     successes = sum(1 for _, _, r in rows if r.outcome in ("some", "value"))

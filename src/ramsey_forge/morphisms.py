@@ -1,14 +1,20 @@
 """Homomorphism verification and backtracking search.
 
-Searches are deterministic: source vertices by decreasing degree (ties by
-lowest id), candidate targets by lowest id.  Every search result is plain
-data that the verifiers re-check independently of the search bookkeeping.
+One backtracking core, find_capacity_homomorphism, does every exact
+embedding search: injective embeddings are count cap 1, weighted embeddings
+are a weight profile.  It converts the profile to integer loads once per
+call (no Fraction in the loop) and is deterministic: source vertices by
+decreasing degree under count caps and by non-increasing weight under
+weights (ties by lowest id), candidate targets by lowest id.  Every search
+result is plain data that the verifiers re-check independently of the
+search bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .graphs import Graph, WeightedGraph, iter_bits
@@ -18,6 +24,10 @@ DEFAULT_BUDGET = 10_000_000
 FOUND = "found"
 NONE = "none"
 BUDGET_EXHAUSTED = "budget_exhausted"
+
+
+class VerificationError(RuntimeError):
+    """A positive result failed independent verification."""
 
 
 @dataclass(frozen=True)
@@ -133,8 +143,28 @@ class SearchOutcome:
     nodes: int = 0
 
 
-def _search_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+class BudgetExhausted(RuntimeError):
+    """An exact search ran out of budget before it could decide."""
+
+
+def _integer_units(
+    g: Graph, h: Graph, profile: CapacityProfile
+) -> tuple[list[int], list[int]]:
+    """Integer demand per source vertex and room per target vertex.
+
+    Count caps: demand 1, room the cap.  Weights: with unit the lcm of the
+    weight denominators, demand w * unit and room unit.
+    """
+    if profile.count_caps is not None:
+        if len(profile.count_caps) != h.n:
+            raise ValueError("one count cap per target vertex required")
+        return [1] * g.n, list(profile.count_caps)
+    weights = profile.weights
+    assert weights is not None
+    if len(weights) != g.n:
+        raise ValueError("one weight per source vertex required")
+    unit = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (unit // w.denominator) for w in weights], [unit] * h.n
 
 
 def find_capacity_homomorphism(
@@ -149,59 +179,76 @@ def find_capacity_homomorphism(
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    order = _search_order(g)
-    pos_of = {v: i for i, v in enumerate(order)}
-    # neighbors of order[i] that appear earlier in the order
-    back = [
-        [u for u in iter_bits(g.adj[v]) if pos_of[u] < i] for i, v in enumerate(order)
-    ]
+    demand, room = _integer_units(g, h, profile)
+    if sum(demand) > sum(room):
+        return SearchOutcome(NONE, nodes=0)
+    if profile.count_caps is not None:
+        order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+    else:
+        order = sorted(range(g.n), key=lambda v: (-demand[v], v))
+    back = []  # back[i]: neighbors of order[i] that appear earlier in the order
+    seen = 0
+    for v in order:
+        back.append(list(iter_bits(g.adj[v] & seen)))
+        seen |= 1 << v
+    least = min(demand, default=0)
+    hadj = h.adj
     image = [0] * g.n
-    full = (1 << h.n) - 1
-
-    count_caps = profile.count_caps
-    weights = profile.weights
-    if count_caps is not None and len(count_caps) != h.n:
-        raise ValueError("one count cap per target vertex required")
-    if weights is not None and len(weights) != g.n:
-        raise ValueError("one weight per source vertex required")
-    count_load = [0] * h.n
-    weight_load = [Fraction(0)] * h.n
-
+    n = g.n
     nodes = 0
 
-    def extend(i: int) -> str:
+    # open_ holds the targets with room for the least demand; a placement
+    # that leaves less clears the target's bit, so larger demands still
+    # check the room
+    def extend(i: int, open_: int) -> bool:
         nonlocal nodes
-        if i == g.n:
-            return FOUND
+        if i == n:
+            return True
         nodes += 1
         if nodes > budget:
-            return BUDGET_EXHAUSTED
+            raise BudgetExhausted
         v = order[i]
-        cand = full
+        d = demand[v]
+        cand = open_
         for u in back[i]:
-            cand &= h.adj[image[u]]
-        for t in iter_bits(cand):
-            if count_caps is not None and count_load[t] + 1 > count_caps[t]:
-                continue
-            if weights is not None and weight_load[t] + weights[v] > 1:
+            cand &= hadj[image[u]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = low.bit_length() - 1
+            left = room[t] - d
+            if left < 0:
                 continue
             image[v] = t
-            count_load[t] += 1
-            if weights is not None:
-                weight_load[t] += weights[v]
-            res = extend(i + 1)
-            count_load[t] -= 1
-            if weights is not None:
-                weight_load[t] -= weights[v]
-            if res != NONE:
-                return res
-        return NONE
+            if left < least:
+                # closed below: its room is not read again until we return
+                if extend(i + 1, open_ ^ low):
+                    return True
+            else:
+                room[t] = left
+                if extend(i + 1, open_):
+                    return True
+                room[t] += d
+        return False
 
-    if h.n == 0 and g.n > 0:
-        return SearchOutcome(NONE, nodes=0)
-    status = extend(0)
-    vmap = VertexMap(g.n, h.n, tuple(image)) if status == FOUND else None
-    return SearchOutcome(status, vmap, nodes)
+    try:
+        found = extend(0, sum(1 << t for t in range(h.n) if room[t] >= least))
+    except BudgetExhausted:
+        return SearchOutcome(BUDGET_EXHAUSTED, nodes=nodes)
+    if not found:
+        return SearchOutcome(NONE, nodes=nodes)
+    return SearchOutcome(FOUND, VertexMap(g.n, h.n, tuple(image)), nodes)
+
+
+def decided(outcome: SearchOutcome) -> VertexMap | None:
+    """The map, or None on a nonexistence certificate; raises when inconclusive.
+
+    An exact oracle that read an exhausted budget as "no copy" would report
+    an unsound value.
+    """
+    if outcome.status == BUDGET_EXHAUSTED:
+        raise BudgetExhausted(f"search gave up after {outcome.nodes} nodes")
+    return outcome.vmap
 
 
 def find_weighted_embedding(gw: WeightedGraph, host: Graph) -> VertexMap | None:
@@ -209,41 +256,11 @@ def find_weighted_embedding(gw: WeightedGraph, host: Graph) -> VertexMap | None:
 
     A weighted embedding is a homomorphism with total preimage weight at most
     1 at every host vertex.  Source vertices are tried in non-increasing
-    weight order (ties by lowest id), targets by lowest id.
+    weight order (ties by lowest id), targets by lowest id.  Raises
+    BudgetExhausted past DEFAULT_BUDGET nodes.
     """
-    g = gw.graph
-    if host.n == 0:
-        return None if g.n > 0 else VertexMap(0, 0, ())
-    order = sorted(range(g.n), key=lambda v: (-gw.weights[v], v))
-    pos_of = {v: i for i, v in enumerate(order)}
-    back = [
-        [u for u in iter_bits(g.adj[v]) if pos_of[u] < i] for i, v in enumerate(order)
-    ]
-    image = [0] * g.n
-    load = [Fraction(0)] * host.n
-    full = (1 << host.n) - 1
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        w = gw.weights[v]
-        cand = full
-        for u in back[i]:
-            cand &= host.adj[image[u]]
-        for t in iter_bits(cand):
-            if load[t] + w > 1:
-                continue
-            image[v] = t
-            load[t] += w
-            if extend(i + 1):
-                return True
-            load[t] -= w
-        return False
-
-    if extend(0):
-        return VertexMap(g.n, host.n, tuple(image))
-    return None
+    profile = CapacityProfile.weight_cap(gw.weights)
+    return decided(find_capacity_homomorphism(gw.graph, host, profile, DEFAULT_BUDGET))
 
 
 def enumerate_all_maps_has_capacity_hom(

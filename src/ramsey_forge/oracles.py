@@ -15,10 +15,15 @@ from fractions import Fraction
 from math import ceil
 from typing import Callable, Iterator
 
-from .graphs import BLUE, RED, EdgeColoring, Graph, WeightedGraph, iter_bits
+from . import morphisms
+from .generators import complete, complete_multipartite
+from .graphs import BLUE, RED, EdgeColoring, Graph, WeightedGraph
 from .morphisms import (
     CapacityProfile,
+    VerificationError,
     VertexMap,
+    decided,
+    find_capacity_homomorphism,
     find_weighted_embedding,
     verify_capacity,
     verify_homomorphism,
@@ -54,65 +59,47 @@ def mono_copy_search(
     None is an exhaustive-search certificate for both colors.
     """
     for color in (RED, BLUE):
-        vmap = find_weighted_embedding(gw, coloring.subgraph(color))
+        host = coloring.subgraph(color)
+        vmap = find_weighted_embedding(gw, host)
         if vmap is not None:
-            host = coloring.subgraph(color)
-            assert verify_homomorphism(gw.graph, host, vmap).valid
-            assert verify_capacity(vmap, CapacityProfile.weight_cap(gw.weights)).valid
+            if not (
+                verify_homomorphism(gw.graph, host, vmap).valid
+                and verify_capacity(vmap, CapacityProfile.weight_cap(gw.weights)).valid
+            ):
+                raise VerificationError(f"{color} weighted embedding failed verification")
             return color, vmap
     return None
 
 
 def plain_embeds(g: Graph, host: Graph) -> bool:
-    """Injective subgraph embedding existence; independent of the weighted path."""
-    if g.n > host.n:
-        return False
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    pos_of = {v: i for i, v in enumerate(order)}
-    back = [
-        [u for u in iter_bits(g.adj[v]) if pos_of[u] < i] for i, v in enumerate(order)
-    ]
-    full = (1 << host.n) - 1
-    image = [0] * g.n
+    """Injective subgraph embedding existence: count cap 1 on every host vertex.
 
-    def extend(i: int, used: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        cand = full & ~used
-        for u in back[i]:
-            cand &= host.adj[image[u]]
-        for t in iter_bits(cand):
-            image[v] = t
-            if extend(i + 1, used | (1 << t)):
-                return True
-        return False
+    Raises BudgetExhausted past morphisms.DEFAULT_BUDGET nodes.
+    """
+    profile = CapacityProfile.uniform_count_cap(host.n, 1)
+    outcome = find_capacity_homomorphism(g, host, profile, morphisms.DEFAULT_BUDGET)
+    return decided(outcome) is not None
 
-    return extend(0, 0)
+
+def _checker(embeds: Callable[[Graph], bool]) -> Callable[[tuple[int, ...]], bool]:
+    """embeds(host) for a host given by its adjacency rows, cached by rows."""
+    cache: dict[tuple[int, ...], bool] = {}
+
+    def check(adj: tuple[int, ...]) -> bool:
+        hit = cache.get(adj)
+        if hit is None:
+            hit = cache[adj] = embeds(Graph.from_adj(adj))
+        return hit
+
+    return check
 
 
 def _plain_checker(g: Graph) -> Callable[[tuple[int, ...]], bool]:
-    cache: dict[tuple[int, ...], bool] = {}
-
-    def check(adj: tuple[int, ...]) -> bool:
-        hit = cache.get(adj)
-        if hit is None:
-            hit = cache[adj] = plain_embeds(g, Graph.from_adj(adj))
-        return hit
-
-    return check
+    return _checker(lambda host: plain_embeds(g, host))
 
 
 def _weighted_checker(gw: WeightedGraph) -> Callable[[tuple[int, ...]], bool]:
-    cache: dict[tuple[int, ...], bool] = {}
-
-    def check(adj: tuple[int, ...]) -> bool:
-        hit = cache.get(adj)
-        if hit is None:
-            hit = cache[adj] = find_weighted_embedding(gw, Graph.from_adj(adj)) is not None
-        return hit
-
-    return check
+    return _checker(lambda host: find_weighted_embedding(gw, host) is not None)
 
 
 def _witness_coloring_pruned(
@@ -176,10 +163,6 @@ def _witness_coloring(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _complete(n: int) -> Graph:
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
 def ramsey_number(g: Graph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult:
     """Smallest n <= n_max such that every 2-coloring of K_n contains a
     monochromatic copy of g (injective embedding)."""
@@ -204,7 +187,7 @@ def _ramsey_loop(
 ) -> OracleResult:
     last_witness: tuple[int, EdgeColoring] | None = None
     for n in range(start, n_max + 1):
-        witness = _witness_coloring(_complete(n), make_checker(), mode)
+        witness = _witness_coloring(complete(n), make_checker(), mode)
         if witness is None:
             result = OracleResult(VALUE, n, n_max, mode)
             if last_witness is not None:
@@ -309,8 +292,6 @@ def stable_ramsey(
         p = len(sizes)
         if p < 2 or eps < Fraction(1, p):
             continue
-        from .generators import complete_multipartite
-
         host = complete_multipartite(sizes)
         if host.min_degree() < threshold:
             continue

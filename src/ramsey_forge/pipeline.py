@@ -16,6 +16,7 @@ from .graphs import BLUE, RED, EdgeColoring, Graph, pair_density
 from .morphisms import (
     FOUND,
     CapacityProfile,
+    VerificationError,
     VertexMap,
     compose,
     find_capacity_homomorphism,
@@ -134,7 +135,7 @@ def transference_pipeline(
             # slack or homomorphism precondition failed for this color
             continue
         if vmap is not None:
-            assert verify_homomorphism(g, mono, vmap).valid
-            assert vmap.is_injective()
+            if not (verify_homomorphism(g, mono, vmap).valid and vmap.is_injective()):
+                raise VerificationError(f"{color} blow-up embedding failed verification")
             return PipelineResult(color, vmap, None)
     return PipelineResult(None, None, STAGE_LIFT if lift_failed else STAGE_EMBED)

@@ -161,3 +161,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         harness.TASKS, "ramsey", lambda inst, seed: CellResult("some", "x", verified=False)
     )
     assert main(["run", "--config", str(cfg_path)]) == 2
+
+    # an oracle value whose witness coloring failed its recheck trips too
+    monkeypatch.setitem(
+        harness.TASKS, "ramsey", lambda inst, seed: CellResult("value", "6", verified=False)
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import networkx as nx
@@ -13,6 +14,7 @@ from ramsey_forge.morphisms import (
     BUDGET_EXHAUSTED,
     FOUND,
     NONE,
+    BudgetExhausted,
     CapacityProfile,
     VertexMap,
     compose,
@@ -22,6 +24,7 @@ from ramsey_forge.morphisms import (
     verify_capacity,
     verify_homomorphism,
 )
+from ramsey_forge.oracles import plain_embeds
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -127,14 +130,87 @@ def test_search_matches_naive_enumeration(inst):
 def test_unit_weight_embedding_matches_networkx(inst):
     g, h, _ = inst
     gw = WeightedGraph.unit(g)
-    ours = find_weighted_embedding(gw, h) is not None
     matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(h), to_nx(g))
     theirs = (
         next(matcher.subgraph_monomorphisms_iter(), None) is not None
         if g.n <= h.n
         else False
     )
-    assert ours == theirs
+    assert (find_weighted_embedding(gw, h) is not None) == theirs
+    assert plain_embeds(g, h) == theirs
+
+
+@settings(max_examples=60, deadline=None)
+@given(hom_instance(), st.data())
+def test_weighted_embedding_matches_naive_enumeration(inst, data):
+    g, h, _ = inst
+    choices = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    weights = tuple(data.draw(st.lists(st.sampled_from(choices), min_size=g.n, max_size=g.n)))
+    gw = WeightedGraph(g, weights)
+    profile = CapacityProfile.weight_cap(weights)
+    vmap = find_weighted_embedding(gw, h)
+    assert (vmap is not None) == enumerate_all_maps_has_capacity_hom(g, h, profile)
+    if vmap is not None:
+        assert verify_homomorphism(g, h, vmap).valid
+        assert verify_capacity(vmap, profile).valid
+
+
+def test_found_images_are_pinned():
+    # images the search returned before the searches shared one core; the
+    # pipeline lifts and the CLI prints them, so they must not move
+    cube = gen.hypercube(3)
+    out = find_capacity_homomorphism(gen.cycle(6), cube, CapacityProfile.uniform_count_cap(8, 1))
+    assert out.vmap.image == (0, 1, 3, 2, 6, 4)
+    out = find_capacity_homomorphism(
+        gen.cycle(6), gen.complete(3), CapacityProfile.uniform_count_cap(3, 2)
+    )
+    assert out.vmap.image == (0, 1, 0, 2, 1, 2)
+    out = find_capacity_homomorphism(
+        gen.path_power(6, 2), gen.complete(4), CapacityProfile.uniform_count_cap(4, 2)
+    )
+    assert out.vmap.image == (1, 2, 0, 1, 2, 0)
+    gw = WeightedGraph.uniform(gen.cycle(4), Fraction(1, 2))
+    assert find_weighted_embedding(gw, gen.complete(2)).image == (0, 1, 0, 1)
+
+
+def test_pigeonhole_reject_searches_nothing():
+    out = find_capacity_homomorphism(
+        gen.path(5), gen.complete(4), CapacityProfile.uniform_count_cap(4, 1)
+    )
+    assert (out.status, out.nodes) == (NONE, 0)
+    gw = WeightedGraph.uniform(gen.path(5), Fraction(1, 2))
+    profile = CapacityProfile.weight_cap(gw.weights)
+    out = find_capacity_homomorphism(gw.graph, gen.complete(2), profile)
+    assert (out.status, out.nodes) == (NONE, 0)
+
+
+def test_exhausted_budget_raises_not_none(monkeypatch):
+    from ramsey_forge import morphisms
+
+    monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 2)
+    with pytest.raises(BudgetExhausted):
+        plain_embeds(gen.complete(4), gen.complete(5))
+    with pytest.raises(BudgetExhausted):
+        find_weighted_embedding(WeightedGraph.unit(gen.complete(4)), gen.complete(5))
+
+
+def test_cli_hom_prints_core_status(capsys):
+    from ramsey_forge.cli import main
+
+    def hom(*args):
+        assert main(["hom", *args]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert hom("complete:5", "complete:4", "--weights", "1/2", "--budget", "1") == {
+        "status": BUDGET_EXHAUSTED,
+        "image": None,
+    }
+    assert hom("complete:5", "complete:4", "--weights", "1/2")["status"] == NONE
+    assert hom("cycle:4", "complete:2", "--weights", "1/2") == {
+        "status": FOUND,
+        "image": [0, 1, 0, 1],
+    }
+    assert hom("cycle:6", "complete:3", "--count-cap", "2")["image"] == [0, 1, 0, 2, 1, 2]
 
 
 def test_weighted_embedding_respects_loads():
