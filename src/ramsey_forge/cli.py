@@ -19,13 +19,8 @@ from .harness import ConfigError, VerificationError, load_config, run_experiment
 from .morphisms import CapacityProfile, find_capacity_homomorphism
 from .oracles import ramsey_number, stable_ramsey, weighted_ramsey
 from .pipeline import PipelineParams, transference_pipeline
-from .regularity import (
-    Partition,
-    RegularityParams,
-    fixed_k_partition,
-    regularity_check,
-)
-from .rga import RgaParams, rga_blowup_embed
+from .regularity import RegularityParams, fixed_k_partition, regularity_check
+from .rga import RgaParams, blowup_instance, rga_blowup_embed
 from .morphisms import VertexMap
 
 
@@ -209,11 +204,7 @@ def cmd_embed_wheel(args: argparse.Namespace) -> int:
 
 def cmd_embed_rga(args: argparse.Namespace) -> int:
     base = _graph_arg(args.base)
-    spec = generators.BlowupSpec(base, (args.part_size,) * base.n)
-    host, _ = generators.blowup(spec)
-    partition = Partition(
-        host.n, frozenset(), tuple(generators.blowup_parts(spec))
-    )
+    host, partition = blowup_instance(base, args.part_size)
     g = _graph_arg(args.source)
     f = VertexMap(g.n, base.n, tuple(int(v) for v in args.hom.split(",")))
     params = RgaParams(delta=Fraction(args.delta), xi=Fraction(args.xi))

@@ -24,9 +24,11 @@ from .graphs import (
     mask_of,
     other_color,
     pair_density,
+    threshold_size,
 )
 from .morphisms import (
     CapacityProfile,
+    VerificationError,
     VertexMap,
     verify_capacity,
     verify_homomorphism,
@@ -140,10 +142,6 @@ class DenseVerdict:
     witness_y: frozenset[int] | None = None
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return int(-((-x) // 1))
-
-
 def bi_dense_violation(
     g: Graph, universe: Sequence[int], eps: Fraction, delta: Fraction
 ) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -158,7 +156,7 @@ def bi_dense_violation(
     u = len(universe)
     if u == 0:
         return None
-    m = max(1, _ceil_frac(eps * u))
+    m = threshold_size(eps, u)
     if 2 * m > u:
         return None  # no admissible disjoint pair exists
     for xsub in itertools.combinations(universe, m):
@@ -237,7 +235,7 @@ def _sampled_bi_dense_violation(
     u = len(universe)
     if u == 0:
         return None
-    m = max(1, _ceil_frac(eps * u))
+    m = threshold_size(eps, u)
     if 2 * m > u:
         return None
     rng = random.Random(seed)
@@ -314,8 +312,11 @@ def dense_greedy_embed(
                 cand[y] &= g.adj[chosen]
 
     vmap = VertexMap(src.n, g.n, tuple(image))
-    assert verify_homomorphism(src, g, vmap).valid
-    assert verify_capacity(vmap, CapacityProfile.weight_cap(gw.weights)).valid
+    if not (
+        verify_homomorphism(src, g, vmap).valid
+        and verify_capacity(vmap, CapacityProfile.weight_cap(gw.weights)).valid
+    ):
+        raise VerificationError("dense greedy embedding failed verification")
     return vmap
 
 
@@ -364,7 +365,8 @@ def wheel_mono_embed(
     neighborhood X; if some v2 in X has a rich secondary neighborhood Y
     inside X, greedily embed the rim in the secondary color inside Y with
     hub v2, else greedily embed the rim in the primary color inside X with
-    hub v1.  Every returned map is re-verified.  None is a greedy failure.
+    hub v1.  Every returned map is re-verified, and one that fails raises
+    VerificationError.  None is a greedy failure.
     """
     if k < 4:
         raise ValueError("wheel needs at least 4 vertices")
@@ -379,17 +381,17 @@ def wheel_mono_embed(
     rim = list(range(k - 1))
     hub = k - 1
 
-    def finish(color: str, hub_host: int, placed: dict[int, int]) -> tuple[str, VertexMap] | None:
+    def finish(color: str, hub_host: int, placed: dict[int, int]) -> tuple[str, VertexMap]:
         image = [0] * k
         image[hub] = hub_host
         for v, u in placed.items():
             image[v] = u
         vmap = VertexMap(k, host_n, tuple(image))
-        sub = coloring.subgraph(color)
-        if not verify_homomorphism(target, sub, vmap).valid:
-            return None
-        if not verify_capacity(vmap, CapacityProfile.weight_cap(weights)).valid:
-            return None
+        if not (
+            verify_homomorphism(target, coloring.subgraph(color), vmap).valid
+            and verify_capacity(vmap, CapacityProfile.weight_cap(weights)).valid
+        ):
+            raise VerificationError(f"{color} wheel embedding failed verification")
         return color, vmap
 
     for primary in COLORS:
@@ -409,15 +411,11 @@ def wheel_mono_embed(
             load[v2] = weights[hub]
             placed = _greedy_cycle_embed(sec, y_mask, rim, weights, load)
             if placed is not None:
-                hit = finish(other_color(primary), v2, placed)
-                if hit is not None:
-                    return hit
+                return finish(other_color(primary), v2, placed)
             # primary branch: rim in the primary color inside X, hub v1
             load = [Fraction(0)] * host_n
             load[v1] = weights[hub]
             placed = _greedy_cycle_embed(pri, x_mask, rim, weights, load)
             if placed is not None:
-                hit = finish(primary, v1, placed)
-                if hit is not None:
-                    return hit
+                return finish(primary, v1, placed)
     return None

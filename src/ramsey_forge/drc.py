@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graphs import Graph, iter_bits, mask_of
-from .morphisms import VertexMap, verify_homomorphism
+from .morphisms import VerificationError, VertexMap, verify_homomorphism
 
 DEFAULT_TUPLE_BUDGET = 20_000
 
@@ -34,6 +34,14 @@ class DegenerateBudget(ValueError):
 def surjection_count(k: int, s: int) -> int:
     """Number of surjections from [k] onto [s] (inclusion-exclusion)."""
     return sum((-1) ** i * math.comb(s, i) * (s - i) ** k for i in range(s + 1))
+
+
+def common_neighborhood(g: Graph, vertices: Iterable[int]) -> int:
+    """Mask of the vertices of g adjacent to every given vertex."""
+    common = (1 << g.n) - 1
+    for v in vertices:
+        common &= g.adj[v]
+    return common
 
 
 def bad_supports(
@@ -141,9 +149,7 @@ def drc_select(
 
     best: tuple[Fraction, tuple[int, ...], int] | None = None
     for tup in candidates:
-        common = (1 << n) - 1
-        for v in tup:
-            common &= g.adj[v]
+        common = common_neighborhood(g, tup)
         size = common.bit_count()
         overlap = (common & x0_mask).bit_count()
         if e1 > 0:
@@ -162,7 +168,8 @@ def drc_select(
     recheck = (1 << n) - 1
     for v in tup:
         recheck &= g.adj[v]
-    assert recheck == common
+    if recheck != common:
+        raise VerificationError(f"selected set is not the common neighborhood of {tup}")
     xi = bad_tuple_count(g, common, d, threshold)
     return DrcSelection(
         x=frozenset(iter_bits(common)),
@@ -241,8 +248,9 @@ def drc_bandwidth_embed(
     beta = alpha^(6D+1) / (256 D); a zero budget raises DegenerateBudget
     instead of silently looping.  One side (B) is embedded block by block
     into intersections of successive drc_select outputs; the other side (A)
-    goes greedily into common neighborhoods.  Some is always verified;
-    None reports greedy starvation, not nonexistence.
+    goes greedily into common neighborhoods.  Some is always verified (a
+    failed recheck raises VerificationError); None reports greedy
+    starvation, not nonexistence.
     """
     alpha = Fraction(alpha)
     n = host.n
@@ -289,8 +297,7 @@ def drc_bandwidth_embed(
         return {
             a
             for a in a_side
-            if all((b_mask >> u & 1) == 0 or u in done_b for u in iter_bits(h.adj[a]))
-            and set(iter_bits(h.adj[a])) <= done_b
+            if set(iter_bits(h.adj[a])) <= done_b
         }
 
     sel = drc_select(
@@ -343,9 +350,7 @@ def drc_bandwidth_embed(
                 for x, c in counts.items():
                     if c > cap:
                         avoid |= 1 << x
-            cand = band & ~used & ~avoid
-            for u in placed_nbrs:
-                cand &= host.adj[u]
+            cand = band & ~used & ~avoid & common_neighborhood(host, placed_nbrs)
             if cand == 0:
                 return None
             pick = rng.choice(list(iter_bits(cand)))
@@ -355,9 +360,9 @@ def drc_bandwidth_embed(
 
         new_a = sorted(block_a(embedded_b) - embedded_a, key=lambda v: labels[v])
         for a in new_a:
-            cand = v_t & ~used
-            for u in iter_bits(h.adj[a]):
-                cand &= host.adj[image[u]]
+            cand = v_t & ~used & common_neighborhood(
+                host, (image[u] for u in iter_bits(h.adj[a]))
+            )
             if cand == 0:
                 return None
             pick = rng.choice(list(iter_bits(cand)))
@@ -377,10 +382,8 @@ def drc_bandwidth_embed(
         used |= 1 << pick
 
     vmap = VertexMap(h.n, n, tuple(image))
-    if not vmap.is_injective():
-        return None
-    if not verify_homomorphism(h, host, vmap).valid:
-        return None
+    if not (vmap.is_injective() and verify_homomorphism(h, host, vmap).valid):
+        raise VerificationError("bandwidth-block embedding failed verification")
     return vmap
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graphs import EdgeColoring, Graph
-from .morphisms import VertexMap
+from .morphisms import VerificationError, VertexMap
 
 
 def path(n: int) -> Graph:
@@ -180,7 +180,8 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
         deg[v] -= 1
         deleted += 1
     g = Graph.from_adj(adj)
-    assert g.min_degree() >= floor_deg
+    if g.min_degree() < floor_deg:
+        raise VerificationError(f"host minimum degree fell below {floor_deg}")
     return g
 
 

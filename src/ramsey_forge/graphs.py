@@ -156,6 +156,11 @@ def pair_density(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> Fraction:
     return Fraction(e, xmask.bit_count() * ymask.bit_count())
 
 
+def threshold_size(eps: Fraction, size: int) -> int:
+    """Least admissible subset size of a set of `size`: ceil(eps * size), at least 1."""
+    return max(1, -((-eps * size) // 1))
+
+
 def induced(g: Graph, xs: Iterable[int]) -> Graph:
     """Induced subgraph on X, relabeled order-preservingly from sorted X."""
     order = sorted(set(xs))

@@ -25,9 +25,8 @@ from .bandwidth import heuristic_labeling
 from .dense import wheel_mono_embed
 from .graphs import Graph, WeightedGraph, mask_of
 from .morphisms import VerificationError, VertexMap, verify_homomorphism
-from .oracles import ramsey_number, stable_ramsey, weighted_ramsey, mono_copy_search
-from .regularity import Partition
-from .rga import RgaParams, rga_blowup_embed
+from .oracles import OracleResult, ramsey_number, stable_ramsey, weighted_ramsey, mono_copy_search
+from .rga import RgaParams, blowup_instance, rga_blowup_embed
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("schema_version", "task", "instance", "seed", "outcome", "value", "verified", "stage")
@@ -87,41 +86,42 @@ def _make_graph(spec: dict, seed: int) -> Graph:
         raise ConfigError(str(exc)) from None
 
 
-def _task_ramsey(instance: dict, seed: int) -> CellResult:
+def _weighted_target(instance: dict, seed: int) -> WeightedGraph:
     g = _make_graph(instance["target"], seed)
-    result = ramsey_number(g, int(instance["n_max"]), instance.get("mode", "symmetry_pruned"))
-    verified = True
-    if result.witness_coloring is not None:
-        gw = WeightedGraph.unit(g)
-        verified = mono_copy_search(result.witness_coloring, gw) is None
+    weights = tuple(Fraction(w) for w in instance.get("weights", [])) or None
+    return WeightedGraph(g, weights) if weights else WeightedGraph.unit(g)
+
+
+def _oracle_cell(result: OracleResult, gw: WeightedGraph) -> CellResult:
+    """An oracle's cell; its witness coloring must hold no monochromatic copy."""
+    verified = (
+        result.witness_coloring is None
+        or mono_copy_search(result.witness_coloring, gw) is None
+    )
     return CellResult(result.status, str(result.value or ""), verified)
+
+
+def _task_ramsey(instance: dict, seed: int) -> CellResult:
+    gw = WeightedGraph.unit(_make_graph(instance["target"], seed))
+    result = ramsey_number(gw.graph, int(instance["n_max"]), instance.get("mode", "symmetry_pruned"))
+    return _oracle_cell(result, gw)
 
 
 def _task_wramsey(instance: dict, seed: int) -> CellResult:
-    g = _make_graph(instance["target"], seed)
-    weights = tuple(Fraction(w) for w in instance.get("weights", [])) or None
-    gw = WeightedGraph(g, weights) if weights else WeightedGraph.unit(g)
+    gw = _weighted_target(instance, seed)
     result = weighted_ramsey(gw, int(instance["n_max"]), instance.get("mode", "symmetry_pruned"))
-    verified = True
-    if result.witness_coloring is not None:
-        verified = mono_copy_search(result.witness_coloring, gw) is None
-    return CellResult(result.status, str(result.value or ""), verified)
+    return _oracle_cell(result, gw)
 
 
 def _task_sramsey(instance: dict, seed: int) -> CellResult:
-    g = _make_graph(instance["target"], seed)
-    weights = tuple(Fraction(w) for w in instance.get("weights", [])) or None
-    gw = WeightedGraph(g, weights) if weights else WeightedGraph.unit(g)
+    gw = _weighted_target(instance, seed)
     result = stable_ramsey(
         gw,
         Fraction(instance["eps"]),
         int(instance["n_max"]),
         instance.get("mode", "symmetry_pruned"),
     )
-    verified = True
-    if result.witness_coloring is not None:
-        verified = mono_copy_search(result.witness_coloring, gw) is None
-    return CellResult(result.status, str(result.value or ""), verified)
+    return _oracle_cell(result, gw)
 
 
 def _task_wheel(instance: dict, seed: int) -> CellResult:
@@ -183,11 +183,7 @@ def _task_embed_drc(instance: dict, seed: int) -> CellResult:
 
 def _task_rga(instance: dict, seed: int) -> CellResult:
     base = _make_graph(instance["base"], seed)
-    part_size = int(instance["part_size"])
-    spec = generators.BlowupSpec(base, (part_size,) * base.n)
-    host, _ = generators.blowup(spec)
-    parts = generators.blowup_parts(spec)
-    partition = Partition(host.n, frozenset(), tuple(parts))
+    host, partition = blowup_instance(base, int(instance["part_size"]))
     g = _make_graph(instance["g"], seed)
     f = VertexMap(g.n, base.n, tuple(instance["hom"]))
     params = RgaParams(

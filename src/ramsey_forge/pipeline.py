@@ -8,11 +8,10 @@ monochromatic embedding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import BLUE, RED, EdgeColoring, Graph, pair_density
+from .graphs import BLUE, RED, EdgeColoring, Graph
 from .morphisms import (
     FOUND,
     CapacityProfile,
@@ -28,9 +27,14 @@ from .regularity import (
     Partition,
     RegularityParams,
     fixed_k_partition,
-    regularity_check,
+    split_by_density,
 )
 from .rga import RgaParams, rga_blowup_embed
+
+# unused here; perfbench/layers.py traces both names on this module, and its
+# smoke test fails on an absent binding
+from .graphs import pair_density  # noqa: F401
+from .regularity import regularity_check  # noqa: F401
 
 STAGE_PARTITION = "partition"
 STAGE_REDUCED = "reduced_graph"
@@ -86,26 +90,14 @@ def transference_pipeline(
     if k == 0:
         return PipelineResult(None, None, STAGE_PARTITION)
 
-    # reduced coloring: pair (i, j) joins the red reduced graph when its red
-    # density is at least delta, else the blue one; irregular pairs join
-    # neither
-    red_edges = []
-    blue_edges = []
-    for i, j in itertools.combinations(range(k), 2):
-        ci = sorted(partition.classes[i])
-        cj = sorted(partition.classes[j])
-        verdict = regularity_check(
-            red, ci, cj, reg, params.mode, params.sample_budget, seed
-        )
-        if not verdict.treated_regular:
-            continue
-        if pair_density(red, ci, cj) >= params.delta:
-            red_edges.append((i, j))
-        else:
-            blue_edges.append((i, j))
-    reduced_by_color = {RED: Graph(k, red_edges), BLUE: Graph(k, blue_edges)}
-    if not red_edges and not blue_edges:
+    # reduced coloring from the partition's own verdicts: a regular pair
+    # joins the red reduced graph when its red density is at least delta,
+    # else the blue one; irregular pairs join neither
+    if not report.regular_pairs:
         return PipelineResult(None, None, STAGE_REDUCED)
+    reduced_by_color = dict(
+        zip((RED, BLUE), split_by_density(red, partition, report.regular_pairs, params.delta))
+    )
 
     lift_failed = True
     for color in (RED, BLUE):

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graphs import Graph, iter_bits, mask_of, pair_density
+from .graphs import Graph, mask_of, pair_density, threshold_size
 
 EXHAUSTIVE_SIDE_CAP = 16
 
@@ -95,11 +95,6 @@ def _check_pair_inputs(g: Graph, xs: Sequence[int], ys: Sequence[int]) -> tuple[
     return xmask, ymask
 
 
-def _threshold(eps: Fraction, size: int) -> int:
-    t = -((-eps * size) // 1)  # ceil of a Fraction
-    return max(1, int(t))
-
-
 def regularity_check(
     g: Graph,
     xs: Sequence[int],
@@ -128,8 +123,8 @@ def regularity_check(
 def _check_exhaustive(
     g: Graph, xs: list[int], ys: list[int], eps: Fraction
 ) -> RegularityVerdict:
-    m_x = _threshold(eps, len(xs))
-    m_y = _threshold(eps, len(ys))
+    m_x = threshold_size(eps, len(xs))
+    m_y = threshold_size(eps, len(ys))
     d0 = pair_density(g, xs, ys)
     for xsub in itertools.combinations(xs, m_x):
         xmask = mask_of(xsub)
@@ -148,8 +143,8 @@ def _check_exhaustive(
 def _check_sampled(
     g: Graph, xs: list[int], ys: list[int], eps: Fraction, budget: int, seed: int
 ) -> RegularityVerdict:
-    m_x = _threshold(eps, len(xs))
-    m_y = _threshold(eps, len(ys))
+    m_x = threshold_size(eps, len(xs))
+    m_y = threshold_size(eps, len(ys))
     d0 = pair_density(g, xs, ys)
     rng = random.Random(seed)
 
@@ -199,8 +194,8 @@ def regularity_check_all_subsets(
     xs = sorted(set(xs))
     ys = sorted(set(ys))
     eps = params.eps
-    m_x = _threshold(eps, len(xs))
-    m_y = _threshold(eps, len(ys))
+    m_x = threshold_size(eps, len(xs))
+    m_y = threshold_size(eps, len(ys))
     e0 = sum((g.adj[x] & mask_of(ys)).bit_count() for x in xs)
     nx, ny = len(xs), len(ys)
     p, q = eps.numerator, eps.denominator
@@ -231,7 +226,9 @@ def regularity_check_all_subsets(
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Per-class irregularity counts for a partition under one mode."""
+    """Per-class irregularity counts for a partition under one mode, and the
+    class pairs (i < j, in lexicographic order) that the same checks treated
+    as regular."""
 
     per_class_bad: tuple[int, ...]
     class_ok: tuple[bool, ...]  # bad count <= eps * k, per class
@@ -240,6 +237,7 @@ class QualityReport:
     exceptional_ok: bool  # |V_0| <= eps * n
     mode: str
     seed: int
+    regular_pairs: tuple[tuple[int, int], ...]
 
     @property
     def all_classes_ok(self) -> bool:
@@ -258,18 +256,23 @@ def reduced_graph(
     """Cluster graph on the k classes: edge {i, j} iff the pair is regular
     under the given mode (sampled treats unrefuted as regular) and, when
     with_density, its density is at least delta."""
-    k = partition.k
-    edges = []
-    for i, j in itertools.combinations(range(k), 2):
-        ci = sorted(partition.classes[i])
-        cj = sorted(partition.classes[j])
-        verdict = regularity_check(g, ci, cj, params, mode, budget, seed)
-        if not verdict.treated_regular:
-            continue
-        if with_density and pair_density(g, ci, cj) < params.delta:
-            continue
-        edges.append((i, j))
-    return Graph(k, edges)
+    pairs = _quality(g, partition, params, mode, budget, seed).regular_pairs
+    if with_density:
+        return split_by_density(g, partition, pairs, params.delta)[0]
+    return Graph(partition.k, pairs)
+
+
+def split_by_density(
+    g: Graph, partition: Partition, pairs: Iterable[tuple[int, int]], delta: Fraction
+) -> tuple[Graph, Graph]:
+    """Cluster graphs on the k classes from the given class pairs: a pair of
+    density at least delta is an edge of the first, any other of the second."""
+    dense: list[tuple[int, int]] = []
+    sparse: list[tuple[int, int]] = []
+    for i, j in pairs:
+        d = pair_density(g, sorted(partition.classes[i]), sorted(partition.classes[j]))
+        (dense if d >= delta else sparse).append((i, j))
+    return Graph(partition.k, dense), Graph(partition.k, sparse)
 
 
 def _partition_for_seed(n: int, k: int, seed: int) -> Partition:
@@ -293,19 +296,15 @@ def _quality(
     budget: int,
     seed: int,
 ) -> QualityReport:
+    # the only loop over class pairs that checks regularity
     k = partition.k
+    classes = [sorted(c) for c in partition.classes]
     bad = [0] * k
+    regular = []
     for i, j in itertools.combinations(range(k), 2):
-        verdict = regularity_check(
-            g,
-            sorted(partition.classes[i]),
-            sorted(partition.classes[j]),
-            params,
-            mode,
-            budget,
-            seed,
-        )
-        if not verdict.treated_regular:
+        if regularity_check(g, classes[i], classes[j], params, mode, budget, seed).treated_regular:
+            regular.append((i, j))
+        else:
             bad[i] += 1
             bad[j] += 1
     total = sum(bad) // 2
@@ -318,6 +317,7 @@ def _quality(
         exceptional_ok=len(partition.exceptional) <= eps * partition.n,
         mode=mode,
         seed=seed,
+        regular_pairs=tuple(regular),
     )
 
 

@@ -4,7 +4,7 @@ handling.
 The embedder walks the reduced-graph parts in order and places each source
 vertex uniformly at random among host vertices that do not starve any
 still-free neighbor.  Vertices whose free candidates run low jump a FIFO
-queue.  Candidate-set and queue-size invariants are asserted at every step;
+queue.  Candidate-set and queue-size invariants are checked at every step;
 any violation aborts the attempt and a fresh seed retries.
 """
 
@@ -15,8 +15,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import generators
 from .graphs import Graph, iter_bits, mask_of
-from .morphisms import VertexMap, verify_homomorphism
+from .morphisms import VerificationError, VertexMap, verify_homomorphism
 from .regularity import Partition
 
 DEFAULT_EPS1 = Fraction(1, 8)
@@ -48,6 +49,14 @@ class RgaParams:
             raise ValueError("delta must lie in [0, 1]")
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
+
+
+def blowup_instance(base: Graph, part_size: int) -> tuple[Graph, Partition]:
+    """The blow-up of base with part_size vertices per part, and its parts as
+    a partition with an empty exceptional class."""
+    spec = generators.BlowupSpec(base, (part_size,) * base.n)
+    host, _ = generators.blowup(spec)
+    return host, Partition(host.n, frozenset(), tuple(generators.blowup_parts(spec)))
 
 
 @dataclass
@@ -103,11 +112,12 @@ def rga_blowup_embed(
         except _Abort as a:
             aborts.append(a.stage)
             continue
-        assert vmap.is_injective()
-        assert verify_homomorphism(g, host, vmap).valid
-        assert all(
-            part_masks[f(y)] >> vmap(y) & 1 for y in range(g.n)
-        ), "image left its part"
+        if not (
+            vmap.is_injective()
+            and verify_homomorphism(g, host, vmap).valid
+            and all(part_masks[f(y)] >> vmap(y) & 1 for y in range(g.n))
+        ):
+            raise VerificationError("blow-up embedding failed verification")
         if stats is not None:
             stats.attempts = attempt + 1
             stats.aborts = tuple(aborts)

@@ -1,0 +1,107 @@
+"""Soundness rechecks are raises, not asserts that python -O strips.
+
+Each case stubs one recheck to fail and runs its entry point in a fresh
+interpreter under -O; the run must end in VerificationError.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import ramsey_forge
+
+PRELUDE = """
+import sys
+from fractions import Fraction
+from ramsey_forge import dense, drc, generators as gen, oracles, rga
+from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph
+from ramsey_forge.morphisms import CapVerdict, HomVerdict, VerificationError, VertexMap
+
+if __debug__:
+    sys.exit("not running under -O")
+
+def reject(*args):
+    return HomVerdict(False, ((0, 1),))
+
+def reject_into(target, real):
+    # fails only maps into `target`, so precondition checks still pass
+    return lambda g, h, f: reject() if h is target else real(g, h, f)
+"""
+
+# entry point -> code that stubs its recheck and then calls it; without the
+# stub every call below returns a verified result
+CASES = {
+    "mono_copy_search": """
+        oracles.verify_homomorphism = reject
+        host = gen.complete(4)
+        oracles.mono_copy_search(
+            EdgeColoring(host, host.edges()), WeightedGraph.unit(gen.complete(3))
+        )
+    """,
+    "rga_blowup_embed": """
+        base = gen.complete(2)
+        host, partition = rga.blowup_instance(base, 8)
+        rga.verify_homomorphism = reject_into(host, rga.verify_homomorphism)
+        rga.rga_blowup_embed(
+            host, partition, base, gen.cycle(4), VertexMap(4, 2, (0, 1, 0, 1)),
+            rga.RgaParams(delta=Fraction(1, 2), xi=Fraction(1, 4)),
+        )
+    """,
+    "dense_greedy_embed": """
+        dense.verify_capacity = lambda f, profile: CapVerdict(False, ())
+        host = gen.complete(6)
+        params = dense.DenseParams(
+            alpha=Fraction(1, 8), beta=Fraction(1, 4), rho=Fraction(1, 2),
+            delta=Fraction(1, 2), max_deg=2,
+        )
+        dense.dense_greedy_embed(
+            host, dense.DenseWitness.trivial(host, 2), params, WeightedGraph.unit(gen.path(4))
+        )
+    """,
+    "wheel_mono_embed": """
+        dense.verify_homomorphism = reject
+        host = gen.complete(8)
+        dense.wheel_mono_embed(EdgeColoring(host, host.edges()), 4, [1] * 4)
+    """,
+    "drc_select": """
+        drc.common_neighborhood = lambda g, vertices: 0
+        drc.drc_select(gen.complete(6), range(6), 1, Fraction(1, 4))
+    """,
+    "drc_bandwidth_embed": """
+        drc.verify_homomorphism = reject
+        h = Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
+        drc.drc_bandwidth_embed(
+            gen.complete(40), h, list(range(12)), Fraction(1, 2),
+            max_deg=1, beta=Fraction(1, 8),
+        )
+    """,
+    "random_min_degree_host": """
+        Graph.min_degree = lambda self: -1
+        gen.random_min_degree_host(8, Fraction(1, 4), 0)
+    """,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CASES))
+def test_tripwire_survives_optimize(entry: str) -> None:
+    script = PRELUDE + textwrap.dedent(
+        """
+        try:
+        {body}
+        except VerificationError:
+            sys.exit(0)
+        sys.exit("invalid result accepted")
+        """
+    ).format(body=textwrap.indent(textwrap.dedent(CASES[entry]).strip(), "    "))
+    src = str(Path(ramsey_forge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
