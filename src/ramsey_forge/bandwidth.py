@@ -10,12 +10,7 @@ import math
 from collections import deque
 
 from .graphs import Graph, iter_bits
-
-DEFAULT_BUDGET = 10_000_000
-
-
-class BudgetExhausted(RuntimeError):
-    """Raised when a bounded search runs out of its node budget."""
+from .morphisms import DEFAULT_BUDGET, BudgetExhausted
 
 
 def labeling_width(g: Graph, labels: tuple[int, ...]) -> int:

@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 input/config error, 2 verification tripwire.
+Exit codes: 0 success, 1 usage, input or config error, 2 verification tripwire.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import fileio, generators
 from .bandwidth import exact_bandwidth, heuristic_labeling
@@ -16,8 +17,8 @@ from .dense import DenseParams, DenseWitness, dense_greedy_embed, lovasz_partiti
 from .drc import DegenerateBudget, drc_bandwidth_embed, drc_select
 from .graphs import Graph, WeightedGraph
 from .harness import ConfigError, VerificationError, load_config, run_experiment
-from .morphisms import CapacityProfile, find_capacity_homomorphism
-from .oracles import ramsey_number, stable_ramsey, weighted_ramsey
+from .morphisms import DEFAULT_BUDGET, CapacityProfile, find_capacity_homomorphism
+from .oracles import OracleResult, ramsey_number, stable_ramsey, weighted_ramsey, witness_verified
 from .pipeline import PipelineParams, transference_pipeline
 from .regularity import RegularityParams, fixed_k_partition, regularity_check
 from .rga import RgaParams, blowup_instance, rga_blowup_embed
@@ -89,7 +90,9 @@ def cmd_bandwidth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_oracle(result) -> None:
+def _print_oracle(result: OracleResult, gw: WeightedGraph) -> int:
+    if not witness_verified(result, gw):
+        raise VerificationError(f"witness coloring on {result.witness_n} vertices holds a copy")
     print(
         json.dumps(
             {
@@ -101,25 +104,24 @@ def _print_oracle(result) -> None:
             }
         )
     )
+    return 0
 
 
 def cmd_ramsey(args: argparse.Namespace) -> int:
-    _print_oracle(ramsey_number(_graph_arg(args.target), args.n_max, args.mode))
-    return 0
+    g = _graph_arg(args.target)
+    return _print_oracle(ramsey_number(g, args.n_max, args.mode), WeightedGraph.unit(g))
 
 
 def cmd_wramsey(args: argparse.Namespace) -> int:
     g = _graph_arg(args.target)
     gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    _print_oracle(weighted_ramsey(gw, args.n_max, args.mode))
-    return 0
+    return _print_oracle(weighted_ramsey(gw, args.n_max, args.mode), gw)
 
 
 def cmd_sramsey(args: argparse.Namespace) -> int:
     g = _graph_arg(args.target)
     gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    _print_oracle(stable_ramsey(gw, Fraction(args.eps), args.n_max, args.mode))
-    return 0
+    return _print_oracle(stable_ramsey(gw, Fraction(args.eps), args.n_max, args.mode), gw)
 
 
 def cmd_regularity(args: argparse.Namespace) -> int:
@@ -261,8 +263,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # a usage error is an input error: exit 1, as 2 is the verification tripwire
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="ramsey-forge")
+    p = _Parser(prog="ramsey-forge")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("gen", help="emit a named graph")
@@ -282,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("target")
     s.add_argument("--weights")
     s.add_argument("--count-cap", type=int, default=1)
-    s.add_argument("--budget", type=int, default=10_000_000)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.set_defaults(fn=cmd_hom)
 
     s = sub.add_parser("bandwidth", help="bandwidth labeling")
@@ -308,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("regularity", help="regular-pair check or partition report")
     s.add_argument("graph")
     s.add_argument("--format", default=fileio.FORMAT_EDGELIST, choices=fileio.FORMATS)
-    s.add_argument("--pairs", help="comma lists X/Y, e.g. 0,1,2/3,4,5")
-    s.add_argument("--partition", type=int, help="class count k")
+    what = s.add_mutually_exclusive_group(required=True)
+    what.add_argument("--pairs", help="comma lists X/Y, e.g. 0,1,2/3,4,5")
+    what.add_argument("--partition", type=int, help="class count k")
     s.add_argument("--epsilon", required=True)
     s.add_argument("--delta", default="0")
     s.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])

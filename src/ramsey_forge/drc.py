@@ -96,7 +96,6 @@ class DrcSelection:
     size: int
     overlap: int  # |X cap X0|
     bad_tuples: int  # xi(X)
-    bad_exact: bool
     mode: str  # exhaustive | sampled
 
 
@@ -177,7 +176,6 @@ def drc_select(
         size=common.bit_count(),
         overlap=(common & x0_mask).bit_count(),
         bad_tuples=xi,
-        bad_exact=True,
         mode=mode,
     )
 

@@ -2,9 +2,10 @@
 
 Adjacency is one Python int per vertex (bit v of adj[u] is set iff {u,v} is
 an edge), so the neighborhood intersections that dominate every embedding
-search are single bitwise ands.  Densities and weights are
-`fractions.Fraction` throughout: the regularity and capacity predicates are
-sharp threshold checks and must never round.
+search are single bitwise ands.  Densities and weights are exact
+`fractions.Fraction`s (hot paths compare integer counts scaled to a common
+denominator instead): the regularity and capacity predicates are sharp
+threshold checks and must never round.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class Graph:
         self._check_vertex(v)
         return self.adj[v].bit_count()
 
-    def neighbors_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v]
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
@@ -147,11 +144,11 @@ def pair_density(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> Fraction:
     xmask = mask_of(xs)
     ymask = mask_of(ys)
     if xmask == 0 or ymask == 0:
-        raise ValueError("pair_density requires nonempty sets")
+        raise ValueError("X and Y must be nonempty")
     if xmask & ymask:
-        raise ValueError("pair_density requires disjoint sets")
+        raise ValueError("X and Y must be disjoint")
     if (xmask | ymask) >> g.n:
-        raise ValueError("vertex out of range")
+        raise ValueError(f"a vertex of X or Y is out of range for n={g.n}")
     e = edges_between(g, xmask, ymask)
     return Fraction(e, xmask.bit_count() * ymask.bit_count())
 

@@ -25,7 +25,7 @@ from .bandwidth import heuristic_labeling
 from .dense import wheel_mono_embed
 from .graphs import Graph, WeightedGraph, mask_of
 from .morphisms import VerificationError, VertexMap, verify_homomorphism
-from .oracles import OracleResult, ramsey_number, stable_ramsey, weighted_ramsey, mono_copy_search
+from .oracles import OracleResult, ramsey_number, stable_ramsey, weighted_ramsey, witness_verified
 from .rga import RgaParams, blowup_instance, rga_blowup_embed
 
 SCHEMA_VERSION = "1"
@@ -93,12 +93,8 @@ def _weighted_target(instance: dict, seed: int) -> WeightedGraph:
 
 
 def _oracle_cell(result: OracleResult, gw: WeightedGraph) -> CellResult:
-    """An oracle's cell; its witness coloring must hold no monochromatic copy."""
-    verified = (
-        result.witness_coloring is None
-        or mono_copy_search(result.witness_coloring, gw) is None
-    )
-    return CellResult(result.status, str(result.value or ""), verified)
+    """An oracle's cell, verified when its witness coloring passes the recheck."""
+    return CellResult(result.status, str(result.value or ""), witness_verified(result, gw))
 
 
 def _task_ramsey(instance: dict, seed: int) -> CellResult:

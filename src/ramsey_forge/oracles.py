@@ -71,6 +71,12 @@ def mono_copy_search(
     return None
 
 
+def witness_verified(result: OracleResult, gw: WeightedGraph) -> bool:
+    """Independent recheck of an oracle answer: its witness coloring, if any,
+    holds no monochromatic copy of gw."""
+    return result.witness_coloring is None or mono_copy_search(result.witness_coloring, gw) is None
+
+
 def plain_embeds(g: Graph, host: Graph) -> bool:
     """Injective subgraph embedding existence: count cap 1 on every host vertex.
 
@@ -168,7 +174,7 @@ def ramsey_number(g: Graph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult
     monochromatic copy of g (injective embedding)."""
     if n_max > RAMSEY_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {RAMSEY_HARD_CAP}")
-    return _ramsey_loop(n_max, mode, lambda: _plain_checker(g), start=1)
+    return _ramsey_loop(n_max, mode, lambda: _plain_checker(g))
 
 
 def weighted_ramsey(gw: WeightedGraph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult:
@@ -176,17 +182,16 @@ def weighted_ramsey(gw: WeightedGraph, n_max: int, mode: str = MODE_PRUNED) -> O
     monochromatic weighted embedding of gw."""
     if n_max > RAMSEY_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {RAMSEY_HARD_CAP}")
-    return _ramsey_loop(n_max, mode, lambda: _weighted_checker(gw), start=1)
+    return _ramsey_loop(n_max, mode, lambda: _weighted_checker(gw))
 
 
 def _ramsey_loop(
     n_max: int,
     mode: str,
     make_checker: Callable[[], Callable[[tuple[int, ...]], bool]],
-    start: int,
 ) -> OracleResult:
     last_witness: tuple[int, EdgeColoring] | None = None
-    for n in range(start, n_max + 1):
+    for n in range(1, n_max + 1):
         witness = _witness_coloring(complete(n), make_checker(), mode)
         if witness is None:
             result = OracleResult(VALUE, n, n_max, mode)

@@ -36,7 +36,7 @@ from .rga import RgaParams, rga_blowup_embed
 from .graphs import pair_density  # noqa: F401
 from .regularity import regularity_check  # noqa: F401
 
-STAGE_PARTITION = "partition"
+STAGE_PARTITION = "partition"  # never reported; perfbench/workloads.py reads it
 STAGE_REDUCED = "reduced_graph"
 STAGE_LIFT = "capacity_homomorphism"
 STAGE_EMBED = "blowup_embedding"
@@ -86,9 +86,6 @@ def transference_pipeline(
         red, params.k, reg, seed=seed, retries=2,
         mode=params.mode, budget=params.sample_budget,
     )
-    k = partition.k
-    if k == 0:
-        return PipelineResult(None, None, STAGE_PARTITION)
 
     # reduced coloring from the partition's own verdicts: a regular pair
     # joins the red reduced graph when its red density is at least delta,

@@ -8,6 +8,11 @@ lowers the density (it is the mean of per-vertex densities), and dually for
 the largest contribution, so any violation at larger sizes forces one at the
 threshold sizes.  The reference checker below iterates every admissible
 subpair with no such reduction; both must agree.
+
+The checkers compare integer edge counts, not densities: with e0 edges
+between X and Y, a threshold-size subpair with e edges deviates from d(X, Y)
+by more than eps iff its gap e|X||Y| - e0 m_x m_y exceeds floor(eps|X||Y| m_x m_y)
+in absolute value (the density test times the constant |X||Y| m_x m_y > 0).
 """
 
 from __future__ import annotations
@@ -83,18 +88,6 @@ class RegularityVerdict:
         return self.status in (CERTIFIED, UNREFUTED)
 
 
-def _check_pair_inputs(g: Graph, xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int]:
-    xmask = mask_of(xs)
-    ymask = mask_of(ys)
-    if xmask == 0 or ymask == 0:
-        raise ValueError("X and Y must be nonempty")
-    if xmask & ymask:
-        raise ValueError("X and Y must be disjoint")
-    if (xmask | ymask) >> g.n:
-        raise ValueError("vertex out of range")
-    return xmask, ymask
-
-
 def regularity_check(
     g: Graph,
     xs: Sequence[int],
@@ -110,61 +103,64 @@ def regularity_check(
     re-checkable violating witness.  Sampled mode never certifies: it returns
     violated or unrefuted.
     """
-    _check_pair_inputs(g, xs, ys)
+    d0 = pair_density(g, xs, ys)  # validates X and Y
+    xs, ys = sorted(set(xs)), sorted(set(ys))
+    if mode == MODE_EXHAUSTIVE and max(len(xs), len(ys)) > EXHAUSTIVE_SIDE_CAP:
+        raise ValueError(f"exhaustive mode caps sides at {EXHAUSTIVE_SIDE_CAP}")
+    if mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
+        raise ValueError(f"unknown mode {mode!r}")
+    eps = params.eps
+    m_x = threshold_size(eps, len(xs))
+    m_y = threshold_size(eps, len(ys))
+    nxy = len(xs) * len(ys)
+    e0 = d0.numerator * nxy // d0.denominator
+    limit = eps.numerator * nxy * m_x * m_y // eps.denominator
     if mode == MODE_EXHAUSTIVE:
-        if len(set(xs)) > EXHAUSTIVE_SIDE_CAP or len(set(ys)) > EXHAUSTIVE_SIDE_CAP:
-            raise ValueError(f"exhaustive mode caps sides at {EXHAUSTIVE_SIDE_CAP}")
-        return _check_exhaustive(g, sorted(set(xs)), sorted(set(ys)), params.eps)
-    if mode == MODE_SAMPLED:
-        return _check_sampled(g, sorted(set(xs)), sorted(set(ys)), params.eps, budget, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        return _check_exhaustive(g, xs, ys, m_x, m_y, e0, limit)
+    return _check_sampled(g, xs, ys, m_x, m_y, e0, limit, budget, seed)
 
 
 def _check_exhaustive(
-    g: Graph, xs: list[int], ys: list[int], eps: Fraction
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int
 ) -> RegularityVerdict:
-    m_x = threshold_size(eps, len(xs))
-    m_y = threshold_size(eps, len(ys))
-    d0 = pair_density(g, xs, ys)
+    nxy, base = len(xs) * len(ys), e0 * m_x * m_y
     for xsub in itertools.combinations(xs, m_x):
         xmask = mask_of(xsub)
-        by_count = sorted(ys, key=lambda y: ((g.adj[y] & xmask).bit_count(), y))
+        by_count = sorted(((g.adj[y] & xmask).bit_count(), y) for y in ys)
         low = by_count[:m_y]
         high = by_count[-m_y:]
-        d_low = pair_density(g, xsub, low)
-        if d0 - d_low > eps:
-            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(low))
-        d_high = pair_density(g, xsub, high)
-        if d_high - d0 > eps:
-            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(high))
+        if base - sum(c for c, _ in low) * nxy > limit:
+            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(y for _, y in low))
+        if sum(c for c, _ in high) * nxy - base > limit:
+            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(y for _, y in high))
     return RegularityVerdict(CERTIFIED)
 
 
 def _check_sampled(
-    g: Graph, xs: list[int], ys: list[int], eps: Fraction, budget: int, seed: int
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
+    budget: int, seed: int,
 ) -> RegularityVerdict:
-    m_x = threshold_size(eps, len(xs))
-    m_y = threshold_size(eps, len(ys))
-    d0 = pair_density(g, xs, ys)
+    nxy, base = len(xs) * len(ys), e0 * m_x * m_y
     rng = random.Random(seed)
 
-    def deviation(xsub: list[int], ysub: list[int]) -> Fraction:
-        return abs(pair_density(g, xsub, ysub) - d0)
+    def gap(xsub: list[int], ysub: list[int]) -> int:
+        ymask = mask_of(ysub)
+        return abs(sum((g.adj[x] & ymask).bit_count() for x in xsub) * nxy - base)
 
-    best: tuple[Fraction, list[int], list[int]] | None = None
+    best: tuple[int, list[int], list[int]] | None = None
     tried = 0
     for _ in range(budget):
         xsub = sorted(rng.sample(xs, m_x))
         ysub = sorted(rng.sample(ys, m_y))
         tried += 1
-        dev = deviation(xsub, ysub)
+        dev = gap(xsub, ysub)
         if best is None or dev > best[0]:
             best = (dev, xsub, ysub)
     if best is not None:
         # greedy local search: single-element swaps while the deviation grows
         dev, xsub, ysub = best
         improved = True
-        while improved and dev <= eps:
+        while improved and dev <= limit:
             improved = False
             for side, pool in ((xsub, xs), (ysub, ys)):
                 for i, old in enumerate(list(side)):
@@ -172,13 +168,13 @@ def _check_sampled(
                         if new in side:
                             continue
                         side[i] = new
-                        cand = deviation(xsub, ysub)
+                        cand = gap(xsub, ysub)
                         if cand > dev:
                             dev = cand
                             improved = True
                         else:
                             side[i] = old
-        if dev > eps:
+        if dev > limit:
             return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(ysub), tried)
     return RegularityVerdict(UNREFUTED, samples_tried=tried)
 
@@ -190,14 +186,14 @@ def regularity_check_all_subsets(
 
     Exponential in |X| + |Y|; exists to cross-check regularity_check.
     """
-    _check_pair_inputs(g, xs, ys)
+    d0 = pair_density(g, xs, ys)  # validates X and Y
     xs = sorted(set(xs))
     ys = sorted(set(ys))
     eps = params.eps
     m_x = threshold_size(eps, len(xs))
     m_y = threshold_size(eps, len(ys))
-    e0 = sum((g.adj[x] & mask_of(ys)).bit_count() for x in xs)
     nx, ny = len(xs), len(ys)
+    e0 = d0.numerator * nx * ny // d0.denominator
     p, q = eps.numerator, eps.denominator
 
     ysubs: list[tuple[int, tuple[int, ...]]] = []  # (mask over ys-index, members)

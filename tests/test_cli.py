@@ -1,0 +1,96 @@
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from ramsey_forge import cli, fileio, generators as gen, oracles
+from ramsey_forge.graphs import RED
+
+
+def _run(argv: list[str]) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse exits on usage errors and --help
+        return exc.code
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Tiny input files: an edgelist of C6, a red/blue coloring of K6 and a
+    ramsey config, by placeholder name."""
+    edges = tmp_path / "c6.el"
+    edges.write_text(fileio.encode(gen.cycle(6), fileio.FORMAT_EDGELIST))
+    k6 = gen.complete(6)
+    coloring = tmp_path / "k6.col"
+    coloring.write_text(
+        fileio.encode(gen.random_coloring(k6, Fraction(1, 2), 3), fileio.FORMAT_COLORING)
+    )
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps(
+            {
+                "task": "ramsey",
+                "instances": [{"target": {"kind": "complete", "params": [3]}, "n_max": 6}],
+                "seeds": [0],
+            }
+        )
+    )
+    return {"{edges}": str(edges), "{coloring}": str(coloring), "{config}": str(config)}
+
+
+ORACLE_KEYS = {"status", "value", "n_max", "mode", "witness_n"}
+
+# (argv, exit code, keys of the printed JSON object; None: output is not JSON)
+CASES = [
+    ("gen cycle:4", 0, None),
+    ("convert {edges} --from edgelist --to graph6", 0, None),
+    ("hom cycle:4 complete:2", 0, {"status", "image"}),
+    ("bandwidth path:4 --exact", 0, {"heuristic_width", "heuristic_labels", "exact_bandwidth"}),
+    ("ramsey complete:3 --n-max 6", 0, ORACLE_KEYS),
+    ("wramsey complete:3 --n-max 6 --weights 1/2", 0, ORACLE_KEYS),
+    ("sramsey complete:2 --n-max 3 --eps 1/4", 0, ORACLE_KEYS),
+    ("regularity {edges} --epsilon 1/4 --pairs 0,2,4/1,3,5", 0, {"status", "witness_x", "witness_y"}),
+    (
+        "regularity {edges} --epsilon 1/4 --partition 2",
+        0,
+        {"k", "exceptional", "per_class_bad", "total_irregular_pairs", "all_classes_ok",
+         "pairs_ok", "exceptional_ok", "mode"},
+    ),
+    ("split-lovasz cycle:6 --degrees 1,1", 0, {"classes"}),
+    ("embed-dense complete:8 path:3", 0, {"status", "image"}),
+    ("embed-wheel {coloring} --k 4", 0, {"status"}),
+    ("embed-rga complete:2 path:3 --part-size 4 --hom 0,1,0", 0, {"status", "image"}),
+    ("embed-drc complete:8 path:3 --alpha 1/2 --beta 1/2", 0, {"status", "image"}),
+    ("embed-drc complete:8 path:3 --alpha 1/2", 1, {"status", "detail"}),  # degenerate budget
+    ("transfer {coloring} path:3 complete:2 --hom 0,1,0 --k 2", 0,
+     {"status", "color", "failed_stage", "image"}),
+    ("run --config {config}", 0, {"config_hash", "successes"}),
+    # usage errors exit 1, never argparse's 2 (the verification tripwire's code)
+    ("", 1, None),
+    ("ramsey cycle:4", 1, None),
+    ("regularity {edges} --epsilon 1/4", 1, None),
+    ("regularity {edges} --epsilon 1/4 --pairs 0/1 --partition 2", 1, None),
+    ("hom nonexistent:3 complete:2", 1, None),
+]
+
+
+@pytest.mark.parametrize("line,code,keys", CASES, ids=[c[0] or "(none)" for c in CASES])
+def test_every_subcommand(line, code, keys, files, capsys):
+    argv = [files.get(tok, tok) for tok in line.split()]
+    assert _run(argv) == code
+    out = capsys.readouterr().out
+    if keys is not None:
+        assert keys <= set(json.loads(out))
+    elif code == 0:
+        assert out
+
+
+@pytest.mark.parametrize("command", ["ramsey", "wramsey", "sramsey"])
+def test_oracle_witness_recheck_trips(command, monkeypatch, capsys):
+    # a witness coloring that the recheck finds a copy in must exit 2, unprinted
+    monkeypatch.setattr(oracles, "mono_copy_search", lambda coloring, gw: (RED, None))
+    argv = [command, "complete:3", "--n-max", "6"] + (["--eps", "1/4"] if command == "sramsey" else [])
+    assert _run(argv) == 2
+    assert capsys.readouterr().out == ""

@@ -56,14 +56,15 @@ def test_invalid_hom_rejected():
 def test_host_too_small():
     host = gen.complete(3)
     coloring = EdgeColoring(host, host.edges())
-    with pytest.raises(ValueError):
-        transference_pipeline(
-            gen.complete(2),
-            gen.complete(2),
-            VertexMap(2, 2, (0, 1)),
-            coloring,
-            PipelineParams(Fraction(1, 4), Fraction(1, 4), 4),
-        )
+    for k in (4, 0):  # more classes than host vertices; no class at all
+        with pytest.raises(ValueError):
+            transference_pipeline(
+                gen.complete(2),
+                gen.complete(2),
+                VertexMap(2, 2, (0, 1)),
+                coloring,
+                PipelineParams(Fraction(1, 4), Fraction(1, 4), k),
+            )
 
 
 def test_random_colorings_stage_histogram():

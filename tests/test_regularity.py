@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from ramsey_forge import generators as gen
 from ramsey_forge.graphs import Graph, pair_density
 from ramsey_forge.regularity import (
     CERTIFIED,
+    MODE_EXHAUSTIVE,
     MODE_SAMPLED,
     UNREFUTED,
     VIOLATED,
@@ -85,11 +87,71 @@ def test_exhaustive_matches_all_subsets_reference():
             (u, v) for u in range(nx_) for v in range(ny) if rng.random() < rng.random()
         ]
         g, xs, ys = bipartite_pair(nx_, ny, edges)
-        for eps in (Fraction(1, 4), Fraction(1, 2)):
+        for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
             p = RegularityParams(eps)
             fast = regularity_check(g, xs, ys, p)
             ref = regularity_check_all_subsets(g, xs, ys, p)
             assert fast.status == ref.status, (trial, eps)
+
+
+def _verdict_batch(mode: str, count: int = 300, seed: int = 2024) -> list[tuple]:
+    """Seeded random pairs (sides 1-12, interleaved labels, edges inside the
+    sides too) under every eps in {1/4, 1/3, 1/2, 2/3, 3/4} and budgets 0-30."""
+    rng = random.Random(seed)
+    epses = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+    out = []
+    for _ in range(count):
+        nx_, ny = rng.randint(1, 12), rng.randint(1, 12)
+        n = nx_ + ny + rng.randint(0, 3)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        order = list(range(n))
+        rng.shuffle(order)
+        xs, ys = order[:nx_], order[nx_ : nx_ + ny]
+        eps = rng.choice(epses)
+        budget = rng.randint(0, 30)
+        vseed = rng.randrange(1000)
+        v = regularity_check(Graph(n, edges), xs, ys, RegularityParams(eps), mode, budget, vseed)
+        out.append((v.status, sorted(v.witness_x or ()), sorted(v.witness_y or ()), v.samples_tried))
+    return out
+
+
+# captured from the Fraction-per-subpair checkers, before the integer gap rule
+PINNED_BATCH = {
+    MODE_EXHAUSTIVE: (
+        "cbc88a7b4b2a601f5d56f4f4d2b4092a4159ac9fef93062d139ca13f5aa9a0ca",
+        {1: (VIOLATED, [1, 11], [0, 8, 9], 0), 2: (CERTIFIED, [], [], 0)},
+    ),
+    MODE_SAMPLED: (
+        "b83e5795ffabc07df88782d1170dcb30b87e8a7e7cd9a3e8e58305b99d861bcc",
+        {
+            0: (UNREFUTED, [], [], 6),
+            1: (VIOLATED, [3, 10], [0, 2, 9], 19),
+            3: (UNREFUTED, [], [], 26),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_EXHAUSTIVE, MODE_SAMPLED])
+def test_pinned_verdict_batch(mode):
+    batch = _verdict_batch(mode)
+    digest, cases = PINNED_BATCH[mode]
+    for i, expected in cases.items():
+        assert batch[i] == expected, i
+    assert hashlib.sha256(repr(batch).encode()).hexdigest() == digest
+
+
+def test_deviation_exactly_eps_is_regular():
+    # sides of 4, X vertices 0 and 1 joined to all of Y: d0 = 1/2, and every
+    # 2x2 subpair has density 0, 1/2 or 1, so it deviates by at most 1/2
+    g, xs, ys = bipartite_pair(4, 4, [(u, v) for u in range(2) for v in range(4)])
+    half, third = RegularityParams(Fraction(1, 2)), RegularityParams(Fraction(1, 3))
+    assert regularity_check(g, xs, ys, half).status == CERTIFIED
+    assert regularity_check_all_subsets(g, xs, ys, half).status == CERTIFIED
+    assert regularity_check(g, xs, ys, half, MODE_SAMPLED, budget=30).status == UNREFUTED
+    assert regularity_check(g, xs, ys, third).status == VIOLATED
+    assert regularity_check_all_subsets(g, xs, ys, third).status == VIOLATED
 
 
 def test_exhaustive_size_cap():
