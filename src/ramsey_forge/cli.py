@@ -126,7 +126,7 @@ def cmd_sramsey(args: argparse.Namespace) -> int:
 
 def cmd_regularity(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
-    params = RegularityParams(Fraction(args.epsilon), Fraction(args.delta))
+    params = RegularityParams(Fraction(args.epsilon))
     if args.pairs:
         xs, ys = args.pairs.split("/")
         verdict = regularity_check(
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--pairs", help="comma lists X/Y, e.g. 0,1,2/3,4,5")
     what.add_argument("--partition", type=int, help="class count k")
     s.add_argument("--epsilon", required=True)
-    s.add_argument("--delta", default="0")
     s.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--retries", type=int, default=0)

@@ -1,13 +1,15 @@
 """Homomorphism verification and backtracking search.
 
-One backtracking core, find_capacity_homomorphism, does every exact
-embedding search: injective embeddings are count cap 1, weighted embeddings
-are a weight profile.  It converts the profile to integer loads once per
-call (no Fraction in the loop) and is deterministic: source vertices by
-decreasing degree under count caps and by non-increasing weight under
-weights (ties by lowest id), candidate targets by lowest id.  Every search
-result is plain data that the verifiers re-check independently of the
-search bookkeeping.
+One backtracking core, run_plan, does every exact embedding search:
+injective embeddings are count cap 1, weighted embeddings are a weight
+profile.  A SearchPlan (integer demand per source vertex, search order and
+back-neighbour lists; no Fraction in the loop) is compiled once and can be
+run on many hosts, given as raw adjacency rows, with optional pre-fixed
+images for the first vertices of the order.  find_capacity_homomorphism
+compiles a plan per call and is deterministic: source vertices by decreasing
+degree under count caps and by non-increasing weight under weights (ties by
+lowest id), candidate targets by lowest id.  Every search result is plain
+data that the verifiers re-check independently of the search bookkeeping.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ class BudgetExhausted(RuntimeError):
     """An exact search ran out of budget before it could decide."""
 
 
-def _integer_units(
-    g: Graph, h: Graph, profile: CapacityProfile
+def integer_units(
+    profile: CapacityProfile, source_n: int, target_n: int
 ) -> tuple[list[int], list[int]]:
     """Integer demand per source vertex and room per target vertex.
 
@@ -156,45 +158,75 @@ def _integer_units(
     weight denominators, demand w * unit and room unit.
     """
     if profile.count_caps is not None:
-        if len(profile.count_caps) != h.n:
+        if len(profile.count_caps) != target_n:
             raise ValueError("one count cap per target vertex required")
-        return [1] * g.n, list(profile.count_caps)
+        return [1] * source_n, list(profile.count_caps)
     weights = profile.weights
     assert weights is not None
-    if len(weights) != g.n:
+    if len(weights) != source_n:
         raise ValueError("one weight per source vertex required")
     unit = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (unit // w.denominator) for w in weights], [unit] * h.n
+    return [w.numerator * (unit // w.denominator) for w in weights], [unit] * target_n
 
 
-def find_capacity_homomorphism(
-    g: Graph,
-    h: Graph,
-    profile: CapacityProfile,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchOutcome:
-    """Exhaustive backtracking for a homomorphism g -> h obeying the profile.
+@dataclass(frozen=True)
+class SearchPlan:
+    """Source vertices in search order, with the integer demand of each and,
+    for each position, the earlier neighbours whose images constrain it."""
 
-    NONE is a nonexistence certificate; BUDGET_EXHAUSTED is inconclusive.
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    demand, room = _integer_units(g, h, profile)
-    if sum(demand) > sum(room):
-        return SearchOutcome(NONE, nodes=0)
-    if profile.count_caps is not None:
-        order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
-    else:
-        order = sorted(range(g.n), key=lambda v: (-demand[v], v))
-    back = []  # back[i]: neighbors of order[i] that appear earlier in the order
+    order: tuple[int, ...]
+    back: tuple[tuple[int, ...], ...]
+    demand: tuple[int, ...]
+    least: int
+    total: int
+
+
+def compile_plan(g: Graph, demand: Sequence[int], order: Sequence[int]) -> SearchPlan:
+    back = []
     seen = 0
     for v in order:
-        back.append(list(iter_bits(g.adj[v] & seen)))
+        back.append(tuple(iter_bits(g.adj[v] & seen)))
         seen |= 1 << v
-    least = min(demand, default=0)
-    hadj = h.adj
-    image = [0] * g.n
-    n = g.n
+    return SearchPlan(tuple(order), tuple(back), tuple(demand), min(demand, default=0), sum(demand))
+
+
+def run_plan(
+    plan: SearchPlan,
+    hadj: Sequence[int],
+    room: Sequence[int],
+    budget: int,
+    fixed: Sequence[int] = (),
+) -> tuple[list[int] | None, int]:
+    """Backtrack for a homomorphism into the host with adjacency rows hadj
+    whose loads stay within room; fixed[i] is the pre-fixed image of
+    plan.order[i].
+
+    Returns the image (None is a nonexistence certificate) and the node
+    count; the rows are trusted, not validated.  Raises BudgetExhausted past
+    budget nodes.
+    """
+    if plan.total > sum(room):
+        return None, 0
+    order, back, demand, least = plan.order, plan.back, plan.demand, plan.least
+    room = list(room)
+    image = [0] * len(order)
+    open_ = (1 << len(room)) - 1
+    if room and min(room) < least:
+        open_ = sum(1 << t for t, r in enumerate(room) if r >= least)
+    for i, t in enumerate(fixed):
+        v = order[i]
+        cand = open_
+        for u in back[i]:
+            cand &= hadj[image[u]]
+        left = room[t] - demand[v]
+        if left < 0 or not cand >> t & 1:
+            return None, 0
+        image[v] = t
+        if left < least:
+            open_ ^= 1 << t
+        else:
+            room[t] = left
+    n = len(order)
     nodes = 0
 
     # open_ holds the targets with room for the least demand; a placement
@@ -231,11 +263,31 @@ def find_capacity_homomorphism(
                 room[t] += d
         return False
 
+    return (image if extend(len(fixed), open_) else None), nodes
+
+
+def find_capacity_homomorphism(
+    g: Graph,
+    h: Graph,
+    profile: CapacityProfile,
+    budget: int = DEFAULT_BUDGET,
+) -> SearchOutcome:
+    """Exhaustive backtracking for a homomorphism g -> h obeying the profile.
+
+    NONE is a nonexistence certificate; BUDGET_EXHAUSTED is inconclusive.
+    """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    demand, room = integer_units(profile, g.n, h.n)
+    if profile.count_caps is not None:
+        order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+    else:
+        order = sorted(range(g.n), key=lambda v: (-demand[v], v))
     try:
-        found = extend(0, sum(1 << t for t in range(h.n) if room[t] >= least))
+        image, nodes = run_plan(compile_plan(g, demand, order), h.adj, room, budget)
     except BudgetExhausted:
-        return SearchOutcome(BUDGET_EXHAUSTED, nodes=nodes)
-    if not found:
+        return SearchOutcome(BUDGET_EXHAUSTED, nodes=budget + 1)
+    if image is None:
         return SearchOutcome(NONE, nodes=nodes)
     return SearchOutcome(FOUND, VertexMap(g.n, h.n, tuple(image)), nodes)
 

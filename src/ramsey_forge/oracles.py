@@ -5,6 +5,20 @@ soon as the already-decided edges of one color contain a monochromatic copy
 (every extension then contains it too), and the first edge is fixed red
 (color swap is a symmetry of the predicate).  Exhaustive mode enumerates
 every coloring with no shortcuts; both modes must agree.
+
+Pruned mode checks only the edge it just colored.  Its parent color graph is
+copy-free (the search starts from the empty coloring, which it checks with
+the unrooted search), so a new copy, injective or weighted, must map some
+arc (a, b) of the target onto the new edge (u, v).  If an automorphism of
+the target that keeps the weights maps (a, b) to (c, d), composing with it
+turns a copy through (c, d) into one through (a, b).  So one search per
+orbit of oriented arcs suffices: each is compiled once per oracle call with
+a and b pinned to u and v, and runs straight on the color graph's rows.
+The orbits come from one small automorphism search per pair of arcs; if one
+runs out of budget, every arc is its own orbit.  An edgeless target has no
+arc, so the unrooted check of the empty coloring decides it alone.
+Exhaustive mode keeps the unrooted search on every color graph, so it stays
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -13,18 +27,23 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import morphisms
 from .generators import complete, complete_multipartite
-from .graphs import BLUE, RED, EdgeColoring, Graph, WeightedGraph
+from .graphs import BLUE, RED, EdgeColoring, Graph, WeightedGraph, iter_bits
 from .morphisms import (
+    BudgetExhausted,
     CapacityProfile,
+    SearchPlan,
     VerificationError,
     VertexMap,
+    compile_plan,
     decided,
     find_capacity_homomorphism,
     find_weighted_embedding,
+    integer_units,
+    run_plan,
     verify_capacity,
     verify_homomorphism,
 )
@@ -87,36 +106,101 @@ def plain_embeds(g: Graph, host: Graph) -> bool:
     return decided(outcome) is not None
 
 
-def _checker(embeds: Callable[[Graph], bool]) -> Callable[[tuple[int, ...]], bool]:
-    """embeds(host) for a host given by its adjacency rows, cached by rows."""
-    cache: dict[tuple[int, ...], bool] = {}
+class _Copies:
+    """Monochromatic-copy tests of one target, built once per oracle call.
 
-    def check(adj: tuple[int, ...]) -> bool:
-        hit = cache.get(adj)
-        if hit is None:
-            hit = cache[adj] = embeds(Graph.from_adj(adj))
-        return hit
+    anywhere(rows) runs the unrooted embedding search on the color graph
+    with adjacency rows `rows`.  through(rows, u, v) asks only for copies
+    that map an arc of the target onto the edge (u, v); it answers whether
+    rows holds a copy only when rows without that edge holds none.  It runs
+    one precompiled plan per arc orbit straight on the rows.
+    """
 
-    return check
+    def __init__(self, gw: WeightedGraph, embeds: Callable[[Graph], bool], mode: str) -> None:
+        g = gw.graph
+        self.embeds = embeds
+        demand, (self.room,) = integer_units(CapacityProfile.weight_cap(gw.weights), g.n, 1)
+        self.plans: list[SearchPlan] = []
+        if mode == MODE_PRUNED:
+            self.plans = [compile_plan(g, demand, _rooted_order(g, a, b)) for a, b in _arc_roots(gw)]
+
+    def anywhere(self, rows: Sequence[int]) -> bool:
+        return self.embeds(Graph.from_adj(rows))
+
+    def through(self, rows: list[int], u: int, v: int) -> bool:
+        room = [self.room] * len(rows)
+        budget = morphisms.DEFAULT_BUDGET
+        for plan in self.plans:
+            if run_plan(plan, rows, room, budget, (u, v))[0] is not None:
+                return True
+        return False
 
 
-def _plain_checker(g: Graph) -> Callable[[tuple[int, ...]], bool]:
-    return _checker(lambda host: plain_embeds(g, host))
+def _plain_copies(g: Graph, mode: str) -> _Copies:
+    return _Copies(WeightedGraph.unit(g), lambda host: plain_embeds(g, host), mode)
 
 
-def _weighted_checker(gw: WeightedGraph) -> Callable[[tuple[int, ...]], bool]:
-    return _checker(lambda host: find_weighted_embedding(gw, host) is not None)
+def _weighted_copies(gw: WeightedGraph, mode: str) -> _Copies:
+    return _Copies(gw, lambda host: find_weighted_embedding(gw, host) is not None, mode)
 
 
-def _witness_coloring_pruned(
-    host: Graph, has_copy: Callable[[tuple[int, ...]], bool]
-) -> EdgeColoring | None:
+def _rooted_order(g: Graph, a: int, b: int) -> list[int]:
+    """a, b, then at each step the vertex with the most neighbours already
+    placed (ties: higher degree, then lower id)."""
+    order = [a, b]
+    placed = 1 << a | 1 << b
+    rest = [v for v in range(g.n) if v not in (a, b)]
+    while rest:
+        v = max(rest, key=lambda x: ((g.adj[x] & placed).bit_count(), g.adj[x].bit_count(), -x))
+        rest.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+def _arc_roots(gw: WeightedGraph) -> list[tuple[int, int]]:
+    """One arc (a, b) per orbit of the oriented edges of gw.graph under its
+    weight-preserving automorphisms, or every arc when a search gave up.
+
+    Each arc is tested against the roots found so far by a search for an
+    automorphism that maps the root onto it; the group is never listed.
+    """
+    g = gw.graph
+    arcs = [(a, b) for a in range(g.n) for b in iter_bits(g.adj[a])]
+    # Vertices are classed by (weight, degree) and class k gets load K + k
+    # for K classes, so no vertex takes two sources.  An injective map of g
+    # into itself is an automorphism; one that never lowers a load keeps
+    # every load, since the loads sum to the same total.  So the core finds
+    # exactly the class-preserving automorphisms.
+    keys = [(gw.weights[v], g.adj[v].bit_count()) for v in range(g.n)]
+    classes = sorted(set(keys))
+    load = [len(classes) + classes.index(k) for k in keys]
+    roots: list[tuple[int, int, SearchPlan]] = []
+    budget = morphisms.DEFAULT_BUDGET
+    try:
+        for c, d in arcs:
+            if not any(
+                load[a] == load[c]
+                and load[b] == load[d]
+                and run_plan(plan, g.adj, load, budget, (c, d))[0] is not None
+                for a, b, plan in roots
+            ):
+                roots.append((c, d, compile_plan(g, load, _rooted_order(g, c, d))))
+    except BudgetExhausted:
+        return arcs
+    return [(a, b) for a, b, _ in roots]
+
+
+def _witness_coloring_pruned(host: Graph, copies: _Copies) -> EdgeColoring | None:
     """A coloring of the host with no monochromatic copy, or None if all have one.
 
     DFS over the edge list; a branch dies once one color's decided edges
-    already contain a copy.  The first edge is fixed red: the predicate is
-    invariant under swapping colors.
+    already contain a copy.  Each color graph was copy-free before its
+    newest edge, so only copies through that edge are sought.  The first
+    edge is fixed red: the predicate is invariant under swapping colors.
     """
+    if copies.anywhere([0] * host.n):  # only an edgeless target fits
+        return None
     edges = host.edges()
     red = [0] * host.n
     blue = [0] * host.n
@@ -130,7 +214,7 @@ def _witness_coloring_pruned(
             rows = red if color == RED else blue
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            if not has_copy(tuple(rows)):
+            if not copies.through(rows, u, v):
                 found = decide(i + 1, False)
                 if found is not None:
                     return found
@@ -141,12 +225,19 @@ def _witness_coloring_pruned(
     return decide(0, len(edges) > 0)
 
 
-def _witness_coloring_naive(
-    host: Graph, has_copy: Callable[[tuple[int, ...]], bool]
-) -> EdgeColoring | None:
+def _witness_coloring_naive(host: Graph, copies: _Copies) -> EdgeColoring | None:
     """Full 2^m scan with no pruning and no symmetry shortcuts."""
     edges = host.edges()
     m = len(edges)
+    # the red graph of a mask is the blue graph of its complement
+    seen: dict[tuple[int, ...], bool] = {}
+
+    def has_copy(rows: tuple[int, ...]) -> bool:
+        hit = seen.get(rows)
+        if hit is None:
+            hit = seen[rows] = copies.anywhere(rows)
+        return hit
+
     for mask in range(1 << m):
         red = [0] * host.n
         for i, (u, v) in enumerate(edges):
@@ -159,13 +250,11 @@ def _witness_coloring_naive(
     return None
 
 
-def _witness_coloring(
-    host: Graph, has_copy: Callable[[tuple[int, ...]], bool], mode: str
-) -> EdgeColoring | None:
+def _witness_coloring(host: Graph, copies: _Copies, mode: str) -> EdgeColoring | None:
     if mode == MODE_PRUNED:
-        return _witness_coloring_pruned(host, has_copy)
+        return _witness_coloring_pruned(host, copies)
     if mode == MODE_EXHAUSTIVE:
-        return _witness_coloring_naive(host, has_copy)
+        return _witness_coloring_naive(host, copies)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -174,7 +263,7 @@ def ramsey_number(g: Graph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult
     monochromatic copy of g (injective embedding)."""
     if n_max > RAMSEY_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {RAMSEY_HARD_CAP}")
-    return _ramsey_loop(n_max, mode, lambda: _plain_checker(g))
+    return _ramsey_loop(n_max, mode, _plain_copies(g, mode))
 
 
 def weighted_ramsey(gw: WeightedGraph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult:
@@ -182,17 +271,17 @@ def weighted_ramsey(gw: WeightedGraph, n_max: int, mode: str = MODE_PRUNED) -> O
     monochromatic weighted embedding of gw."""
     if n_max > RAMSEY_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {RAMSEY_HARD_CAP}")
-    return _ramsey_loop(n_max, mode, lambda: _weighted_checker(gw))
+    return _ramsey_loop(n_max, mode, _weighted_copies(gw, mode))
 
 
 def _ramsey_loop(
     n_max: int,
     mode: str,
-    make_checker: Callable[[], Callable[[tuple[int, ...]], bool]],
+    copies: _Copies,
 ) -> OracleResult:
     last_witness: tuple[int, EdgeColoring] | None = None
     for n in range(1, n_max + 1):
-        witness = _witness_coloring(complete(n), make_checker(), mode)
+        witness = _witness_coloring(complete(n), copies, mode)
         if witness is None:
             result = OracleResult(VALUE, n, n_max, mode)
             if last_witness is not None:
@@ -270,12 +359,13 @@ def stable_ramsey(
     if n_max > STABLE_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {STABLE_HARD_CAP}")
     eps = Fraction(eps)
+    copies = _weighted_copies(gw, mode)
     last_witness: tuple[int, Graph, EdgeColoring] | None = None
     for n in range(1, n_max + 1):
         threshold = min_degree_threshold(n, eps)
         failed = None
         for host in hosts_with_min_degree(n, threshold):
-            witness = _witness_coloring(host, _weighted_checker(gw), mode)
+            witness = _witness_coloring(host, copies, mode)
             if witness is not None:
                 failed = (n, host, witness)
                 break
@@ -300,7 +390,7 @@ def stable_ramsey(
         host = complete_multipartite(sizes)
         if host.min_degree() < threshold:
             continue
-        witness = _witness_coloring(host, _weighted_checker(gw), mode)
+        witness = _witness_coloring(host, copies, mode)
         if witness is not None:
             result.status = INFINITE_SUSPECTED
             result.witness_n = n_max

@@ -73,6 +73,9 @@ CASES = [
     ("regularity {edges} --epsilon 1/4", 1, None),
     ("regularity {edges} --epsilon 1/4 --pairs 0/1 --partition 2", 1, None),
     ("hom nonexistent:3 complete:2", 1, None),
+    # no regularity output reads a density threshold
+    ("regularity {edges} --epsilon 1/4 --partition 2 --delta 0", 1, None),
+    ("regularity {edges} --epsilon 1/4 --pairs 0/1 --delta 1", 1, None),
 ]
 
 

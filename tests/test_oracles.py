@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_forge import generators as gen
+from ramsey_forge import morphisms, oracles
 from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph
+from ramsey_forge.morphisms import BudgetExhausted
 from ramsey_forge.oracles import (
     EXCEEDS,
     INFINITE_SUSPECTED,
@@ -22,6 +27,7 @@ from ramsey_forge.oracles import (
     ramsey_number,
     stable_ramsey,
     weighted_ramsey,
+    witness_verified,
 )
 
 
@@ -140,3 +146,102 @@ def test_pruned_and_naive_agree_on_random_targets(bits):
     a = ramsey_number(g, 5, MODE_PRUNED)
     b = ramsey_number(g, 5, MODE_EXHAUSTIVE)
     assert (a.status, a.value) == (b.status, b.value)
+
+
+def test_cycle6_ramsey_value():
+    # r(C_n) = 3n/2 - 1 for even n >= 6 (Faudree-Schelp, Rosta)
+    r = ramsey_number(gen.cycle(6), 8)
+    assert (r.status, r.value, r.witness_n) == (VALUE, 8, 7)
+    assert witness_verified(r, WeightedGraph.unit(gen.cycle(6)))
+
+
+# Small graphs on at most four vertices, one per isomorphism class: the
+# empty graph, edgeless graphs and graphs with isolated vertices included.
+ATLAS = [Graph(a.number_of_nodes(), list(a.edges())) for a in nx.graph_atlas_g()[:19]]
+WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("index", range(len(ATLAS)))
+def test_rooted_pruned_matches_exhaustive_on_atlas(index):
+    g = ATLAS[index]
+    rng = random.Random(index)
+    a = ramsey_number(g, 5, MODE_PRUNED)
+    b = ramsey_number(g, 5, MODE_EXHAUSTIVE)
+    assert (a.status, a.value) == (b.status, b.value)
+    for _ in range(2):
+        gw = WeightedGraph(g, tuple(rng.choice(WEIGHTS) for _ in range(g.n)))
+        a = weighted_ramsey(gw, 5, MODE_PRUNED)
+        b = weighted_ramsey(gw, 5, MODE_EXHAUSTIVE)
+        assert (a.status, a.value) == (b.status, b.value), gw.weights
+        assert witness_verified(a, gw)
+
+
+def _benchmark_queries():
+    unit = WeightedGraph.unit
+    half_c5 = WeightedGraph.uniform(gen.cycle(5), Fraction(1, 2))
+    return [
+        ("r(K3)", lambda: ramsey_number(gen.complete(3), 6)),
+        ("r(C4)", lambda: ramsey_number(gen.cycle(4), 7)),
+        ("wr(C5,1/2)", lambda: weighted_ramsey(half_c5, 8)),
+        ("r(P6)", lambda: ramsey_number(gen.path(6), 8)),
+        ("r(K1,4)", lambda: ramsey_number(gen.complete_multipartite([1, 4]), 8)),
+        ("r(C5)", lambda: ramsey_number(gen.cycle(5), 8)),
+        ("r(K2,3)", lambda: ramsey_number(gen.complete_multipartite([2, 3]), 8)),
+        ("sr_1/3(C4)", lambda: stable_ramsey(unit(gen.cycle(4)), Fraction(1, 3), 6)),
+        ("sr_1/4(C4)", lambda: stable_ramsey(unit(gen.cycle(4)), Fraction(1, 4), 6)),
+    ]
+
+
+def test_pinned_witness_colorings():
+    # status, value and witness coloring of the benchmark's oracle queries,
+    # captured from the unrooted pruned search
+    lines = []
+    for label, query in _benchmark_queries():
+        r = query()
+        c = r.witness_coloring
+        lines.append(
+            f"{label} {r.status} {r.value} {r.witness_n} "
+            f"{c.host.adj if c else None} {c.red_adj if c else None}"
+        )
+    assert lines[0] == "r(K3) value 6 5 [30, 29, 27, 23, 15] [6, 9, 17, 18, 12]"
+    assert lines[3].startswith("r(P6) value 8 7 ")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "8259e347ff193cb196ee022c54bb67a0995298837c42ae1924c1ddee5e5c2e1a"
+
+
+@pytest.mark.parametrize(
+    "gw,plans",
+    [
+        (WeightedGraph.unit(gen.cycle(6)), 1),
+        (WeightedGraph.unit(gen.complete_multipartite([2, 3])), 2),
+        (WeightedGraph.unit(gen.complete_multipartite([1, 7])), 2),
+        (WeightedGraph.unit(gen.path(6)), 5),
+        (WeightedGraph.unit(gen.path(3)), 2),
+        # the weights break the reflection of P3
+        (WeightedGraph(gen.path(3), (Fraction(1), Fraction(1, 2), Fraction(1, 3))), 4),
+        (WeightedGraph.unit(Graph(3)), 0),
+    ],
+)
+def test_one_rooted_plan_per_arc_orbit(gw, plans):
+    assert len(oracles._arc_roots(gw)) == plans
+    assert len(oracles._weighted_copies(gw, MODE_PRUNED).plans) == plans
+    assert oracles._weighted_copies(gw, MODE_EXHAUSTIVE).plans == []
+
+
+def test_arc_orbits_fall_back_to_every_arc(monkeypatch):
+    monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
+    assert len(oracles._arc_roots(WeightedGraph.unit(gen.cycle(6)))) == 12
+
+
+def test_oracles_raise_when_the_budget_runs_out(monkeypatch):
+    unit_c4 = WeightedGraph.unit(gen.cycle(4))
+    copies = oracles._weighted_copies(unit_c4, MODE_PRUNED)
+    monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
+    with pytest.raises(BudgetExhausted):
+        copies.through(list(gen.complete(6).adj), 0, 1)
+    with pytest.raises(BudgetExhausted):
+        ramsey_number(gen.cycle(4), 6)
+    with pytest.raises(BudgetExhausted):
+        weighted_ramsey(WeightedGraph.uniform(gen.cycle(5), Fraction(1, 2)), 6)
+    with pytest.raises(BudgetExhausted):
+        stable_ramsey(unit_c4, Fraction(1, 4), 5)
