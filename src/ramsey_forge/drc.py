@@ -10,6 +10,16 @@ with E1 = alpha^(2 D^2) |X0|^D n^D and E2 = beta^D n^D |X0|^D, where xi(X)
 counts ordered Delta-tuples from X^D with fewer than beta*n common
 neighbors.  The best-scoring X satisfies, for most hosts, the three
 selection properties re-checked by drc_properties.
+
+drc_select compares scores as integers: with E1 = p1/q1 and E2 = p2/q2 in
+lowest terms, the score times the per-call constant 2 p1 p2 > 0 is
+2 p2 q1 |X0 cap X|^D |X|^D - p1 q2 xi(X) |X0 cap X|^D; when E1 or E2 is 0
+its term is dropped and the other is scaled by its own positive constant.
+Integer codegrees are compared with ceil(beta*n), which is the same test as
+comparing with beta*n.  xi(X) is 0 whenever n - D * (the largest nondegree
+in X) >= beta*n; drc_select groups the host's vertices by nondegree once per
+call and applies that shortcut from the groups, so only tuples it leaves
+open reach bad_supports' enumeration.
 """
 
 from __future__ import annotations
@@ -44,6 +54,28 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> int:
     return common
 
 
+def _nondegree_groups(g: Graph, scope: int) -> list[tuple[int, int]]:
+    """(nondegree, mask) for every vertex of g, highest nondegree first; a
+    vertex's nondegree counts the scope vertices it is not adjacent to."""
+    n_scope = scope.bit_count()
+    groups: dict[int, int] = {}
+    for v, row in enumerate(g.adj):
+        k = n_scope - (row & scope).bit_count()
+        groups[k] = groups.get(k, 0) | 1 << v
+    return sorted(groups.items(), reverse=True)
+
+
+def _no_bad_support(
+    groups: list[tuple[int, int]], x_mask: int, n_scope: int, max_deg: int, need: int
+) -> bool:
+    """Whether every support of at most max_deg vertices of X keeps at least
+    need common neighbors, by n_scope - max_deg * max_nondegree >= need."""
+    for nondeg, mask in groups:
+        if mask & x_mask:
+            return n_scope - max_deg * nondeg >= need
+    return True  # X is empty
+
+
 def bad_supports(
     g: Graph, x_mask: int, max_deg: int, threshold: Fraction, within: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -54,14 +86,11 @@ def bad_supports(
     size of the restriction, every support has codegree >= threshold and the
     list is empty without enumeration.
     """
-    members = list(iter_bits(x_mask))
-    if not members:
-        return []
     scope = within if within is not None else (1 << g.n) - 1
-    n_scope = scope.bit_count()
-    max_nondeg = max(n_scope - (g.adj[v] & scope).bit_count() for v in members)
-    if n_scope - max_deg * max_nondeg >= threshold:
+    need = math.ceil(threshold)  # an integer count is < threshold iff it is < need
+    if _no_bad_support(_nondegree_groups(g, scope), x_mask, scope.bit_count(), max_deg, need):
         return []
+    members = list(iter_bits(x_mask))
     out: list[tuple[int, ...]] = []
 
     def grow(start: int, chosen: list[int], common: int) -> None:
@@ -69,7 +98,7 @@ def bad_supports(
             v = members[idx]
             nxt = common & g.adj[v]
             chosen.append(v)
-            if nxt.bit_count() < threshold:
+            if nxt.bit_count() < need:
                 out.append(tuple(chosen))
             if len(chosen) < max_deg:
                 grow(idx + 1, chosen, nxt)
@@ -145,22 +174,27 @@ def drc_select(
     d = max_deg
     e1 = alpha ** (2 * d * d) * Fraction(x0_size) ** d * Fraction(n) ** d
     e2 = beta**d * Fraction(n) ** d * Fraction(x0_size) ** d
+    # integer weights of the two score terms over one positive scale
+    if e1 > 0 and e2 > 0:
+        w_size, w_bad = 2 * e2.numerator * e1.denominator, e1.numerator * e2.denominator
+    else:
+        w_size, w_bad = int(e1 > 0), int(e2 > 0)
+    need = math.ceil(threshold)
+    groups = _nondegree_groups(g, (1 << n) - 1)
 
-    best: tuple[Fraction, tuple[int, ...], int] | None = None
+    best: tuple[int, tuple[int, ...], int] | None = None
     for tup in candidates:
         common = common_neighborhood(g, tup)
         size = common.bit_count()
         overlap = (common & x0_mask).bit_count()
-        if e1 > 0:
-            score = Fraction(overlap**d * size**d) / e1
-        else:
-            score = Fraction(0)
-        if e2 > 0 and overlap > 0 and size > 0:
-            xi = bad_tuple_count(g, common, d, threshold)
-            score -= Fraction(xi * overlap**d) / (2 * e2)
+        lift = overlap**d
+        score = w_size * lift * size**d
+        if w_bad and lift and not _no_bad_support(groups, common, n, d, need):
+            score -= w_bad * lift * bad_tuple_count(g, common, d, threshold)
         if best is None or score > best[0] or (score == best[0] and tup < best[1]):
             best = (score, tup, common)
-    assert best is not None
+    if best is None:  # n >= 1 and trials >= 1 always give a candidate
+        raise ValueError("no candidate tuple")
     _, tup, common = best
 
     # independent recomputation of the stats for the winner

@@ -5,6 +5,7 @@ Every random generator is a pure function of (params, seed).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -150,7 +151,12 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     """Delete random edges from K_n while min degree stays >= ceil((1-eps)n).
 
     Stops at a seeded target deletion count or when no edge is deletable; the
-    min-degree certificate is exact by construction.
+    min-degree certificate is exact by construction.  The deletable edges
+    (both ends above the floor) are kept in one list in lexicographic order:
+    a deletion removes its pair (found by bisection), and the list is
+    re-filtered only when a vertex reaches the floor (at most n times).  Each
+    step draws with rng.choice on that list, so the RNG stream is the one a
+    full rescan of all pairs per step would give.
     """
     eps = Fraction(eps)
     if not 0 <= eps < 1:
@@ -163,22 +169,20 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
 
     adj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
     deg = [n - 1] * n
-    deleted = 0
-    edges = list(itertools.combinations(range(n), 2))
-    while deleted < target:
-        deletable = [
-            (u, v)
-            for u, v in edges
-            if adj[u] >> v & 1 and deg[u] > floor_deg and deg[v] > floor_deg
-        ]
+    deletable = list(itertools.combinations(range(n), 2)) if slack_per_vertex else []
+    for _ in range(target):
         if not deletable:
             break
         u, v = rng.choice(deletable)
+        del deletable[bisect.bisect_left(deletable, (u, v))]
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
         deg[u] -= 1
         deg[v] -= 1
-        deleted += 1
+        if deg[u] == floor_deg or deg[v] == floor_deg:
+            deletable = [
+                (a, b) for a, b in deletable if deg[a] > floor_deg and deg[b] > floor_deg
+            ]
     g = Graph.from_adj(adj)
     if g.min_degree() < floor_deg:
         raise VerificationError(f"host minimum degree fell below {floor_deg}")

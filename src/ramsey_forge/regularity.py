@@ -13,6 +13,9 @@ The checkers compare integer edge counts, not densities: with e0 edges
 between X and Y, a threshold-size subpair with e edges deviates from d(X, Y)
 by more than eps iff its gap e|X||Y| - e0 m_x m_y exceeds floor(eps|X||Y| m_x m_y)
 in absolute value (the density test times the constant |X||Y| m_x m_y > 0).
+Every violating witness, from either checker, is rechecked on its own by
+exact edge counts against d(X, Y) and eps; a failed recheck raises
+VerificationError.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graphs import Graph, mask_of, pair_density, threshold_size
+from .graphs import Graph, edges_between, mask_of, pair_density, threshold_size
+from .morphisms import VerificationError
 
 EXHAUSTIVE_SIDE_CAP = 16
 
@@ -116,8 +120,27 @@ def regularity_check(
     e0 = d0.numerator * nxy // d0.denominator
     limit = eps.numerator * nxy * m_x * m_y // eps.denominator
     if mode == MODE_EXHAUSTIVE:
-        return _check_exhaustive(g, xs, ys, m_x, m_y, e0, limit)
-    return _check_sampled(g, xs, ys, m_x, m_y, e0, limit, budget, seed)
+        verdict = _check_exhaustive(g, xs, ys, m_x, m_y, e0, limit)
+    else:
+        verdict = _check_sampled(g, xs, ys, m_x, m_y, e0, limit, budget, seed)
+    if verdict.status == VIOLATED and not _violates(g, xs, ys, eps, verdict):
+        raise VerificationError("regularity witness does not violate eps-regularity")
+    return verdict
+
+
+def _violates(
+    g: Graph, xs: list[int], ys: list[int], eps: Fraction, v: RegularityVerdict
+) -> bool:
+    """Independent recheck of a witness: X' in X and Y' in Y with |X'| >= eps|X|,
+    |Y'| >= eps|Y| and |d(X', Y') - d(X, Y)| > eps, by exact integer edge counts."""
+    wx, wy = v.witness_x or frozenset(), v.witness_y or frozenset()
+    nx, ny, a, b = len(xs), len(ys), len(wx), len(wy)
+    p, q = eps.numerator, eps.denominator
+    if not (wx <= set(xs) and wy <= set(ys) and a * q >= p * nx and b * q >= p * ny):
+        return False
+    e = edges_between(g, mask_of(wx), mask_of(wy))
+    e0 = edges_between(g, mask_of(xs), mask_of(ys))
+    return abs(e * nx * ny - e0 * a * b) * q > p * nx * ny * a * b
 
 
 def _check_exhaustive(
@@ -163,17 +186,17 @@ def _check_sampled(
         while improved and dev <= limit:
             improved = False
             for side, pool in ((xsub, xs), (ysub, ys)):
-                for i, old in enumerate(list(side)):
+                for i in range(len(side)):
+                    kept = side[i]
                     for new in pool:
                         if new in side:
                             continue
                         side[i] = new
                         cand = gap(xsub, ysub)
                         if cand > dev:
-                            dev = cand
-                            improved = True
+                            dev, kept, improved = cand, new, True
                         else:
-                            side[i] = old
+                            side[i] = kept
         if dev > limit:
             return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(ysub), tried)
     return RegularityVerdict(UNREFUTED, samples_tried=tried)
@@ -333,12 +356,15 @@ def fixed_k_partition(
     """
     if not 1 <= k <= g.n:
         raise ValueError("k must lie in 1..n")
-    best: tuple[Partition, QualityReport] | None = None
-    for attempt in range(retries + 1):
-        attempt_seed = seed * 1_000_003 + attempt
+    if retries < 0:
+        raise ValueError("retries must be nonnegative")
+
+    def attempt(attempt_seed: int) -> tuple[Partition, QualityReport]:
         partition = _partition_for_seed(g.n, k, attempt_seed)
-        report = _quality(g, partition, params, mode, budget, attempt_seed)
-        if best is None or report.total_irregular_pairs < best[1].total_irregular_pairs:
-            best = (partition, report)
-    assert best is not None
-    return best
+        return partition, _quality(g, partition, params, mode, budget, attempt_seed)
+
+    # min keeps the first of equal counts, so ties go to the earliest attempt
+    return min(
+        (attempt(seed * 1_000_003 + a) for a in range(retries + 1)),
+        key=lambda pr: pr[1].total_irregular_pairs,
+    )

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from ramsey_forge import generators as gen
 from ramsey_forge.bandwidth import heuristic_labeling
 from ramsey_forge.drc import (
+    DEFAULT_TUPLE_BUDGET,
     DegenerateBudget,
     bad_supports,
     bad_tuple_count,
@@ -57,6 +61,134 @@ def test_bad_supports_min_degree_shortcut():
     g = gen.complete(12)
     # codegree of any pair is 10 >= 5, shortcut applies
     assert bad_supports(g, (1 << 12) - 1, 2, Fraction(5)) == []
+
+
+def brute_bad_supports(g, x_mask, d, threshold, scope):
+    members = sorted(v for v in range(g.n) if x_mask >> v & 1)
+    out = []
+    for size in range(1, d + 1):
+        for support in itertools.combinations(members, size):
+            common = scope
+            for v in support:
+                common &= g.adj[v]
+            if common.bit_count() < threshold:
+                out.append(support)
+    return sorted(out)
+
+
+def test_bad_supports_within_matches_brute_force():
+    for seed in range(6):
+        g = gen.random_min_degree_host(18, Fraction(1, 3), seed)
+        x_mask = mask_of(range(seed, 18, 2))
+        scope = mask_of(v for v in range(18) if v % 3 != seed % 3)
+        for d in (1, 2, 3):
+            for threshold in (Fraction(0), Fraction(3), Fraction(7, 2), Fraction(6), Fraction(11)):
+                for within in (None, scope):
+                    full = scope if within is not None else (1 << 18) - 1
+                    got = sorted(bad_supports(g, x_mask, d, threshold, within=within))
+                    assert got == brute_bad_supports(g, x_mask, d, threshold, full)
+    assert bad_supports(gen.complete(6), 0, 2, Fraction(9)) == []
+
+
+def reference_select(g, x0, d, beta, trials=100, seed=0, alpha=Fraction(1, 2),
+                     tuple_budget=DEFAULT_TUPLE_BUDGET):
+    """drc_select's winner by Fraction scores and brute-force xi(X)."""
+    n = g.n
+    x0_mask = mask_of(x0)
+    x0_size = x0_mask.bit_count()
+    if math.comb(n + d - 1, d) <= tuple_budget:
+        candidates = list(itertools.combinations_with_replacement(range(n), d))
+    else:
+        rng = random.Random(seed)
+        candidates = [tuple(sorted(rng.randrange(n) for _ in range(d))) for _ in range(trials)]
+    e1 = alpha ** (2 * d * d) * Fraction(x0_size) ** d * Fraction(n) ** d
+    e2 = beta**d * Fraction(n) ** d * Fraction(x0_size) ** d
+    best = None
+    for tup in candidates:
+        common = (1 << n) - 1
+        for v in tup:
+            common &= g.adj[v]
+        size = common.bit_count()
+        overlap = (common & x0_mask).bit_count()
+        score = Fraction(overlap**d * size**d) / e1 if e1 > 0 else Fraction(0)
+        if e2 > 0:
+            members = [v for v in range(n) if common >> v & 1]
+            xi = brute_bad_tuples(g, members, d, beta * n)
+            score -= Fraction(xi * overlap**d) / (2 * e2)
+        if best is None or score > best[0] or (score == best[0] and tup < best[1]):
+            best = (score, tup)
+    return best[1]
+
+
+@pytest.mark.parametrize(
+    "d, beta, alpha, x0, tuple_budget",
+    [
+        (2, Fraction(1, 16), Fraction(3, 4), "all", DEFAULT_TUPLE_BUDGET),
+        (2, Fraction(1, 2), Fraction(1, 2), "even", DEFAULT_TUPLE_BUDGET),
+        (3, Fraction(2, 5), Fraction(2, 3), "even", DEFAULT_TUPLE_BUDGET),
+        (2, Fraction(0), Fraction(3, 4), "all", DEFAULT_TUPLE_BUDGET),
+        (2, Fraction(1, 3), Fraction(0), "all", DEFAULT_TUPLE_BUDGET),
+        (2, Fraction(0), Fraction(0), "all", DEFAULT_TUPLE_BUDGET),
+        (2, Fraction(1, 3), Fraction(3, 4), "none", DEFAULT_TUPLE_BUDGET),
+        (1, Fraction(3, 5), Fraction(1, 2), "even", DEFAULT_TUPLE_BUDGET),
+        (3, Fraction(1, 2), Fraction(3, 4), "all", 40),
+        # near alpha = 1 the size and xi terms trade off, so the scale matters
+        (2, Fraction(3, 5), Fraction(9, 10), "even", DEFAULT_TUPLE_BUDGET),
+        (2, Fraction(1, 2), Fraction(1), "all", DEFAULT_TUPLE_BUDGET),
+        (3, Fraction(2, 5), Fraction(9, 10), "all", DEFAULT_TUPLE_BUDGET),
+    ],
+)
+def test_drc_select_winner_matches_fraction_reference(d, beta, alpha, x0, tuple_budget):
+    for seed in range(4):
+        g = gen.random_min_degree_host(12, Fraction(2, 5), seed)
+        x0_set = {"all": range(12), "even": range(0, 12, 2), "none": []}[x0]
+        sel = drc_select(g, x0_set, d, beta, trials=30, seed=seed, alpha=alpha,
+                         tuple_budget=tuple_budget)
+        want = reference_select(g, x0_set, d, beta, 30, seed, alpha, tuple_budget)
+        assert sel.chosen_tuple == want, seed
+        members = sorted(sel.x)
+        assert sel.bad_tuples == brute_bad_tuples(g, members, d, beta * 12)
+
+
+# (n, host eps, max_deg, beta, alpha, x0) per host seed; x0 "even" is every
+# other vertex, "none" the empty set
+SELECTION_SETTINGS = (
+    (40, Fraction(1, 4), 2, Fraction(1, 64), Fraction(3, 4), "all"),
+    (40, Fraction(1, 4), 2, Fraction(3, 5), Fraction(1, 2), "even"),
+    (24, Fraction(1, 3), 3, Fraction(1, 3), Fraction(2, 3), "even"),
+    (24, Fraction(1, 4), 2, Fraction(0), Fraction(3, 4), "all"),
+    (24, Fraction(1, 4), 2, Fraction(2, 3), Fraction(0), "all"),
+    (20, Fraction(1, 4), 1, Fraction(1, 2), Fraction(1, 2), "none"),
+)
+
+
+def _selection_batch(mode: str) -> list[tuple]:
+    budget = DEFAULT_TUPLE_BUDGET if mode == "exhaustive" else 10
+    out = []
+    for seed in range(5):
+        for n, eps, d, beta, alpha, x0 in SELECTION_SETTINGS:
+            g = gen.random_min_degree_host(n, eps, seed)
+            x0_set = {"all": range(n), "even": range(0, n, 2), "none": []}[x0]
+            sel = drc_select(g, x0_set, d, beta, trials=60, seed=seed, alpha=alpha,
+                             tuple_budget=budget)
+            assert sel.mode == mode
+            out.append((sorted(sel.x), sel.chosen_tuple, sel.size, sel.overlap,
+                        sel.bad_tuples, sel.mode))
+    return out
+
+
+# sha256 of repr(batch), captured while tuples were scored with Fractions and
+# bad_supports scanned X for its largest nondegree on every call
+PINNED_SELECTIONS = {
+    "exhaustive": "52c723ecede5819ec2f02af02eb2d23594b5dea2d554eb858d6cf898810ebc02",
+    "sampled": "14458b3b360b545170231eaccae614d5feaaed3d06cb3c3abdf1cb4eb4c4be42",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_SELECTIONS))
+def test_drc_select_outputs_pinned(mode):
+    batch = _selection_batch(mode)
+    assert hashlib.sha256(repr(batch).encode()).hexdigest() == PINNED_SELECTIONS[mode]
 
 
 def test_drc_select_on_complete_graph():

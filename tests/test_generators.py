@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -109,6 +110,27 @@ def test_random_min_degree_host_certificate():
     assert gen.random_min_degree_host(16, Fraction(1, 4), 1) == gen.random_min_degree_host(
         16, Fraction(1, 4), 1
     )
+
+
+# sha256 of repr(host.adj), captured while the deletable list was still rebuilt
+# from all n(n-1)/2 pairs after every deletion
+PINNED_HOST_ROWS = {
+    (64, Fraction(1, 4), 0): "8a75872d439fcfa582e20cb8684c409e072ffd365478939e0d7785f70a5abe34",
+    (64, Fraction(1, 4), 1): "29aad08c5cb88caba921f5c902313b15b925b181e98adde232852f1caf10555d",
+    (64, Fraction(1, 4), 17): "3a0d8606786519c90431102fb40fb4aa5c912a38d5f7d9749374133a4a71b77f",
+    (48, Fraction(1, 3), 5): "023e019e5154ecf5e9981fe817750e425c855f84e82689c03314b7726f6afdc6",
+    (33, Fraction(1, 10), 4): "187099304eaf9574f13116f4b73e19ed25184c9f936887aa9573dc9c03ae7949",
+    (24, Fraction(1, 4), 3): "38fd9ac3d30ac7d53c8588375d6f1dc79e6b2e799c6919d40b189c7bff2907ec",
+    (20, Fraction(1, 2), 9): "59eedc7dbd451991964153039d0ad9915a0f7751ee6cd14bafcbdd2f7e204c4f",
+    (12, Fraction(1, 12), 2): "b906abe10df8ed40e9855a2ca383c25937bc29ba138f9d128b906e0364ac2ebd",
+}
+
+
+@pytest.mark.parametrize("n, eps, seed", sorted(PINNED_HOST_ROWS))
+def test_random_min_degree_host_rows_pinned(n, eps, seed):
+    host = gen.random_min_degree_host(n, eps, seed)
+    digest = hashlib.sha256(repr(host.adj).encode()).hexdigest()
+    assert digest == PINNED_HOST_ROWS[n, eps, seed]
 
 
 def test_random_bounded_degree_graph():

@@ -19,7 +19,7 @@ import ramsey_forge
 PRELUDE = """
 import sys
 from fractions import Fraction
-from ramsey_forge import dense, drc, generators as gen, oracles, rga
+from ramsey_forge import dense, drc, generators as gen, oracles, regularity, rga
 from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph
 from ramsey_forge.morphisms import CapVerdict, HomVerdict, VerificationError, VertexMap
 
@@ -79,6 +79,26 @@ CASES = {
         drc.drc_bandwidth_embed(
             gen.complete(40), h, list(range(12)), Fraction(1, 2),
             max_deg=1, beta=Fraction(1, 8),
+        )
+    """,
+    "regularity_check": """
+        # a witness that does not violate: every subpair of K_8 has density 1
+        bad = regularity.RegularityVerdict(
+            regularity.VIOLATED, frozenset([0, 1]), frozenset([4, 5])
+        )
+        regularity._check_exhaustive = lambda *args: bad
+        regularity.regularity_check(
+            gen.complete(8), range(4), range(4, 8), regularity.RegularityParams(Fraction(1, 4))
+        )
+    """,
+    "regularity_check_sampled": """
+        bad = regularity.RegularityVerdict(
+            regularity.VIOLATED, frozenset([0, 1]), frozenset([4, 5]), 1
+        )
+        regularity._check_sampled = lambda *args: bad
+        regularity.regularity_check(
+            gen.complete(8), range(4), range(4, 8), regularity.RegularityParams(Fraction(1, 4)),
+            regularity.MODE_SAMPLED,
         )
     """,
     "random_min_degree_host": """
