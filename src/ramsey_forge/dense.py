@@ -74,7 +74,8 @@ def lovasz_partition(g: Graph, degrees: Sequence[int]) -> tuple[frozenset[int], 
                     c,
                 ),
             )
-            assert j != i  # the minimum ratio is < 1, the current one is >= 1
+            if j == i:  # the minimum ratio is < 1, the current one is >= 1
+                raise VerificationError(f"vertex {v} has no class to move to")
             masks[i] &= ~(1 << v)
             masks[j] |= 1 << v
             cls[v] = j
@@ -83,7 +84,8 @@ def lovasz_partition(g: Graph, degrees: Sequence[int]) -> tuple[frozenset[int], 
             break
     for i in range(s):
         for v in iter_bits(masks[i]):
-            assert (g.adj[v] & masks[i]).bit_count() <= degrees[i]
+            if (g.adj[v] & masks[i]).bit_count() > degrees[i]:
+                raise VerificationError(f"vertex {v} exceeds the degree bound of class {i}")
     return tuple(frozenset(iter_bits(m)) for m in masks)
 
 

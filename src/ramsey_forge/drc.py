@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, induced, iter_bits, mask_of
 from .morphisms import VerificationError, VertexMap, verify_homomorphism
 
 DEFAULT_TUPLE_BUDGET = 20_000
@@ -346,14 +346,15 @@ def drc_bandwidth_embed(
         if t > max_t:
             return None
         v_t = v_t_mask()
-        host_t = _induced_mask_graph(host, v_t)
+        members = list(iter_bits(v_t))
+        index = {v: i for i, v in enumerate(members)}
         x0_next = x_prev & v_t
         sel_next = drc_select(
-            host_t[0], [host_t[1][v] for v in iter_bits(x0_next)], max_deg, 8 * beta,
+            induced(host, members), [index[v] for v in iter_bits(x0_next)], max_deg, 8 * beta,
             trials=trials, seed=rng.randrange(1 << 30), alpha=alpha,
             tuple_budget=tuple_budget,
         )
-        x_next = mask_of(host_t[2][v] for v in sel_next.x)
+        x_next = mask_of(members[i] for i in sel_next.x)
 
         new_b = sorted(block_b(t + 1) - embedded_b, key=lambda v: labels[v])
         band = x_prev & x_next
@@ -417,17 +418,3 @@ def drc_bandwidth_embed(
     if not (vmap.is_injective() and verify_homomorphism(h, host, vmap).valid):
         raise VerificationError("bandwidth-block embedding failed verification")
     return vmap
-
-
-def _induced_mask_graph(g: Graph, mask: int) -> tuple[Graph, dict[int, int], dict[int, int]]:
-    """Induced subgraph on a mask plus both direction relabeling maps."""
-    members = list(iter_bits(mask))
-    to_local = {v: i for i, v in enumerate(members)}
-    to_global = {i: v for i, v in enumerate(members)}
-    adj = []
-    for v in members:
-        row = 0
-        for u in iter_bits(g.adj[v] & mask):
-            row |= 1 << to_local[u]
-        adj.append(row)
-    return Graph.from_adj(adj), to_local, to_global

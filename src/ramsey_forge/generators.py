@@ -147,8 +147,21 @@ def random_coloring(host: Graph, red_prob: Fraction, seed: int) -> EdgeColoring:
     return EdgeColoring(host, red)
 
 
+def min_degree_threshold(n: int, eps: Fraction) -> int:
+    """Degree floor for min-degree hosts on n vertices.
+
+    ceil((1-eps)n), capped at n-1 so that K_n is always admissible: under a
+    plain ceiling the host class is empty for eps < 1/n and the quantifier
+    would be vacuous, contradicting r_eps(K_2) = 2.
+    """
+    if n == 0:
+        return 0
+    return min(n - 1, math.ceil((1 - Fraction(eps)) * n))
+
+
 def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
-    """Delete random edges from K_n while min degree stays >= ceil((1-eps)n).
+    """Delete random edges from K_n while min degree stays at or above
+    min_degree_threshold(n, eps), so eps < 1/n leaves K_n.
 
     Stops at a seeded target deletion count or when no edge is deletable; the
     min-degree certificate is exact by construction.  The deletable edges
@@ -162,7 +175,7 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     rng = random.Random(seed)
-    floor_deg = math.ceil((1 - eps) * n)
+    floor_deg = min_degree_threshold(n, eps)
     slack_per_vertex = max(0, n - 1 - floor_deg)
     max_deletions = n * slack_per_vertex // 2
     target = rng.randint(0, max_deletions) if max_deletions > 0 else 0

@@ -161,15 +161,17 @@ def threshold_size(eps: Fraction, size: int) -> int:
 def induced(g: Graph, xs: Iterable[int]) -> Graph:
     """Induced subgraph on X, relabeled order-preservingly from sorted X."""
     order = sorted(set(xs))
-    for x in order:
+    for x in order[:1] + order[-1:]:  # the ends bound every vertex
         g._check_vertex(x)
     index = {x: i for i, x in enumerate(order)}
-    edges = []
-    for i, x in enumerate(order):
-        for y in order[i + 1 :]:
-            if g.adj[x] >> y & 1:
-                edges.append((index[x], index[y]))
-    return Graph(len(order), edges)
+    mask = mask_of(order)
+    adj = []
+    for x in order:
+        row = 0
+        for y in iter_bits(g.adj[x] & mask):
+            row |= 1 << index[y]
+        adj.append(row)
+    return Graph.from_adj(adj)
 
 
 @dataclass(frozen=True)

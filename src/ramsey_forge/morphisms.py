@@ -119,7 +119,8 @@ class CapVerdict:
 
 
 def verify_capacity(f: VertexMap, profile: CapacityProfile) -> CapVerdict:
-    if profile.count_caps is not None:
+    weights = profile.weights
+    if weights is None:
         if len(profile.count_caps) != f.target_n:
             raise ValueError("one count cap per target vertex required")
         loads = [0] * f.target_n
@@ -127,8 +128,6 @@ def verify_capacity(f: VertexMap, profile: CapacityProfile) -> CapVerdict:
             loads[t] += 1
         bad = tuple(v for v in range(f.target_n) if loads[v] > profile.count_caps[v])
         return CapVerdict(valid=not bad, violations=bad)
-    weights = profile.weights
-    assert weights is not None
     if len(weights) != f.source_n:
         raise ValueError("one weight per source vertex required")
     loads_w = [Fraction(0)] * f.target_n
@@ -157,12 +156,11 @@ def integer_units(
     Count caps: demand 1, room the cap.  Weights: with unit the lcm of the
     weight denominators, demand w * unit and room unit.
     """
-    if profile.count_caps is not None:
+    weights = profile.weights
+    if weights is None:
         if len(profile.count_caps) != target_n:
             raise ValueError("one count cap per target vertex required")
         return [1] * source_n, list(profile.count_caps)
-    weights = profile.weights
-    assert weights is not None
     if len(weights) != source_n:
         raise ValueError("one weight per source vertex required")
     unit = lcm(*(w.denominator for w in weights))

@@ -1,24 +1,31 @@
 """Exact desk-scale Ramsey, weighted Ramsey, and stable Ramsey oracles.
 
+All three oracles run one loop.  A plain target is its unit-weighted graph,
+and the Ramsey number is the stable number at eps = 0: there
+min_degree_threshold(n, 0) = n - 1 admits only K_n.  For each n the loop
+scans the admissible hosts on n vertices for a coloring with no
+monochromatic copy.
+
 Colorings are enumerated edge by edge.  In pruned mode a branch is cut as
 soon as the already-decided edges of one color contain a monochromatic copy
 (every extension then contains it too), and the first edge is fixed red
 (color swap is a symmetry of the predicate).  Exhaustive mode enumerates
 every coloring with no shortcuts; both modes must agree.
 
-Pruned mode checks only the edge it just colored.  Its parent color graph is
-copy-free (the search starts from the empty coloring, which it checks with
-the unrooted search), so a new copy, injective or weighted, must map some
-arc (a, b) of the target onto the new edge (u, v).  If an automorphism of
-the target that keeps the weights maps (a, b) to (c, d), composing with it
-turns a copy through (c, d) into one through (a, b).  So one search per
-orbit of oriented arcs suffices: each is compiled once per oracle call with
-a and b pinned to u and v, and runs straight on the color graph's rows.
-The orbits come from one small automorphism search per pair of arcs; if one
-runs out of budget, every arc is its own orbit.  An edgeless target has no
-arc, so the unrooted check of the empty coloring decides it alone.
-Exhaustive mode keeps the unrooted search on every color graph, so it stays
-an independent cross-check.
+Copies are sought by search plans compiled once per oracle call and run
+straight on a color graph's adjacency rows: one unrooted plan, and in
+pruned mode one rooted plan per arc orbit.  Pruned mode checks only the
+edge it just colored.  Its parent color graph is copy-free (the search
+starts from the empty coloring, which it checks with the unrooted plan), so
+a new copy must map some arc (a, b) of the target onto the new edge
+(u, v).  If an automorphism of the target that keeps the weights maps
+(a, b) to (c, d), composing with it turns a copy through (c, d) into one
+through (a, b).  So one search per orbit of oriented arcs suffices, with a
+and b pinned to u and v.  The orbits come from one small automorphism
+search per pair of arcs; if one runs out of budget, every arc is its own
+orbit.  An edgeless target has no arc, so the unrooted check of the empty
+coloring decides it alone.  Exhaustive mode runs the unrooted plan on every
+color graph, so it stays an independent cross-check.
 """
 
 from __future__ import annotations
@@ -26,11 +33,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import morphisms
-from .generators import complete, complete_multipartite
+from .generators import complete_multipartite, min_degree_threshold
 from .graphs import BLUE, RED, EdgeColoring, Graph, WeightedGraph, iter_bits
 from .morphisms import (
     BudgetExhausted,
@@ -107,25 +113,28 @@ def plain_embeds(g: Graph, host: Graph) -> bool:
 
 
 class _Copies:
-    """Monochromatic-copy tests of one target, built once per oracle call.
+    """Monochromatic-copy tests of one weighted target, built once per oracle call.
 
-    anywhere(rows) runs the unrooted embedding search on the color graph
-    with adjacency rows `rows`.  through(rows, u, v) asks only for copies
-    that map an arc of the target onto the edge (u, v); it answers whether
-    rows holds a copy only when rows without that edge holds none.  It runs
-    one precompiled plan per arc orbit straight on the rows.
+    anywhere(rows) runs the unrooted plan on the color graph with adjacency
+    rows `rows`; its order is non-increasing demand, then decreasing degree,
+    then lowest id, which for unit weights is plain_embeds' order.
+    through(rows, u, v) asks only for copies that map an arc of the target
+    onto the edge (u, v); it answers whether rows holds a copy only when rows
+    without that edge holds none.  It runs one rooted plan per arc orbit.
     """
 
-    def __init__(self, gw: WeightedGraph, embeds: Callable[[Graph], bool], mode: str) -> None:
+    def __init__(self, gw: WeightedGraph, mode: str) -> None:
         g = gw.graph
-        self.embeds = embeds
         demand, (self.room,) = integer_units(CapacityProfile.weight_cap(gw.weights), g.n, 1)
+        order = sorted(range(g.n), key=lambda v: (-demand[v], -g.adj[v].bit_count(), v))
+        self.plan = compile_plan(g, demand, order)
         self.plans: list[SearchPlan] = []
         if mode == MODE_PRUNED:
             self.plans = [compile_plan(g, demand, _rooted_order(g, a, b)) for a, b in _arc_roots(gw)]
 
     def anywhere(self, rows: Sequence[int]) -> bool:
-        return self.embeds(Graph.from_adj(rows))
+        room = [self.room] * len(rows)
+        return run_plan(self.plan, rows, room, morphisms.DEFAULT_BUDGET)[0] is not None
 
     def through(self, rows: list[int], u: int, v: int) -> bool:
         room = [self.room] * len(rows)
@@ -134,14 +143,6 @@ class _Copies:
             if run_plan(plan, rows, room, budget, (u, v))[0] is not None:
                 return True
         return False
-
-
-def _plain_copies(g: Graph, mode: str) -> _Copies:
-    return _Copies(WeightedGraph.unit(g), lambda host: plain_embeds(g, host), mode)
-
-
-def _weighted_copies(gw: WeightedGraph, mode: str) -> _Copies:
-    return _Copies(gw, lambda host: find_weighted_embedding(gw, host) is not None, mode)
 
 
 def _rooted_order(g: Graph, a: int, b: int) -> list[int]:
@@ -260,50 +261,37 @@ def _witness_coloring(host: Graph, copies: _Copies, mode: str) -> EdgeColoring |
 
 def ramsey_number(g: Graph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult:
     """Smallest n <= n_max such that every 2-coloring of K_n contains a
-    monochromatic copy of g (injective embedding)."""
-    if n_max > RAMSEY_HARD_CAP:
-        raise ValueError(f"n_max {n_max} exceeds hard cap {RAMSEY_HARD_CAP}")
-    return _ramsey_loop(n_max, mode, _plain_copies(g, mode))
+    monochromatic copy of g (injective embedding): the unit-weighted case."""
+    return weighted_ramsey(WeightedGraph.unit(g), n_max, mode)
 
 
 def weighted_ramsey(gw: WeightedGraph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult:
     """Smallest n <= n_max such that every 2-coloring of K_n admits a
-    monochromatic weighted embedding of gw."""
+    monochromatic weighted embedding of gw: the stable number at eps 0."""
     if n_max > RAMSEY_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {RAMSEY_HARD_CAP}")
-    return _ramsey_loop(n_max, mode, _weighted_copies(gw, mode))
+    return _first_forced_n(_Copies(gw, mode), Fraction(0), n_max, mode)
 
 
-def _ramsey_loop(
-    n_max: int,
-    mode: str,
-    copies: _Copies,
-) -> OracleResult:
-    last_witness: tuple[int, EdgeColoring] | None = None
+def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int, mode: str) -> OracleResult:
+    """Smallest n <= n_max at which no admissible host on n vertices has a
+    copy-free coloring, with the copy-free coloring found at the largest n
+    below it.  At eps 0 the only host is K_n, left None in the result."""
+    value = None
+    witness: tuple[int, Graph | None, EdgeColoring] | None = None
     for n in range(1, n_max + 1):
-        witness = _witness_coloring(complete(n), copies, mode)
-        if witness is None:
-            result = OracleResult(VALUE, n, n_max, mode)
-            if last_witness is not None:
-                result.witness_n, result.witness_coloring = last_witness
-            return result
-        last_witness = (n, witness)
-    result = OracleResult(EXCEEDS, None, n_max, mode)
-    if last_witness is not None:
-        result.witness_n, result.witness_coloring = last_witness
+        for host in hosts_with_min_degree(n, min_degree_threshold(n, eps)):
+            coloring = _witness_coloring(host, copies, mode)
+            if coloring is not None:
+                witness = (n, host if eps else None, coloring)
+                break
+        else:
+            value = n
+            break
+    result = OracleResult(EXCEEDS if value is None else VALUE, value, n_max, mode)
+    if witness is not None:
+        result.witness_n, result.witness_host, result.witness_coloring = witness
     return result
-
-
-def min_degree_threshold(n: int, eps: Fraction) -> int:
-    """Degree bound for admissible stable-Ramsey hosts on n vertices.
-
-    ceil((1-eps)n), capped at n-1 so that K_n is always admissible: under a
-    plain ceiling the host class is empty for eps < 1/n and the quantifier
-    would be vacuous, contradicting r_eps(K_2) = 2.
-    """
-    if n == 0:
-        return 0
-    return min(n - 1, ceil((1 - Fraction(eps)) * n))
 
 
 def hosts_with_min_degree(n: int, threshold: int) -> Iterator[Graph]:
@@ -359,29 +347,14 @@ def stable_ramsey(
     if n_max > STABLE_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {STABLE_HARD_CAP}")
     eps = Fraction(eps)
-    copies = _weighted_copies(gw, mode)
-    last_witness: tuple[int, Graph, EdgeColoring] | None = None
-    for n in range(1, n_max + 1):
-        threshold = min_degree_threshold(n, eps)
-        failed = None
-        for host in hosts_with_min_degree(n, threshold):
-            witness = _witness_coloring(host, copies, mode)
-            if witness is not None:
-                failed = (n, host, witness)
-                break
-        if failed is None:
-            result = OracleResult(VALUE, n, n_max, mode)
-            if last_witness is not None:
-                result.witness_n, result.witness_host, result.witness_coloring = last_witness
-            return result
-        last_witness = failed
+    copies = _Copies(gw, mode)
+    result = _first_forced_n(copies, eps, n_max, mode)
+    if result.status == VALUE:
+        return result
 
     # Not reached by n_max.  If a complete multipartite host with p parts and
     # eps >= 1/p admits a copy-free coloring, balanced blow-ups of it stay
     # admissible at every scale, so the number is suspected infinite.
-    result = OracleResult(EXCEEDS, None, n_max, mode)
-    if last_witness is not None:
-        result.witness_n, result.witness_host, result.witness_coloring = last_witness
     threshold = min_degree_threshold(n_max, eps)
     for sizes in _integer_partitions(n_max):
         p = len(sizes)
@@ -390,11 +363,9 @@ def stable_ramsey(
         host = complete_multipartite(sizes)
         if host.min_degree() < threshold:
             continue
-        witness = _witness_coloring(host, copies, mode)
-        if witness is not None:
+        coloring = _witness_coloring(host, copies, mode)
+        if coloring is not None:
             result.status = INFINITE_SUSPECTED
-            result.witness_n = n_max
-            result.witness_host = host
-            result.witness_coloring = witness
+            result.witness_n, result.witness_host, result.witness_coloring = n_max, host, coloring
             break
     return result

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .graphs import BLUE, RED, EdgeColoring, Graph
 from .morphisms import (
-    FOUND,
     CapacityProfile,
     VerificationError,
     VertexMap,
@@ -102,10 +101,9 @@ def transference_pipeline(
         outcome = find_capacity_homomorphism(
             h, reduced, CapacityProfile.uniform_count_cap(reduced.n, 1)
         )
-        if outcome.status != FOUND:
+        if outcome.vmap is None:
             continue
         lift_failed = False
-        assert outcome.vmap is not None
         composed = compose(f, outcome.vmap)
         mono = coloring.subgraph(color)
         rga = RgaParams(delta=params.delta, xi=params.xi)

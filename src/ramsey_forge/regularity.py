@@ -44,15 +44,11 @@ DEFAULT_SAMPLE_BUDGET = 200
 @dataclass(frozen=True)
 class RegularityParams:
     eps: Fraction
-    delta: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", Fraction(self.eps))
-        object.__setattr__(self, "delta", Fraction(self.delta))
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
-        if not 0 <= self.delta <= 1:
-            raise ValueError("delta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -267,17 +263,14 @@ def reduced_graph(
     g: Graph,
     partition: Partition,
     params: RegularityParams,
-    with_density: bool = False,
     mode: str = MODE_EXHAUSTIVE,
     budget: int = DEFAULT_SAMPLE_BUDGET,
     seed: int = 0,
 ) -> Graph:
     """Cluster graph on the k classes: edge {i, j} iff the pair is regular
-    under the given mode (sampled treats unrefuted as regular) and, when
-    with_density, its density is at least delta."""
+    under the given mode (sampled treats unrefuted as regular).  Threshold
+    its edges by density with split_by_density."""
     pairs = _quality(g, partition, params, mode, budget, seed).regular_pairs
-    if with_density:
-        return split_by_density(g, partition, pairs, params.delta)[0]
     return Graph(partition.k, pairs)
 
 

@@ -199,7 +199,7 @@ def test_criterion_06_regularity_cross_check():
         hi = 12 if trial < 4 else 9
         g, xs, ys = random_bipartite_pair(rng, rng.randint(3, hi), rng.randint(3, hi))
         for eps in (Fraction(1, 4), Fraction(1, 2)):
-            params = RegularityParams(eps, Fraction(0))
+            params = RegularityParams(eps)
             fast = regularity_check(g, xs, ys, params)
             slow = regularity_check_all_subsets(g, xs, ys, params)
             assert fast.status == slow.status, (trial, eps)
@@ -213,13 +213,13 @@ def test_criterion_06_regularity_cross_check():
             adj[v] &= ~(1 << u)
     planted = Graph.from_adj(adj)
     for eps in (Fraction(1, 4), Fraction(1, 2)):
-        params = RegularityParams(eps, Fraction(0))
+        params = RegularityParams(eps)
         verdict = regularity_check(planted, range(8), range(8, 16), params)
         assert verdict.status == VIOLATED, eps
     # complete and empty pairs certify at any eps
     for pair_graph in (gen.complete_multipartite([6, 6]), Graph(12)):
         for eps in (Fraction(1, 4), Fraction(1, 2)):
-            params = RegularityParams(eps, Fraction(0))
+            params = RegularityParams(eps)
             assert regularity_check(pair_graph, range(6), range(6, 12), params).status == CERTIFIED
     report(6, f"{agreements} fast/reference agreements; planted refuted; trivial certified")
 

@@ -110,6 +110,9 @@ def test_random_min_degree_host_certificate():
     assert gen.random_min_degree_host(16, Fraction(1, 4), 1) == gen.random_min_degree_host(
         16, Fraction(1, 4), 1
     )
+    # below eps = 1/n the floor is capped at n - 1, so only K_n qualifies
+    for eps in (Fraction(0), Fraction(1, 13)):
+        assert gen.random_min_degree_host(12, eps, 2) == gen.complete(12)
 
 
 # sha256 of repr(host.adj), captured while the deletable list was still rebuilt

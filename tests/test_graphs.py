@@ -88,6 +88,9 @@ def test_induced_relabels_in_order():
     sub = induced(g, [1, 3, 4])
     assert sub.n == 3
     assert sorted(sub.edges()) == [(0, 1), (0, 2), (1, 2)]
+    for xs in ([1, 5], [-1, 2]):
+        with pytest.raises(ValueError):
+            induced(g, xs)
 
 
 @settings(max_examples=50, deadline=None)

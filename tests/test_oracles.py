@@ -176,6 +176,23 @@ def test_rooted_pruned_matches_exhaustive_on_atlas(index):
         assert witness_verified(a, gw)
 
 
+@pytest.mark.parametrize("mode", [MODE_PRUNED, MODE_EXHAUSTIVE])
+@pytest.mark.parametrize("index", range(len(ATLAS)))
+def test_ramsey_is_unit_weighted_and_stable_at_eps_zero(index, mode):
+    g = ATLAS[index]
+    unit = WeightedGraph.unit(g)
+    results = [
+        ramsey_number(g, 5, mode),
+        weighted_ramsey(unit, 5, mode),
+        stable_ramsey(unit, Fraction(0), 5, mode),
+    ]
+    keys = set()
+    for r in results:
+        red = tuple(r.witness_coloring.red_adj) if r.witness_coloring else None
+        keys.add((r.status, r.value, r.witness_n, red))
+    assert len(keys) == 1, keys
+
+
 def _benchmark_queries():
     unit = WeightedGraph.unit
     half_c5 = WeightedGraph.uniform(gen.cycle(5), Fraction(1, 2))
@@ -224,8 +241,8 @@ def test_pinned_witness_colorings():
 )
 def test_one_rooted_plan_per_arc_orbit(gw, plans):
     assert len(oracles._arc_roots(gw)) == plans
-    assert len(oracles._weighted_copies(gw, MODE_PRUNED).plans) == plans
-    assert oracles._weighted_copies(gw, MODE_EXHAUSTIVE).plans == []
+    assert len(oracles._Copies(gw, MODE_PRUNED).plans) == plans
+    assert oracles._Copies(gw, MODE_EXHAUSTIVE).plans == []
 
 
 def test_arc_orbits_fall_back_to_every_arc(monkeypatch):
@@ -235,7 +252,7 @@ def test_arc_orbits_fall_back_to_every_arc(monkeypatch):
 
 def test_oracles_raise_when_the_budget_runs_out(monkeypatch):
     unit_c4 = WeightedGraph.unit(gen.cycle(4))
-    copies = oracles._weighted_copies(unit_c4, MODE_PRUNED)
+    copies = oracles._Copies(unit_c4, MODE_PRUNED)
     monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
         copies.through(list(gen.complete(6).adj), 0, 1)

@@ -20,6 +20,7 @@ from ramsey_forge.regularity import (
     reduced_graph,
     regularity_check,
     regularity_check_all_subsets,
+    split_by_density,
 )
 
 
@@ -31,9 +32,7 @@ def bipartite_pair(nx_, ny, edges):
 def test_params_validation():
     with pytest.raises(ValueError):
         RegularityParams(Fraction(0))
-    with pytest.raises(ValueError):
-        RegularityParams(Fraction(1, 2), Fraction(2))
-    RegularityParams(Fraction(1, 4), Fraction(1, 2))
+    RegularityParams(Fraction(1, 4))
 
 
 def test_partition_validation():
@@ -203,8 +202,9 @@ def test_reduced_graph_of_blowup_contains_base():
     spec = gen.BlowupSpec(base, (4, 4, 4, 4))
     host, _ = gen.blowup(spec)
     partition = Partition(host.n, frozenset(), tuple(gen.blowup_parts(spec)))
-    params = RegularityParams(Fraction(1, 4), Fraction(1, 2))
-    r = reduced_graph(host, partition, params, with_density=True)
+    params = RegularityParams(Fraction(1, 4))
+    pairs = reduced_graph(host, partition, params).edges()
+    r = split_by_density(host, partition, pairs, Fraction(1, 2))[0]
     for u, v in base.edges():
         assert r.has_edge(u, v)
 
@@ -212,10 +212,10 @@ def test_reduced_graph_of_blowup_contains_base():
 def test_reduced_graph_edgeless():
     g = Graph(8)
     partition = Partition(8, frozenset(), (frozenset(range(4)), frozenset(range(4, 8))))
-    params = RegularityParams(Fraction(1, 4), Fraction(0))
-    assert reduced_graph(g, partition, params).edge_count() == 1  # density-0 regular
-    params = RegularityParams(Fraction(1, 4), Fraction(1, 2))
-    assert reduced_graph(g, partition, params, with_density=True).edge_count() == 0
+    params = RegularityParams(Fraction(1, 4))
+    pairs = reduced_graph(g, partition, params).edges()
+    assert len(pairs) == 1  # density-0 regular
+    assert split_by_density(g, partition, pairs, Fraction(1, 2))[0].edge_count() == 0
 
 
 def test_fixed_k_partition_structure():

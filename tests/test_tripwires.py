@@ -6,6 +6,7 @@ interpreter under -O; the run must end in VerificationError.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -101,6 +102,11 @@ CASES = {
             regularity.MODE_SAMPLED,
         )
     """,
+    "lovasz_partition": """
+        # every ratio compares equal, so the first class is always the minimum
+        dense.Fraction = lambda num, den: 0
+        dense.lovasz_partition(gen.complete(4), [1, 1])
+    """,
     "random_min_degree_host": """
         Graph.min_degree = lambda self: -1
         gen.random_min_degree_host(8, Fraction(1, 4), 0)
@@ -125,3 +131,14 @@ def test_tripwire_survives_optimize(entry: str) -> None:
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_library_has_no_assert_statements() -> None:
+    package = Path(ramsey_forge.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
