@@ -14,7 +14,7 @@ from typing import NoReturn
 from . import fileio, generators
 from .bandwidth import exact_bandwidth, heuristic_labeling
 from .dense import DenseParams, DenseWitness, dense_greedy_embed, lovasz_partition, wheel_mono_embed
-from .drc import DegenerateBudget, drc_bandwidth_embed, drc_select
+from .drc import DegenerateBudget, drc_bandwidth_embed
 from .graphs import Graph, WeightedGraph
 from .harness import ConfigError, VerificationError, load_config, run_experiment
 from .morphisms import DEFAULT_BUDGET, CapacityProfile, find_capacity_homomorphism

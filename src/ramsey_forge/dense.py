@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graphs import (
-    BLUE,
     COLORS,
     EdgeColoring,
     Graph,

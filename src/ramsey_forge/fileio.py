@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .graphs import BLUE, RED, EdgeColoring, Graph
+from .graphs import RED, EdgeColoring, Graph
 from .morphisms import VertexMap
 
 FORMAT_EDGELIST = "edgelist"

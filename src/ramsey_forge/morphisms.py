@@ -1,23 +1,33 @@
 """Homomorphism verification and backtracking search.
 
-One backtracking core, run_plan, does every exact embedding search:
-injective embeddings are count cap 1, weighted embeddings are a weight
-profile.  A SearchPlan (integer demand per source vertex, search order and
-back-neighbour lists; no Fraction in the loop) is compiled once and can be
-run on many hosts, given as raw adjacency rows, with optional pre-fixed
-images for the first vertices of the order.  find_capacity_homomorphism
-compiles a plan per call and is deterministic: source vertices by decreasing
-degree under count caps and by non-increasing weight under weights (ties by
-lowest id), candidate targets by lowest id.  Every search result is plain
-data that the verifiers re-check independently of the search bookkeeping.
+One backtracking core does every exact embedding search: injective
+embeddings are count cap 1, weighted embeddings are a weight profile.  A
+SearchPlan (integer demand per source vertex, search order and back-neighbour
+lists; no Fraction in the loop) is compiled once and can be run on many
+hosts, given as raw adjacency rows, with the images of its first `pinned`
+vertices given by the caller.  Compiling a plan generates its search kernel:
+Python source formatted from the plan's integers alone, with one nested
+`while` per search position and the images, demands and open-target masks
+in locals.  Plans deeper than one function can nest are cut into a chain of
+generated functions.  The kernels of the plans used last are kept, so a
+repeated plan is not compiled again.  run_plan is the general entry
+(pigeonhole reject and open mask, then the kernel); the interpreted search
+the kernels replaced is kept in the tests as their reference.
+find_capacity_homomorphism compiles a plan per call and is deterministic:
+source vertices by decreasing degree under count caps and by non-increasing
+weight under weights (ties by lowest id), candidate targets by lowest id.
+Every search result is plain data that the verifiers re-check independently
+of the search bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph, WeightedGraph, iter_bits
 
@@ -170,22 +180,175 @@ def integer_units(
 @dataclass(frozen=True)
 class SearchPlan:
     """Source vertices in search order, with the integer demand of each and,
-    for each position, the earlier neighbours whose images constrain it."""
+    for each position, the earlier neighbours whose images constrain it.
+
+    The first `pinned` positions take their images from the caller.  kernel
+    is the plan's search as generated Python, called as
+    kernel(hadj, room, open_, budget, *pinned_images) -> (image, nodes).
+    open_ must hold exactly the targets whose room is at least `least`.  The
+    kernel writes to room but restores it before it returns; after
+    BudgetExhausted room is left as it was at that node.
+    """
 
     order: tuple[int, ...]
     back: tuple[tuple[int, ...], ...]
     demand: tuple[int, ...]
     least: int
     total: int
+    pinned: int
+    kernel: Callable[..., tuple[list[int] | None, int]] = field(compare=False, repr=False)
 
 
-def compile_plan(g: Graph, demand: Sequence[int], order: Sequence[int]) -> SearchPlan:
-    back = []
+def compile_plan(
+    g: Graph, demand: Sequence[int], order: Sequence[int], pinned: int = 0
+) -> SearchPlan:
+    order = tuple(map(operator.index, order))
+    demand = tuple(map(operator.index, demand))
+    if sorted(order) != list(range(g.n)) or len(demand) != g.n:
+        raise ValueError("order must list each source vertex once, with one demand each")
+    if not 0 <= pinned <= g.n:
+        raise ValueError("pinned prefix out of range")
+    rows = []
     seen = 0
     for v in order:
-        back.append(tuple(iter_bits(g.adj[v] & seen)))
+        rows.append(tuple(iter_bits(g.adj[v] & seen)))
         seen |= 1 << v
-    return SearchPlan(tuple(order), tuple(back), tuple(demand), min(demand, default=0), sum(demand))
+    back = tuple(rows)
+    least = min(demand, default=0)
+    kernel = _kernel(order, back, demand, least, pinned)
+    return SearchPlan(order, back, demand, least, sum(demand), pinned, kernel)
+
+
+@lru_cache(maxsize=64)
+def _kernel(
+    order: tuple[int, ...],
+    back: tuple[tuple[int, ...], ...],
+    demand: tuple[int, ...],
+    least: int,
+    pinned: int,
+) -> Callable[..., tuple[list[int] | None, int]]:
+    """A plan's search kernel, compiled from its source.  Compiling takes
+    ~0.5 ms even for a 3-vertex plan, far more than a small search, so the
+    kernels of the 64 plans used last are kept; a kernel holds no state
+    between calls."""
+    namespace = {"BudgetExhausted": BudgetExhausted}
+    source = _kernel_source(order, back, demand, least, pinned)
+    exec(compile(source, "<search kernel>", "exec"), namespace)
+    return namespace["_k0"]
+
+
+# A kernel nests one `while` per search position, and CPython rejects more
+# than 20 statically nested blocks in one function, so longer plans are cut
+# into segments of this many positions, each a function calling the next.
+_SEGMENT = 16
+
+
+def _kernel_source(
+    order: tuple[int, ...],
+    back: Sequence[tuple[int, ...]],
+    demand: tuple[int, ...],
+    least: int,
+    pinned: int,
+) -> str:
+    """Source of a plan's search, formatted from the plan's ints alone.
+
+    Locals: t{p} is the image at position p, o{p} the open targets before p
+    is placed, c{p} its remaining candidates and r{p} the room its target
+    had.  Open targets have room for the least demand; a placement that
+    leaves less closes its target, whose room is then not read again until
+    the placement is undone, so only larger demands check the room.  Segment
+    j is _k{j}; _k0 checks the pinned images and counts from 0 nodes.  A
+    segment stores its images in the list img before it calls the next one,
+    which takes the node count and reads from img the earlier images it
+    needs.  Every return restores the room its own positions wrote, latest
+    first.
+    """
+    n = len(order)
+    at = {v: p for p, v in enumerate(order)}
+    need = [demand[v] for v in order]
+    cuts = [0, *range(pinned + _SEGMENT, n, _SEGMENT), n]
+    wrote: dict[int, int] = {}  # position whose placement may write room -> its depth
+    lines: list[str] = []
+
+    def emit(depth: int, line: str) -> None:
+        lines.append("    " * depth + line)
+
+    def restore(depth: int, positions: range) -> None:
+        for q in reversed(positions):
+            if q in wrote:
+                emit(depth, f"room[t{q:d}] = r{q:d}")
+
+    for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if j == 0:
+            pins = "".join(f", t{q:d}" for q in range(pinned))
+            emit(0, f"def _k0(hadj, room, o0, budget{pins}):")
+            emit(1, "nodes = 0")
+            if b < n:
+                emit(1, f"img = [0] * {n:d}")
+        else:
+            emit(0, f"def _k{j:d}(hadj, room, budget, nodes, o{a:d}, img):")
+            for q in sorted({at[u] for p in range(a, b) for u in back[p]} - set(range(a, b))):
+                emit(1, f"t{q:d} = img[{q:d}]")
+        depth = 1
+        mask = f"o{a:d}"
+        for p in range(a, b):
+            cand = mask + "".join(f" & hadj[t{at[u]:d}]" for u in back[p])
+            if p < pinned:
+                bit = f"(1 << t{p:d})"
+                emit(depth, f"if not ({cand}) >> t{p:d} & 1:")
+                restore(depth + 1, range(p))
+                emit(depth + 1, "return None, 0")
+            else:
+                bit = "low"
+                emit(depth, "nodes += 1")
+                emit(depth, "if nodes > budget:")
+                emit(depth + 1, "raise BudgetExhausted")
+                emit(depth, f"c{p:d} = {cand}")
+                emit(depth, f"while c{p:d}:")
+                depth += 1
+                emit(depth, f"low = c{p:d} & -c{p:d}")
+                emit(depth, f"c{p:d} ^= low")
+                emit(depth, f"t{p:d} = low.bit_length() - 1")
+            # a zero demand changes nothing, and the last placement only
+            # checks the room
+            if not need[p] or p == n - 1 and need[p] == least:
+                continue
+            emit(depth, f"r{p:d} = room[t{p:d}]")
+            if need[p] > least:
+                emit(depth, f"if r{p:d} < {need[p]:d}:")
+                if p < pinned:
+                    restore(depth + 1, range(p))
+                    emit(depth + 1, "return None, 0")
+                else:
+                    emit(depth + 1, "continue")
+            if p == n - 1:
+                continue
+            emit(depth, f"if r{p:d} < {need[p] + least:d}:")
+            emit(depth + 1, f"o{p + 1:d} = {mask} ^ {bit}")
+            emit(depth, "else:")
+            emit(depth + 1, f"o{p + 1:d} = {mask}")
+            emit(depth + 1, f"room[t{p:d}] = r{p:d} - {need[p]:d}")
+            mask = f"o{p + 1:d}"
+            wrote[p] = depth
+        if b == n:
+            restore(depth, range(a, b))
+            image = (f"t{p:d}" if p >= a else f"img[{p:d}]" for p in map(at.get, range(n)))
+            emit(depth, f"return [{', '.join(image)}], nodes")
+        else:
+            for q in range(a, b):
+                emit(depth, f"img[{q:d}] = t{q:d}")
+            emit(depth, f"found, nodes = _k{j + 1:d}(hadj, room, budget, nodes, {mask}, img)")
+            emit(depth, "if found is not None:")
+            restore(depth + 1, range(a, b))
+            emit(depth + 1, "return found, nodes")
+        if depth == 1:  # no search position: the return above is the only one
+            continue
+        for p in reversed(range(max(a, pinned), b)):
+            if p in wrote:
+                emit(wrote[p], f"room[t{p:d}] = r{p:d}")
+        restore(1, range(a, min(b, pinned)))
+        emit(1, "return None, nodes")
+    return "\n".join(lines) + "\n"
 
 
 def run_plan(
@@ -195,73 +358,22 @@ def run_plan(
     budget: int,
     fixed: Sequence[int] = (),
 ) -> tuple[list[int] | None, int]:
-    """Backtrack for a homomorphism into the host with adjacency rows hadj
-    whose loads stay within room; fixed[i] is the pre-fixed image of
-    plan.order[i].
+    """Search for a homomorphism into the host with adjacency rows hadj
+    whose loads stay within room; fixed[i] is the pinned image of
+    plan.order[i], one per pinned position.
 
     Returns the image (None is a nonexistence certificate) and the node
     count; the rows are trusted, not validated.  Raises BudgetExhausted past
     budget nodes.
     """
+    if len(fixed) != plan.pinned:
+        raise ValueError(f"the plan pins {plan.pinned} images, not {len(fixed)}")
     if plan.total > sum(room):
         return None, 0
-    order, back, demand, least = plan.order, plan.back, plan.demand, plan.least
-    room = list(room)
-    image = [0] * len(order)
     open_ = (1 << len(room)) - 1
-    if room and min(room) < least:
-        open_ = sum(1 << t for t, r in enumerate(room) if r >= least)
-    for i, t in enumerate(fixed):
-        v = order[i]
-        cand = open_
-        for u in back[i]:
-            cand &= hadj[image[u]]
-        left = room[t] - demand[v]
-        if left < 0 or not cand >> t & 1:
-            return None, 0
-        image[v] = t
-        if left < least:
-            open_ ^= 1 << t
-        else:
-            room[t] = left
-    n = len(order)
-    nodes = 0
-
-    # open_ holds the targets with room for the least demand; a placement
-    # that leaves less clears the target's bit, so larger demands still
-    # check the room
-    def extend(i: int, open_: int) -> bool:
-        nonlocal nodes
-        if i == n:
-            return True
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted
-        v = order[i]
-        d = demand[v]
-        cand = open_
-        for u in back[i]:
-            cand &= hadj[image[u]]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            t = low.bit_length() - 1
-            left = room[t] - d
-            if left < 0:
-                continue
-            image[v] = t
-            if left < least:
-                # closed below: its room is not read again until we return
-                if extend(i + 1, open_ ^ low):
-                    return True
-            else:
-                room[t] = left
-                if extend(i + 1, open_):
-                    return True
-                room[t] += d
-        return False
-
-    return (image if extend(len(fixed), open_) else None), nodes
+    if room and min(room) < plan.least:
+        open_ = sum(1 << t for t, r in enumerate(room) if r >= plan.least)
+    return plan.kernel(hadj, list(room), open_, budget, *fixed)
 
 
 def find_capacity_homomorphism(

@@ -14,7 +14,10 @@ every coloring with no shortcuts; both modes must agree.
 
 Copies are sought by search plans compiled once per oracle call and run
 straight on a color graph's adjacency rows: one unrooted plan, and in
-pruned mode one rooted plan per arc orbit.  Pruned mode checks only the
+pruned mode one rooted plan per arc orbit, whose first two images are
+pinned.  The rooted check is the hot path, so it calls each rooted plan's
+kernel directly, with a room list and open mask built once per host size,
+and skips run_plan's per-call set-up.  Pruned mode checks only the
 edge it just colored.  Its parent color graph is copy-free (the search
 starts from the empty coloring, which it checks with the unrooted plan), so
 a new copy must map some arc (a, b) of the target onto the new edge
@@ -120,27 +123,43 @@ class _Copies:
     then lowest id, which for unit weights is plain_embeds' order.
     through(rows, u, v) asks only for copies that map an arc of the target
     onto the edge (u, v); it answers whether rows holds a copy only when rows
-    without that edge holds none.  It runs one rooted plan per arc orbit.
+    without that edge holds none.  It calls the kernel of each rooted plan,
+    one per arc orbit, with the arc pinned to (u, v), on a room list and
+    open mask built once per host size.
     """
 
     def __init__(self, gw: WeightedGraph, mode: str) -> None:
         g = gw.graph
-        demand, (self.room,) = integer_units(CapacityProfile.weight_cap(gw.weights), g.n, 1)
+        demand, (self.unit,) = integer_units(CapacityProfile.weight_cap(gw.weights), g.n, 1)
         order = sorted(range(g.n), key=lambda v: (-demand[v], -g.adj[v].bit_count(), v))
         self.plan = compile_plan(g, demand, order)
         self.plans: list[SearchPlan] = []
         if mode == MODE_PRUNED:
-            self.plans = [compile_plan(g, demand, _rooted_order(g, a, b)) for a, b in _arc_roots(gw)]
+            self.plans = [
+                compile_plan(g, demand, _rooted_order(g, a, b), 2) for a, b in _arc_roots(gw)
+            ]
+        self._size(0)
+
+    def _size(self, n: int) -> None:
+        """Set up through() for hosts on n vertices.  Uniform room is at
+        least every demand, so every target starts open; when the target's
+        demand exceeds the host's room, no kernel runs."""
+        self.n = n
+        self.room = [self.unit] * n
+        self.open = (1 << n) - 1
+        fits = self.plan.total <= n * self.unit
+        self.kernels = [plan.kernel for plan in self.plans] if fits else []
 
     def anywhere(self, rows: Sequence[int]) -> bool:
-        room = [self.room] * len(rows)
+        room = [self.unit] * len(rows)
         return run_plan(self.plan, rows, room, morphisms.DEFAULT_BUDGET)[0] is not None
 
     def through(self, rows: list[int], u: int, v: int) -> bool:
-        room = [self.room] * len(rows)
-        budget = morphisms.DEFAULT_BUDGET
-        for plan in self.plans:
-            if run_plan(plan, rows, room, budget, (u, v))[0] is not None:
+        if len(rows) != self.n:
+            self._size(len(rows))
+        room, open_, budget = self.room, self.open, morphisms.DEFAULT_BUDGET
+        for kernel in self.kernels:
+            if kernel(rows, room, open_, budget, u, v)[0] is not None:
                 return True
         return False
 
@@ -186,7 +205,7 @@ def _arc_roots(gw: WeightedGraph) -> list[tuple[int, int]]:
                 and run_plan(plan, g.adj, load, budget, (c, d))[0] is not None
                 for a, b, plan in roots
             ):
-                roots.append((c, d, compile_plan(g, load, _rooted_order(g, c, d))))
+                roots.append((c, d, compile_plan(g, load, _rooted_order(g, c, d), 2)))
     except BudgetExhausted:
         return arcs
     return [(a, b) for a, b, _ in roots]

@@ -21,9 +21,7 @@ from .morphisms import (
     verify_homomorphism,
 )
 from .regularity import (
-    MODE_EXHAUSTIVE,
     MODE_SAMPLED,
-    Partition,
     RegularityParams,
     fixed_k_partition,
     split_by_density,

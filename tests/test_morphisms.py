@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
+from typing import Sequence
 
 import networkx as nx
 import pytest
@@ -16,11 +18,15 @@ from ramsey_forge.morphisms import (
     NONE,
     BudgetExhausted,
     CapacityProfile,
+    SearchPlan,
     VertexMap,
+    compile_plan,
     compose,
     enumerate_all_maps_has_capacity_hom,
     find_capacity_homomorphism,
     find_weighted_embedding,
+    integer_units,
+    run_plan,
     verify_capacity,
     verify_homomorphism,
 )
@@ -171,6 +177,19 @@ def test_found_images_are_pinned():
     assert out.vmap.image == (1, 2, 0, 1, 2, 0)
     gw = WeightedGraph.uniform(gen.cycle(4), Fraction(1, 2))
     assert find_weighted_embedding(gw, gen.complete(2)).image == (0, 1, 0, 1)
+    # plans longer than one generated kernel function
+    out = find_capacity_homomorphism(
+        gen.cycle(24), gen.hypercube(5), CapacityProfile.uniform_count_cap(32, 1)
+    )
+    assert out.vmap.image == (
+        0, 1, 3, 2, 6, 4, 5, 7, 15, 11, 9, 8, 10, 14, 12, 13, 29, 21, 17, 19, 18, 22, 20, 16
+    )
+    out = find_capacity_homomorphism(
+        gen.path(30), gen.complete(3), CapacityProfile.uniform_count_cap(3, 10)
+    )
+    assert out.vmap.image == (
+        2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 0, 2, 0, 2, 0, 2, 0, 2, 1, 2, 1, 2, 1, 2, 1, 2
+    )
 
 
 def test_pigeonhole_reject_searches_nothing():
@@ -222,3 +241,114 @@ def test_weighted_embedding_respects_loads():
     vmap = find_weighted_embedding(gw, gen.complete(2))
     assert vmap is not None
     assert verify_capacity(vmap, CapacityProfile.weight_cap(gw.weights)).valid
+
+
+def reference_run_plan(
+    plan: SearchPlan,
+    hadj: Sequence[int],
+    room: Sequence[int],
+    budget: int,
+    fixed: Sequence[int] = (),
+) -> tuple[list[int] | None, int]:
+    """The interpreted search the generated kernels replaced: one recursive
+    call per node, with the same node count, images and budget rule."""
+    if plan.total > sum(room):
+        return None, 0
+    order, back, demand, least = plan.order, plan.back, plan.demand, plan.least
+    room = list(room)
+    image = [0] * len(order)
+    open_ = (1 << len(room)) - 1
+    if room and min(room) < least:
+        open_ = sum(1 << t for t, r in enumerate(room) if r >= least)
+    for i, t in enumerate(fixed):
+        v = order[i]
+        cand = open_
+        for u in back[i]:
+            cand &= hadj[image[u]]
+        left = room[t] - demand[v]
+        if left < 0 or not cand >> t & 1:
+            return None, 0
+        image[v] = t
+        if left < least:
+            open_ ^= 1 << t
+        else:
+            room[t] = left
+    n = len(order)
+    nodes = 0
+
+    def extend(i: int, open_: int) -> bool:
+        nonlocal nodes
+        if i == n:
+            return True
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhausted
+        v = order[i]
+        d = demand[v]
+        cand = open_
+        for u in back[i]:
+            cand &= hadj[image[u]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = low.bit_length() - 1
+            left = room[t] - d
+            if left < 0:
+                continue
+            image[v] = t
+            if left < least:
+                if extend(i + 1, open_ ^ low):
+                    return True
+            else:
+                room[t] = left
+                if extend(i + 1, open_):
+                    return True
+                room[t] += d
+        return False
+
+    return (image if extend(len(fixed), open_) else None), nodes
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_kernels_match_the_reference_search():
+    # same image and node count as the reference, and out of budget exactly
+    # one node short; plans of up to 40 vertices run chained kernels
+    rng = random.Random(20260)
+    weights = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    cap = 3000
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, min(1.0, rng.choice([1.5, 2.5, 4.0]) / n))
+        # hosts about large enough for the source, so the pigeonhole check
+        # rejects only some plans and searches pass through chained kernels
+        hn = rng.randint(max(1, n // 3), n // 2 + 6)
+        h = random_graph(rng, hn, rng.choice([0.3, 0.6, 0.9]))
+        if rng.random() < 0.5:
+            profile = CapacityProfile.count_cap([rng.randint(1, 3) for _ in range(h.n)])
+        else:
+            profile = CapacityProfile.weight_cap([rng.choice(weights) for _ in range(n)])
+        demand, room = integer_units(profile, n, h.n)
+        pinned = rng.randint(0, min(2, n))
+        plan = compile_plan(g, demand, rng.sample(range(n), n), pinned)
+        fixed = [rng.randrange(h.n) for _ in range(pinned)]
+        if rng.random() < 0.3:  # one target for both pins: often invalid
+            fixed[-1:] = fixed[:1]
+        try:
+            image, nodes = reference_run_plan(plan, h.adj, room, cap, fixed)
+        except BudgetExhausted:
+            with pytest.raises(BudgetExhausted):
+                run_plan(plan, h.adj, room, cap, fixed)
+            continue
+        assert run_plan(plan, h.adj, room, nodes, fixed) == (image, nodes)
+        if nodes:
+            with pytest.raises(BudgetExhausted):
+                run_plan(plan, h.adj, room, nodes - 1, fixed)
+        if plan.total <= sum(room):
+            # called directly, a kernel leaves the room list as it found it
+            open_ = sum(1 << t for t, r in enumerate(room) if r >= plan.least)
+            work = list(room)
+            assert plan.kernel(h.adj, work, open_, nodes, *fixed) == (image, nodes)
+            assert work == room

@@ -1,7 +1,8 @@
 """Soundness rechecks are raises, not asserts that python -O strips.
 
 Each case stubs one recheck to fail and runs its entry point in a fresh
-interpreter under -O; the run must end in VerificationError.
+interpreter under -O; the run must end in VerificationError.  Two AST scans
+keep the library free of assert statements and of unused imports.
 """
 
 from __future__ import annotations
@@ -141,4 +142,28 @@ def test_library_has_no_assert_statements() -> None:
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+# bound but never read on purpose: perfbench/layers.py traces these names on
+# the pipeline module
+TRACED_BINDINGS = {("pipeline.py", "pair_density"), ("pipeline.py", "regularity_check")}
+
+
+def test_library_has_no_unused_imports() -> None:
+    package = Path(ramsey_forge.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the public API
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (path.name, name) not in TRACED_BINDINGS:
+                        found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
