@@ -18,7 +18,7 @@ from .drc import DegenerateBudget, drc_bandwidth_embed
 from .graphs import Graph, WeightedGraph
 from .harness import ConfigError, VerificationError, load_config, run_experiment
 from .morphisms import DEFAULT_BUDGET, CapacityProfile, find_capacity_homomorphism
-from .oracles import OracleResult, ramsey_number, stable_ramsey, weighted_ramsey, witness_verified
+from .oracles import OracleResult, stable_ramsey, weighted_ramsey, witness_verified
 from .pipeline import PipelineParams, transference_pipeline
 from .regularity import RegularityParams, fixed_k_partition, regularity_check
 from .rga import RgaParams, blowup_instance, rga_blowup_embed
@@ -105,11 +105,6 @@ def _print_oracle(result: OracleResult, gw: WeightedGraph) -> int:
         )
     )
     return 0
-
-
-def cmd_ramsey(args: argparse.Namespace) -> int:
-    g = _graph_arg(args.target)
-    return _print_oracle(ramsey_number(g, args.n_max, args.mode), WeightedGraph.unit(g))
 
 
 def cmd_wramsey(args: argparse.Namespace) -> int:
@@ -299,16 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--exact", action="store_true")
     s.set_defaults(fn=cmd_bandwidth)
 
-    for name, fn, extra in (
-        ("ramsey", cmd_ramsey, False),
-        ("wramsey", cmd_wramsey, True),
-        ("sramsey", cmd_sramsey, True),
-    ):
+    # ramsey is wramsey with unit weights
+    for name, fn in (("ramsey", cmd_wramsey), ("wramsey", cmd_wramsey), ("sramsey", cmd_sramsey)):
         s = sub.add_parser(name, help=f"{name} oracle")
         s.add_argument("target")
         s.add_argument("--n-max", type=int, required=True)
         s.add_argument("--mode", default="symmetry_pruned", choices=["symmetry_pruned", "exhaustive"])
-        if extra:
+        if name == "ramsey":
+            s.set_defaults(weights=None)
+        else:
             s.add_argument("--weights")
         if name == "sramsey":
             s.add_argument("--eps", required=True)

@@ -1,9 +1,10 @@
 """Degree-splitting partitions, layered-density witnesses, and the dense
 greedy and wheel embedders.
 
-The degree split is a potential-function local search.  The greedy embedders
-are one-sided: Some is always an independently verified embedding, None is a
-greedy failure and never a nonexistence claim.
+The degree split is a potential-function local search.  Every bi-density
+witness, exhaustive or sampled, is rechecked by exact density.  The greedy
+embedders are one-sided: Some is always an independently verified embedding,
+None is a greedy failure and never a nonexistence claim.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .graphs import (
     EdgeColoring,
     Graph,
     WeightedGraph,
+    edges_between,
     iter_bits,
     mask_of,
     other_color,
@@ -38,6 +40,7 @@ VIOLATED = "violated"
 UNREFUTED = "unrefuted"
 
 BI_DENSE_SIDE_CAP = 16
+BI_DENSE_SAMPLES = 200  # pairs drawn per part in sampled mode
 
 
 def lovasz_partition(g: Graph, degrees: Sequence[int]) -> tuple[frozenset[int], ...]:
@@ -160,29 +163,32 @@ def bi_dense_violation(
     m = threshold_size(eps, u)
     if 2 * m > u:
         return None  # no admissible disjoint pair exists
+    if universe[0] < 0 or universe[-1] >= g.n:
+        raise ValueError(f"universe has a vertex out of range for n={g.n}")
+    p, q = Fraction(delta).as_integer_ratio()
     for xsub in itertools.combinations(universe, m):
         xmask = mask_of(xsub)
-        rest = [y for y in universe if not (xmask >> y) & 1]
-        low = sorted(rest, key=lambda y: ((g.adj[y] & xmask).bit_count(), y))[:m]
-        if pair_density(g, xsub, low) < delta:
-            return frozenset(xsub), frozenset(low)
+        by_count = sorted(
+            ((g.adj[y] & xmask).bit_count(), y) for y in universe if not xmask >> y & 1
+        )
+        low = by_count[:m]
+        # d(X, Y) < delta in integers: e(X, Y) q < p m^2
+        if sum(c for c, _ in low) * q < p * m * m:
+            return frozenset(xsub), frozenset(y for _, y in low)
     return None
 
 
 def dense_witness_check(
-    g: Graph,
-    witness: DenseWitness,
-    params: DenseParams,
-    mode: str = "exhaustive",
-    budget: int = 200,
-    seed: int = 0,
+    g: Graph, witness: DenseWitness, params: DenseParams, mode: str = "exhaustive", seed: int = 0
 ) -> DenseVerdict:
     """Check the four layered-density conditions; first violation wins.
 
     (i) each part induces a bi-(rho^{2 d_i}, delta)-dense graph, (ii) every
     vertex of an earlier part sees >= (1 - beta) of every later part,
     (iii) parts have size >= alpha * n, (iv) the degree budgets sum to
-    max_deg - s + 1.  Sampled mode cannot certify (i); it can only refute.
+    max_deg - s + 1.  Sampled mode cannot certify (i); it can only refute,
+    from BI_DENSE_SAMPLES pairs per part.  A bi-density witness that fails
+    its recheck raises VerificationError.
     """
     parts = witness.parts
     s = len(parts)
@@ -198,13 +204,14 @@ def dense_witness_check(
                 raise ValueError(f"exhaustive mode caps parts at {BI_DENSE_SIDE_CAP}")
             hit = bi_dense_violation(g, members, eps_i, params.delta)
         elif mode == "sampled":
-            hit = _sampled_bi_dense_violation(
-                g, members, eps_i, params.delta, budget, seed + i
-            )
+            hit = _sampled_bi_dense_violation(g, members, eps_i, params.delta, seed + i)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         if hit is not None:
-            return DenseVerdict(VIOLATED, "bi_dense", i, hit[0], hit[1])
+            wx, wy = frozenset(hit[0]), frozenset(hit[1])
+            if not _refutes_bi_density(g, part, eps_i, params.delta, wx, wy):
+                raise VerificationError(f"bi-density witness for part {i} does not violate")
+            return DenseVerdict(VIOLATED, "bi_dense", i, wx, wy)
 
     for i, j in itertools.combinations(range(s), 2):
         jmask = mask_of(parts[j])
@@ -225,13 +232,18 @@ def dense_witness_check(
     return DenseVerdict(PASS if mode == "exhaustive" else UNREFUTED)
 
 
+def _refutes_bi_density(
+    g: Graph, part: frozenset[int], eps: Fraction, delta: Fraction, x: frozenset, y: frozenset
+) -> bool:
+    """Independent recheck of a witness: disjoint X, Y inside the part U, each
+    of at least threshold_size(eps, |U|) vertices, with d(X, Y) < delta."""
+    m = threshold_size(eps, len(part))
+    fits = not x & y and x | y <= part and min(len(x), len(y)) >= m
+    return fits and pair_density(g, x, y) < delta
+
+
 def _sampled_bi_dense_violation(
-    g: Graph,
-    universe: list[int],
-    eps: Fraction,
-    delta: Fraction,
-    budget: int,
-    seed: int,
+    g: Graph, universe: list[int], eps: Fraction, delta: Fraction, seed: int
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     u = len(universe)
     if u == 0:
@@ -239,12 +251,13 @@ def _sampled_bi_dense_violation(
     m = threshold_size(eps, u)
     if 2 * m > u:
         return None
+    p, q = delta.as_integer_ratio()
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(BI_DENSE_SAMPLES):
         xsub = rng.sample(universe, m)
         rest = [y for y in universe if y not in xsub]
         ysub = rng.sample(rest, m)
-        if pair_density(g, xsub, ysub) < delta:
+        if edges_between(g, mask_of(xsub), mask_of(ysub)) * q < p * m * m:
             return frozenset(xsub), frozenset(ysub)
     return None
 

@@ -35,6 +35,7 @@ from .graphs import Graph, induced, iter_bits, mask_of
 from .morphisms import VerificationError, VertexMap, verify_homomorphism
 
 DEFAULT_TUPLE_BUDGET = 20_000
+BANDWIDTH_TRIALS = 64  # sampled tuples per drc_select call of drc_bandwidth_embed
 
 
 class DegenerateBudget(ValueError):
@@ -271,18 +272,17 @@ def drc_bandwidth_embed(
     seed: int = 0,
     max_deg: int | None = None,
     beta: Fraction | None = None,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    trials: int = 64,
 ) -> VertexMap | None:
     """Block-by-block embedding of a bipartite low-bandwidth graph.
 
     h's labels must have width <= floor(beta * n) with the default
     beta = alpha^(6D+1) / (256 D); a zero budget raises DegenerateBudget
     instead of silently looping.  One side (B) is embedded block by block
-    into intersections of successive drc_select outputs; the other side (A)
-    goes greedily into common neighborhoods.  Some is always verified (a
-    failed recheck raises VerificationError); None reports greedy
-    starvation, not nonexistence.
+    into intersections of successive drc_select outputs (default tuple
+    budget, BANDWIDTH_TRIALS samples); the other side (A) goes greedily
+    into common neighborhoods.  Some is always verified (a failed recheck
+    raises VerificationError); None reports greedy starvation, not
+    nonexistence.
     """
     alpha = Fraction(alpha)
     n = host.n
@@ -333,8 +333,8 @@ def drc_bandwidth_embed(
         }
 
     sel = drc_select(
-        host, range(n), max_deg, 8 * beta, trials=trials,
-        seed=rng.randrange(1 << 30), alpha=alpha, tuple_budget=tuple_budget,
+        host, range(n), max_deg, 8 * beta, trials=BANDWIDTH_TRIALS,
+        seed=rng.randrange(1 << 30), alpha=alpha,
     )
     x_prev = mask_of(sel.x)
     embedded_a: set[int] = set()
@@ -351,8 +351,7 @@ def drc_bandwidth_embed(
         x0_next = x_prev & v_t
         sel_next = drc_select(
             induced(host, members), [index[v] for v in iter_bits(x0_next)], max_deg, 8 * beta,
-            trials=trials, seed=rng.randrange(1 << 30), alpha=alpha,
-            tuple_budget=tuple_budget,
+            trials=BANDWIDTH_TRIALS, seed=rng.randrange(1 << 30), alpha=alpha,
         )
         x_next = mask_of(members[i] for i in sel_next.x)
 

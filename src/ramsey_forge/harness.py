@@ -1,7 +1,8 @@
 """Config-driven experiment harness.
 
-A run is a grid of (instance, seed) cells.  Cells execute in a worker pool
-but results are emitted in deterministic cell order, so the CSV is
+A run is a grid of (instance, seed) cells.  Cells execute in a pool of
+`ExperimentConfig.workers` threads, the one place that sets the count, but
+results are emitted in deterministic cell order, so the CSV is
 byte-identical for any worker count.  Every positive result and oracle witness
 is re-verified independently; a failed verification aborts the run
 (soundness tripwire).
@@ -13,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -242,11 +242,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResu
     that fails its independent recheck, oracle witnesses included."""
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}")
-    workers = cfg.workers
-    env = os.environ.get("RF_WORKERS")
-    if env:
-        workers = int(env)
-    workers = max(1, workers)
+    workers = max(1, cfg.workers)
 
     cells = [
         (i, seed)

@@ -3,7 +3,9 @@ graph, capacity-1 homomorphism lift, then the randomized blow-up embedder.
 
 Each stage either produces data for the next or names itself as the point
 of failure; a Some result is always an independently verified
-monochromatic embedding.
+monochromatic embedding.  The majority threshold, the sampled checker's
+budget and the retry counts are constants of this route; a caller sets
+only eps, xi, the class count k and the regularity mode.
 """
 
 from __future__ import annotations
@@ -38,16 +40,18 @@ STAGE_REDUCED = "reduced_graph"
 STAGE_LIFT = "capacity_homomorphism"
 STAGE_EMBED = "blowup_embedding"
 
+MAJORITY_DELTA = Fraction(1, 2)  # a regular pair at least this red is red
+SAMPLE_BUDGET = 50  # samples per pair in sampled mode
+PARTITION_RETRIES = 2
+RGA_RETRIES = 10
+
 
 @dataclass(frozen=True)
 class PipelineParams:
     eps: Fraction
     xi: Fraction
     k: int
-    delta: Fraction = Fraction(1, 2)  # majority threshold for reduced colors
     mode: str = MODE_SAMPLED
-    sample_budget: int = 50
-    retries: int = 10
 
 
 @dataclass
@@ -80,17 +84,17 @@ def transference_pipeline(
     reg = RegularityParams(params.eps)
     red = coloring.red_graph
     partition, report = fixed_k_partition(
-        red, params.k, reg, seed=seed, retries=2,
-        mode=params.mode, budget=params.sample_budget,
+        red, params.k, reg, seed=seed, retries=PARTITION_RETRIES,
+        mode=params.mode, budget=SAMPLE_BUDGET,
     )
 
     # reduced coloring from the partition's own verdicts: a regular pair
-    # joins the red reduced graph when its red density is at least delta,
-    # else the blue one; irregular pairs join neither
+    # joins the red reduced graph when its red density is at least
+    # MAJORITY_DELTA, else the blue one; irregular pairs join neither
     if not report.regular_pairs:
         return PipelineResult(None, None, STAGE_REDUCED)
     reduced_by_color = dict(
-        zip((RED, BLUE), split_by_density(red, partition, report.regular_pairs, params.delta))
+        zip((RED, BLUE), split_by_density(red, partition, report.regular_pairs, MAJORITY_DELTA))
     )
 
     lift_failed = True
@@ -104,17 +108,10 @@ def transference_pipeline(
         lift_failed = False
         composed = compose(f, outcome.vmap)
         mono = coloring.subgraph(color)
-        rga = RgaParams(delta=params.delta, xi=params.xi)
+        rga = RgaParams(delta=MAJORITY_DELTA, xi=params.xi)
         try:
             vmap = rga_blowup_embed(
-                mono,
-                partition,
-                reduced,
-                g,
-                composed,
-                rga,
-                seed=seed,
-                retries=params.retries,
+                mono, partition, reduced, g, composed, rga, seed=seed, retries=RGA_RETRIES
             )
         except ValueError:
             # slack or homomorphism precondition failed for this color

@@ -5,7 +5,9 @@ The embedder walks the reduced-graph parts in order and places each source
 vertex uniformly at random among host vertices that do not starve any
 still-free neighbor.  Vertices whose free candidates run low jump a FIFO
 queue.  Candidate-set and queue-size invariants are checked at every step;
-any violation aborts the attempt and a fresh seed retries.
+any violation aborts the attempt and a fresh seed retries.  The retention
+chain EPS << EPS2 << EPS1 is fixed below; a caller sets only the density
+floor delta and the part slack xi.
 """
 
 from __future__ import annotations
@@ -20,31 +22,22 @@ from .graphs import Graph, iter_bits, mask_of
 from .morphisms import VerificationError, VertexMap, verify_homomorphism
 from .regularity import Partition
 
-DEFAULT_EPS1 = Fraction(1, 8)
+# candidate-retention chain EPS << EPS2 << EPS1: tuned, not derived
+EPS1 = Fraction(1, 8)  # queue cap, as a share of the largest preimage
+EPS2 = EPS1**3  # share of a part's size below which a vertex jumps the queue
+EPS = EPS2**3  # retention slack under delta
 
 
 @dataclass(frozen=True)
 class RgaParams:
-    """Candidate-retention chain eps << eps2 << eps1, plus the density floor
-    delta and part slack xi.  Defaults keep the ordering; they are tuned,
-    not derived."""
+    """The density floor delta and the part slack xi."""
 
     delta: Fraction
     xi: Fraction
-    eps1: Fraction = DEFAULT_EPS1
-    eps2: Fraction | None = None
-    eps: Fraction | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", Fraction(self.delta))
         object.__setattr__(self, "xi", Fraction(self.xi))
-        object.__setattr__(self, "eps1", Fraction(self.eps1))
-        eps2 = Fraction(self.eps2) if self.eps2 is not None else self.eps1**3
-        eps = Fraction(self.eps) if self.eps is not None else eps2**3
-        object.__setattr__(self, "eps2", eps2)
-        object.__setattr__(self, "eps", eps)
-        if not 0 < self.eps <= self.eps2 <= self.eps1 < 1:
-            raise ValueError("need 0 < eps <= eps2 <= eps1 < 1")
         if not 0 <= self.delta <= 1:
             raise ValueError("delta must lie in [0, 1]")
         if self.xi < 0:
@@ -145,12 +138,11 @@ def _attempt(
     embedded_deg = [0] * n_src
     image = [-1] * n_src
     used = 0
-    retention = params.delta - params.eps
-    queue_floor = params.eps2  # fraction of the part size triggering the queue
-    queue_cap = params.eps1 * m
+    retention = params.delta - EPS
+    queue_cap = EPS1 * m
 
     def check_candidate_invariant(y: int) -> None:
-        # invariant (i): |U(y)| >= (delta - eps)^{d(y)} |V_{f(y)}|
+        # invariant (i): |U(y)| >= (delta - EPS)^{d(y)} |V_{f(y)}|
         bound = retention ** embedded_deg[y] * part_sizes[f(y)]
         if cand[y].bit_count() < bound:
             raise _Abort("candidate_invariant")
@@ -200,7 +192,7 @@ def _attempt(
             for y in preimages[part]:
                 if image[y] >= 0 or in_queue[y]:
                     continue
-                if (cand[y] & ~used).bit_count() < queue_floor * part_sizes[part]:
+                if (cand[y] & ~used).bit_count() < EPS2 * part_sizes[part]:
                     queue.append(y)
                     in_queue[y] = True
             if len(queue) > queue_cap:

@@ -7,6 +7,7 @@ limits are asserted with wall-clock measurements on one core.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
@@ -364,7 +365,7 @@ def test_criterion_09_bandwidth_regime():
     report(9, f"degenerate budget detected; override verified {verified}/50")
 
 
-def test_criterion_10_determinism(monkeypatch):
+def test_criterion_10_determinism():
     cfg = ExperimentConfig(
         task="wheel",
         instances=(
@@ -373,10 +374,9 @@ def test_criterion_10_determinism(monkeypatch):
         ),
         seeds=(0, 1, 2, 3, 4),
     )
-    monkeypatch.setenv("RF_WORKERS", "1")
     one = render_csv(cfg, run_experiment(cfg)[0])
-    monkeypatch.setenv("RF_WORKERS", "4")
-    four = render_csv(cfg, run_experiment(cfg)[0])
-    rerun = render_csv(cfg, run_experiment(cfg)[0])
+    cfg4 = dataclasses.replace(cfg, workers=4)
+    four = render_csv(cfg4, run_experiment(cfg4)[0])
+    rerun = render_csv(cfg4, run_experiment(cfg4)[0])
     assert one == four == rerun
     report(10, "CSV byte-identical for 1 vs 4 workers and across reruns")

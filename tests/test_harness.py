@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -45,7 +46,7 @@ def test_ramsey_task_value():
     assert summary["values"] == ["6"]
 
 
-def test_csv_identical_across_worker_counts(monkeypatch):
+def test_csv_identical_across_worker_counts():
     cfg = ExperimentConfig(
         task="wheel",
         instances=(
@@ -54,16 +55,15 @@ def test_csv_identical_across_worker_counts(monkeypatch):
         ),
         seeds=(0, 1, 2, 3),
     )
-    monkeypatch.delenv("RF_WORKERS", raising=False)
     rows1, _ = run_experiment(cfg)
     csv1 = render_csv(cfg, rows1)
-    monkeypatch.setenv("RF_WORKERS", "4")
-    rows4, _ = run_experiment(cfg)
-    csv4 = render_csv(cfg, rows4)
+    cfg4 = dataclasses.replace(cfg, workers=4)
+    rows4, _ = run_experiment(cfg4)
+    csv4 = render_csv(cfg4, rows4)
     assert csv1 == csv4
     # rerun stability under threads
-    rows4b, _ = run_experiment(cfg)
-    assert render_csv(cfg, rows4b) == csv4
+    rows4b, _ = run_experiment(cfg4)
+    assert render_csv(cfg4, rows4b) == csv4
 
 
 def test_verification_tripwire(monkeypatch):

@@ -9,7 +9,7 @@ from ramsey_forge import generators as gen
 from ramsey_forge.graphs import Graph
 from ramsey_forge.morphisms import VertexMap, verify_homomorphism
 from ramsey_forge.regularity import Partition
-from ramsey_forge.rga import RgaParams, RgaStats, rga_blowup_embed
+from ramsey_forge.rga import EPS, EPS1, EPS2, RgaParams, RgaStats, rga_blowup_embed
 
 
 def blowup_setup(base, part_size):
@@ -29,10 +29,12 @@ def disjoint_cycles(count, length):
 
 
 def test_params_chain():
+    assert 0 < EPS < EPS2 < EPS1 < 1
     p = RgaParams(delta=Fraction(1, 2), xi=Fraction(1, 4))
-    assert p.eps < p.eps2 < p.eps1
-    with pytest.raises(ValueError):
-        RgaParams(delta=Fraction(1, 2), xi=Fraction(1, 4), eps1=Fraction(1, 8), eps2=Fraction(1, 2))
+    assert (p.delta, p.xi) == (Fraction(1, 2), Fraction(1, 4))
+    for delta, xi in ((Fraction(3, 2), Fraction(1, 4)), (Fraction(1, 2), Fraction(-1, 4))):
+        with pytest.raises(ValueError):
+            RgaParams(delta, xi)
 
 
 def test_complete_bipartite_blowup_trivial():

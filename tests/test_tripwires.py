@@ -1,8 +1,9 @@
 """Soundness rechecks are raises, not asserts that python -O strips.
 
 Each case stubs one recheck to fail and runs its entry point in a fresh
-interpreter under -O; the run must end in VerificationError.  Two AST scans
-keep the library free of assert statements and of unused imports.
+interpreter under -O; the run must end in VerificationError.  Three AST
+scans keep the library free of assert statements, of unused imports and of
+environment reads.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ def reject(*args):
 def reject_into(target, real):
     # fails only maps into `target`, so precondition checks still pass
     return lambda g, h, f: reject() if h is target else real(g, h, f)
+
+
+# degree budget 1 and rho 1/2: each side of a bi-density witness needs 2 of 8
+DENSE = dense.DenseParams(
+    alpha=Fraction(1, 8), beta=Fraction(1, 4), rho=Fraction(1, 2), delta=Fraction(1, 2), max_deg=1
+)
 """
 
 # entry point -> code that stubs its recheck and then calls it; without the
@@ -103,6 +110,19 @@ CASES = {
             regularity.MODE_SAMPLED,
         )
     """,
+    "dense_witness_check": """
+        # a pair that does not violate: every pair of K_8 has density 1
+        dense.bi_dense_violation = lambda *args: (frozenset([0, 1]), frozenset([4, 5]))
+        dense.dense_witness_check(
+            gen.complete(8), dense.DenseWitness.trivial(gen.complete(8), 1), DENSE
+        )
+    """,
+    "dense_witness_check_sampled": """
+        dense._sampled_bi_dense_violation = lambda *args: (frozenset([0, 1]), frozenset([4, 5]))
+        dense.dense_witness_check(
+            gen.complete(8), dense.DenseWitness.trivial(gen.complete(8), 1), DENSE, "sampled"
+        )
+    """,
     "lovasz_partition": """
         # every ratio compares equal, so the first class is always the minimum
         dense.Fraction = lambda num, den: 0
@@ -134,13 +154,40 @@ def test_tripwire_survives_optimize(entry: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
-def test_library_has_no_assert_statements() -> None:
+def _library_modules() -> list[tuple[Path, ast.Module]]:
     package = Path(ramsey_forge.__file__).resolve().parent
+    return [(path, ast.parse(path.read_text(), str(path))) for path in sorted(package.glob("*.py"))]
+
+
+def test_library_has_no_assert_statements() -> None:
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for path, tree in _library_modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _reads_environment(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (
+            isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+        )
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in ("environ", "getenv") for alias in node.names)
+    return False
+
+
+def test_library_reads_no_environment() -> None:
+    # every setting is an argument or a config field, never an environment variable
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _library_modules()
+        for node in ast.walk(tree)
+        if _reads_environment(node)
     ]
     assert found == []
 
@@ -151,12 +198,10 @@ TRACED_BINDINGS = {("pipeline.py", "pair_density"), ("pipeline.py", "regularity_
 
 
 def test_library_has_no_unused_imports() -> None:
-    package = Path(ramsey_forge.__file__).resolve().parent
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path, tree in _library_modules():
         if path.name == "__init__.py":  # its imports are the public API
             continue
-        tree = ast.parse(path.read_text(), str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
