@@ -99,7 +99,6 @@ def _print_oracle(result: OracleResult, gw: WeightedGraph) -> int:
                 "status": result.status,
                 "value": result.value,
                 "n_max": result.n_max,
-                "mode": result.certificate_mode,
                 "witness_n": result.witness_n,
             }
         )
@@ -110,13 +109,13 @@ def _print_oracle(result: OracleResult, gw: WeightedGraph) -> int:
 def cmd_wramsey(args: argparse.Namespace) -> int:
     g = _graph_arg(args.target)
     gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    return _print_oracle(weighted_ramsey(gw, args.n_max, args.mode), gw)
+    return _print_oracle(weighted_ramsey(gw, args.n_max), gw)
 
 
 def cmd_sramsey(args: argparse.Namespace) -> int:
     g = _graph_arg(args.target)
     gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    return _print_oracle(stable_ramsey(gw, Fraction(args.eps), args.n_max, args.mode), gw)
+    return _print_oracle(stable_ramsey(gw, Fraction(args.eps), args.n_max), gw)
 
 
 def cmd_regularity(args: argparse.Namespace) -> int:
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=f"{name} oracle")
         s.add_argument("target")
         s.add_argument("--n-max", type=int, required=True)
-        s.add_argument("--mode", default="symmetry_pruned", choices=["symmetry_pruned", "exhaustive"])
         if name == "ramsey":
             s.set_defaults(weights=None)
         else:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .generators import wheel
 from .graphs import (
     COLORS,
     EdgeColoring,
@@ -387,8 +388,6 @@ def wheel_mono_embed(
     weights = tuple(Fraction(w) for w in weights)
     if len(weights) != k:
         raise ValueError("one weight per wheel vertex required")
-    from .generators import wheel
-
     target = wheel(k)
     gw = WeightedGraph(target, weights)
     host_n = coloring.host.n

@@ -97,27 +97,27 @@ def _oracle_cell(result: OracleResult, gw: WeightedGraph) -> CellResult:
     return CellResult(result.status, str(result.value or ""), witness_verified(result, gw))
 
 
+def _n_max(instance: dict) -> int:
+    """An oracle instance's n_max.  The oracles have one search path, so an
+    instance that still picks a `mode` is a config error, not a silent no-op."""
+    if "mode" in instance:
+        raise ConfigError(f"oracle instances take no 'mode': {instance}")
+    return int(instance["n_max"])
+
+
 def _task_ramsey(instance: dict, seed: int) -> CellResult:
     gw = WeightedGraph.unit(_make_graph(instance["target"], seed))
-    result = ramsey_number(gw.graph, int(instance["n_max"]), instance.get("mode", "symmetry_pruned"))
-    return _oracle_cell(result, gw)
+    return _oracle_cell(ramsey_number(gw.graph, _n_max(instance)), gw)
 
 
 def _task_wramsey(instance: dict, seed: int) -> CellResult:
     gw = _weighted_target(instance, seed)
-    result = weighted_ramsey(gw, int(instance["n_max"]), instance.get("mode", "symmetry_pruned"))
-    return _oracle_cell(result, gw)
+    return _oracle_cell(weighted_ramsey(gw, _n_max(instance)), gw)
 
 
 def _task_sramsey(instance: dict, seed: int) -> CellResult:
     gw = _weighted_target(instance, seed)
-    result = stable_ramsey(
-        gw,
-        Fraction(instance["eps"]),
-        int(instance["n_max"]),
-        instance.get("mode", "symmetry_pruned"),
-    )
-    return _oracle_cell(result, gw)
+    return _oracle_cell(stable_ramsey(gw, Fraction(instance["eps"]), _n_max(instance)), gw)
 
 
 def _task_wheel(instance: dict, seed: int) -> CellResult:
@@ -131,9 +131,7 @@ def _task_wheel(instance: dict, seed: int) -> CellResult:
     if hit is None:
         return CellResult("none", verified=None, stage="greedy")
     color, vmap = hit
-    from .generators import wheel as wheel_graph
-
-    ok = verify_homomorphism(wheel_graph(k), coloring.subgraph(color), vmap).valid
+    ok = verify_homomorphism(generators.wheel(k), coloring.subgraph(color), vmap).valid
     return CellResult("some", color, ok)
 
 

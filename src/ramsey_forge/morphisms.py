@@ -22,6 +22,7 @@ of the search bookkeeping.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -429,8 +430,6 @@ def enumerate_all_maps_has_capacity_hom(
     g: Graph, h: Graph, profile: CapacityProfile
 ) -> bool:
     """Naive |V(h)|^|V(g)| enumeration; independent oracle for small cases."""
-    import itertools
-
     for image in itertools.product(range(h.n), repeat=g.n):
         f = VertexMap(g.n, h.n, image)
         if verify_homomorphism(g, h, f).valid and verify_capacity(f, profile).valid:

@@ -6,29 +6,27 @@ min_degree_threshold(n, 0) = n - 1 admits only K_n.  For each n the loop
 scans the admissible hosts on n vertices for a coloring with no
 monochromatic copy.
 
-Colorings are enumerated edge by edge.  In pruned mode a branch is cut as
-soon as the already-decided edges of one color contain a monochromatic copy
-(every extension then contains it too), and the first edge is fixed red
-(color swap is a symmetry of the predicate).  Exhaustive mode enumerates
-every coloring with no shortcuts; both modes must agree.
+The loop has one search path.  Colorings are enumerated edge by edge, and a
+branch is cut as soon as the already-decided edges of one color contain a
+monochromatic copy (every extension then contains it too); the first edge
+is fixed red (color swap is a symmetry of the predicate).  The tests keep a
+full 2^m scan of every host as the reference it must agree with.
 
 Copies are sought by search plans compiled once per oracle call and run
-straight on a color graph's adjacency rows: one unrooted plan, and in
-pruned mode one rooted plan per arc orbit, whose first two images are
-pinned.  The rooted check is the hot path, so it calls each rooted plan's
-kernel directly, with a room list and open mask built once per host size,
-and skips run_plan's per-call set-up.  Pruned mode checks only the
-edge it just colored.  Its parent color graph is copy-free (the search
-starts from the empty coloring, which it checks with the unrooted plan), so
-a new copy must map some arc (a, b) of the target onto the new edge
-(u, v).  If an automorphism of the target that keeps the weights maps
-(a, b) to (c, d), composing with it turns a copy through (c, d) into one
-through (a, b).  So one search per orbit of oriented arcs suffices, with a
-and b pinned to u and v.  The orbits come from one small automorphism
-search per pair of arcs; if one runs out of budget, every arc is its own
-orbit.  An edgeless target has no arc, so the unrooted check of the empty
-coloring decides it alone.  Exhaustive mode runs the unrooted plan on every
-color graph, so it stays an independent cross-check.
+straight on a color graph's adjacency rows: one unrooted plan, and one
+rooted plan per arc orbit, whose first two images are pinned.  The rooted
+check is the hot path, so it calls each rooted plan's kernel directly, with
+a room list and open mask built once per host size, and skips run_plan's
+per-call set-up.  The search checks only the edge it just colored.  Its
+parent color graph is copy-free (the search starts from the empty coloring,
+which it checks with the unrooted plan), so a new copy must map some arc
+(a, b) of the target onto the new edge (u, v).  If an automorphism of the
+target that keeps the weights maps (a, b) to (c, d), composing with it turns
+a copy through (c, d) into one through (a, b).  So one search per orbit of
+oriented arcs suffices, with a and b pinned to u and v.  The orbits come
+from one small automorphism search per pair of arcs; if one runs out of
+budget, every arc is its own orbit.  An edgeless target has no arc, so the
+unrooted check of the empty coloring decides it alone.
 """
 
 from __future__ import annotations
@@ -64,16 +62,12 @@ VALUE = "value"
 EXCEEDS = "exceeds"
 INFINITE_SUSPECTED = "infinite_suspected"
 
-MODE_PRUNED = "symmetry_pruned"
-MODE_EXHAUSTIVE = "exhaustive"
-
 
 @dataclass
 class OracleResult:
     status: str  # VALUE | EXCEEDS | INFINITE_SUSPECTED
     value: int | None
     n_max: int
-    certificate_mode: str
     witness_n: int | None = None
     witness_host: Graph | None = None  # None means K_{witness_n}
     witness_coloring: EdgeColoring | None = None
@@ -128,16 +122,14 @@ class _Copies:
     open mask built once per host size.
     """
 
-    def __init__(self, gw: WeightedGraph, mode: str) -> None:
+    def __init__(self, gw: WeightedGraph) -> None:
         g = gw.graph
         demand, (self.unit,) = integer_units(CapacityProfile.weight_cap(gw.weights), g.n, 1)
         order = sorted(range(g.n), key=lambda v: (-demand[v], -g.adj[v].bit_count(), v))
         self.plan = compile_plan(g, demand, order)
-        self.plans: list[SearchPlan] = []
-        if mode == MODE_PRUNED:
-            self.plans = [
-                compile_plan(g, demand, _rooted_order(g, a, b), 2) for a, b in _arc_roots(gw)
-            ]
+        self.plans = [
+            compile_plan(g, demand, _rooted_order(g, a, b), 2) for a, b in _arc_roots(gw)
+        ]
         self._size(0)
 
     def _size(self, n: int) -> None:
@@ -211,7 +203,7 @@ def _arc_roots(gw: WeightedGraph) -> list[tuple[int, int]]:
     return [(a, b) for a, b, _ in roots]
 
 
-def _witness_coloring_pruned(host: Graph, copies: _Copies) -> EdgeColoring | None:
+def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
     """A coloring of the host with no monochromatic copy, or None if all have one.
 
     DFS over the edge list; a branch dies once one color's decided edges
@@ -245,54 +237,21 @@ def _witness_coloring_pruned(host: Graph, copies: _Copies) -> EdgeColoring | Non
     return decide(0, len(edges) > 0)
 
 
-def _witness_coloring_naive(host: Graph, copies: _Copies) -> EdgeColoring | None:
-    """Full 2^m scan with no pruning and no symmetry shortcuts."""
-    edges = host.edges()
-    m = len(edges)
-    # the red graph of a mask is the blue graph of its complement
-    seen: dict[tuple[int, ...], bool] = {}
-
-    def has_copy(rows: tuple[int, ...]) -> bool:
-        hit = seen.get(rows)
-        if hit is None:
-            hit = seen[rows] = copies.anywhere(rows)
-        return hit
-
-    for mask in range(1 << m):
-        red = [0] * host.n
-        for i, (u, v) in enumerate(edges):
-            if mask >> i & 1:
-                red[u] |= 1 << v
-                red[v] |= 1 << u
-        blue = tuple(host.adj[v] & ~red[v] for v in range(host.n))
-        if not has_copy(tuple(red)) and not has_copy(blue):
-            return EdgeColoring.from_red_adj(host, red)
-    return None
-
-
-def _witness_coloring(host: Graph, copies: _Copies, mode: str) -> EdgeColoring | None:
-    if mode == MODE_PRUNED:
-        return _witness_coloring_pruned(host, copies)
-    if mode == MODE_EXHAUSTIVE:
-        return _witness_coloring_naive(host, copies)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def ramsey_number(g: Graph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult:
+def ramsey_number(g: Graph, n_max: int) -> OracleResult:
     """Smallest n <= n_max such that every 2-coloring of K_n contains a
     monochromatic copy of g (injective embedding): the unit-weighted case."""
-    return weighted_ramsey(WeightedGraph.unit(g), n_max, mode)
+    return weighted_ramsey(WeightedGraph.unit(g), n_max)
 
 
-def weighted_ramsey(gw: WeightedGraph, n_max: int, mode: str = MODE_PRUNED) -> OracleResult:
+def weighted_ramsey(gw: WeightedGraph, n_max: int) -> OracleResult:
     """Smallest n <= n_max such that every 2-coloring of K_n admits a
     monochromatic weighted embedding of gw: the stable number at eps 0."""
     if n_max > RAMSEY_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {RAMSEY_HARD_CAP}")
-    return _first_forced_n(_Copies(gw, mode), Fraction(0), n_max, mode)
+    return _first_forced_n(_Copies(gw), Fraction(0), n_max)
 
 
-def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int, mode: str) -> OracleResult:
+def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int) -> OracleResult:
     """Smallest n <= n_max at which no admissible host on n vertices has a
     copy-free coloring, with the copy-free coloring found at the largest n
     below it.  At eps 0 the only host is K_n, left None in the result."""
@@ -300,14 +259,14 @@ def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int, mode: str) -> Or
     witness: tuple[int, Graph | None, EdgeColoring] | None = None
     for n in range(1, n_max + 1):
         for host in hosts_with_min_degree(n, min_degree_threshold(n, eps)):
-            coloring = _witness_coloring(host, copies, mode)
+            coloring = _witness_coloring(host, copies)
             if coloring is not None:
                 witness = (n, host if eps else None, coloring)
                 break
         else:
             value = n
             break
-    result = OracleResult(EXCEEDS if value is None else VALUE, value, n_max, mode)
+    result = OracleResult(EXCEEDS if value is None else VALUE, value, n_max)
     if witness is not None:
         result.witness_n, result.witness_host, result.witness_coloring = witness
     return result
@@ -358,16 +317,14 @@ def _integer_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[i
             yield (first,) + rest
 
 
-def stable_ramsey(
-    gw: WeightedGraph, eps: Fraction, n_max: int, mode: str = MODE_PRUNED
-) -> OracleResult:
+def stable_ramsey(gw: WeightedGraph, eps: Fraction, n_max: int) -> OracleResult:
     """Smallest n <= n_max such that every admissible host on n vertices is
     monochromatically weighted-Ramsey for gw under every 2-coloring."""
     if n_max > STABLE_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {STABLE_HARD_CAP}")
     eps = Fraction(eps)
-    copies = _Copies(gw, mode)
-    result = _first_forced_n(copies, eps, n_max, mode)
+    copies = _Copies(gw)
+    result = _first_forced_n(copies, eps, n_max)
     if result.status == VALUE:
         return result
 
@@ -382,7 +339,7 @@ def stable_ramsey(
         host = complete_multipartite(sizes)
         if host.min_degree() < threshold:
             continue
-        coloring = _witness_coloring(host, copies, mode)
+        coloring = _witness_coloring(host, copies)
         if coloring is not None:
             result.status = INFINITE_SUSPECTED
             result.witness_n, result.witness_host, result.witness_coloring = n_max, host, coloring

@@ -80,6 +80,7 @@ def transference_pipeline(
     host = coloring.host
     if host.n < params.k:
         raise ValueError("host smaller than the requested class count")
+    rga = RgaParams(delta=MAJORITY_DELTA, xi=params.xi)  # validates xi before any work
 
     reg = RegularityParams(params.eps)
     red = coloring.red_graph
@@ -108,7 +109,6 @@ def transference_pipeline(
         lift_failed = False
         composed = compose(f, outcome.vmap)
         mono = coloring.subgraph(color)
-        rga = RgaParams(delta=MAJORITY_DELTA, xi=params.xi)
         try:
             vmap = rga_blowup_embed(
                 mono, partition, reduced, g, composed, rga, seed=seed, retries=RGA_RETRIES

@@ -351,6 +351,8 @@ def fixed_k_partition(
         raise ValueError("k must lie in 1..n")
     if retries < 0:
         raise ValueError("retries must be nonnegative")
+    if mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):  # k = 1 checks no pair
+        raise ValueError(f"unknown mode {mode!r}")
 
     def attempt(attempt_seed: int) -> tuple[Partition, QualityReport]:
         partition = _partition_for_seed(g.n, k, attempt_seed)

@@ -36,8 +36,6 @@ from ramsey_forge.graphs import (
 from ramsey_forge.harness import ExperimentConfig, render_csv, run_experiment
 from ramsey_forge.morphisms import VertexMap, verify_homomorphism
 from ramsey_forge.oracles import (
-    MODE_EXHAUSTIVE,
-    MODE_PRUNED,
     VALUE,
     mono_copy_search,
     ramsey_number,
@@ -53,6 +51,7 @@ from ramsey_forge.regularity import (
     regularity_check_all_subsets,
 )
 from ramsey_forge.rga import RgaParams, rga_blowup_embed
+from oracle_reference import reference
 
 
 def report(num: int, detail: str) -> None:
@@ -78,13 +77,13 @@ def test_criterion_01_oracle_exactness():
     ]
     for target, n_max, expect in cases:
         t0 = time.monotonic()
-        pruned = ramsey_number(target, n_max, MODE_PRUNED)
-        naive = ramsey_number(target, n_max, MODE_EXHAUSTIVE)
+        pruned = ramsey_number(target, n_max)
+        naive = reference(ramsey_number, target, n_max)
         assert pruned.status == naive.status == VALUE
         assert pruned.value == naive.value == expect
         assert time.monotonic() - t0 < 60
     # the K_3 run must carry the pentagon as its n=5 witness
-    k3 = ramsey_number(gen.complete(3), 6, MODE_PRUNED)
+    k3 = ramsey_number(gen.complete(3), 6)
     assert k3.witness_n == 5
     wc = k3.witness_coloring
     assert wc is not None

@@ -40,7 +40,7 @@ def files(tmp_path):
     return {"{edges}": str(edges), "{coloring}": str(coloring), "{config}": str(config)}
 
 
-ORACLE_KEYS = {"status", "value", "n_max", "mode", "witness_n"}
+ORACLE_KEYS = {"status", "value", "n_max", "witness_n"}
 
 # (argv, exit code, keys of the printed JSON object; None: output is not JSON)
 CASES = [
@@ -70,6 +70,7 @@ CASES = [
     # usage errors exit 1, never argparse's 2 (the verification tripwire's code)
     ("", 1, None),
     ("ramsey cycle:4", 1, None),
+    ("ramsey complete:3 --n-max 6 --mode exhaustive", 1, None),  # one search path
     ("regularity {edges} --epsilon 1/4", 1, None),
     ("regularity {edges} --epsilon 1/4 --pairs 0/1 --partition 2", 1, None),
     ("hom nonexistent:3 complete:2", 1, None),

@@ -134,6 +134,15 @@ def test_bad_graph_spec():
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("task,extra", [("ramsey", {}), ("wramsey", {}), ("sramsey", {"eps": "1/4"})])
+def test_oracle_instance_with_mode_rejected(task, extra):
+    # the oracles have one search path; a config that still picks one fails loudly
+    instance = {"target": {"kind": "complete", "params": [3]}, "n_max": 6, **extra}
+    run_experiment(ramsey_cfg(task=task, instances=(instance,)))
+    with pytest.raises(ConfigError):
+        run_experiment(ramsey_cfg(task=task, instances=({**instance, "mode": "exhaustive"},)))
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     from ramsey_forge.cli import main
 

@@ -17,8 +17,6 @@ from ramsey_forge.morphisms import BudgetExhausted
 from ramsey_forge.oracles import (
     EXCEEDS,
     INFINITE_SUSPECTED,
-    MODE_EXHAUSTIVE,
-    MODE_PRUNED,
     VALUE,
     hosts_with_min_degree,
     min_degree_threshold,
@@ -29,6 +27,7 @@ from ramsey_forge.oracles import (
     weighted_ramsey,
     witness_verified,
 )
+from oracle_reference import reference
 
 
 def test_plain_embeds_basics():
@@ -64,8 +63,8 @@ def test_witness_is_copy_free():
 
 def test_pruned_matches_exhaustive():
     for target in (gen.complete(3), gen.path(4), gen.cycle(4)):
-        a = ramsey_number(target, 6, MODE_PRUNED)
-        b = ramsey_number(target, 6, MODE_EXHAUSTIVE)
+        a = ramsey_number(target, 6)
+        b = reference(ramsey_number, target, 6)
         assert (a.status, a.value) == (b.status, b.value)
 
 
@@ -143,8 +142,8 @@ def test_pruned_and_naive_agree_on_random_targets(bits):
     pairs = list(itertools.combinations(range(4), 2))
     edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
     g = Graph(4, edges)
-    a = ramsey_number(g, 5, MODE_PRUNED)
-    b = ramsey_number(g, 5, MODE_EXHAUSTIVE)
+    a = ramsey_number(g, 5)
+    b = reference(ramsey_number, g, 5)
     assert (a.status, a.value) == (b.status, b.value)
 
 
@@ -165,26 +164,50 @@ WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
 def test_rooted_pruned_matches_exhaustive_on_atlas(index):
     g = ATLAS[index]
     rng = random.Random(index)
-    a = ramsey_number(g, 5, MODE_PRUNED)
-    b = ramsey_number(g, 5, MODE_EXHAUSTIVE)
+    a = ramsey_number(g, 5)
+    b = reference(ramsey_number, g, 5)
     assert (a.status, a.value) == (b.status, b.value)
     for _ in range(2):
         gw = WeightedGraph(g, tuple(rng.choice(WEIGHTS) for _ in range(g.n)))
-        a = weighted_ramsey(gw, 5, MODE_PRUNED)
-        b = weighted_ramsey(gw, 5, MODE_EXHAUSTIVE)
+        a = weighted_ramsey(gw, 5)
+        b = reference(weighted_ramsey, gw, 5)
         assert (a.status, a.value) == (b.status, b.value), gw.weights
         assert witness_verified(a, gw)
 
 
-@pytest.mark.parametrize("mode", [MODE_PRUNED, MODE_EXHAUSTIVE])
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)])
+def test_stable_matches_reference_on_atlas(eps):
+    for g in ATLAS:
+        unit = WeightedGraph.unit(g)
+        a = stable_ramsey(unit, eps, 5)
+        b = reference(stable_ramsey, unit, eps, 5)
+        assert (a.status, a.value, a.witness_n) == (b.status, b.value, b.witness_n), g.edges()
+        assert witness_verified(a, unit)
+
+
+def test_reference_runs_no_rooted_search(monkeypatch):
+    # the reference must not fall back on the search it checks
+    def rooted(*args):
+        raise AssertionError("rooted search called")
+
+    monkeypatch.setattr(oracles._Copies, "through", rooted)
+    assert reference(ramsey_number, gen.complete(3), 6).value == 6
+
+
+def _pruned(oracle, *args):
+    return oracle(*args)
+
+
+# the ids keep the names these tests have always been reported under
+@pytest.mark.parametrize("search", [_pruned, reference], ids=["symmetry_pruned", "exhaustive"])
 @pytest.mark.parametrize("index", range(len(ATLAS)))
-def test_ramsey_is_unit_weighted_and_stable_at_eps_zero(index, mode):
+def test_ramsey_is_unit_weighted_and_stable_at_eps_zero(index, search):
     g = ATLAS[index]
     unit = WeightedGraph.unit(g)
     results = [
-        ramsey_number(g, 5, mode),
-        weighted_ramsey(unit, 5, mode),
-        stable_ramsey(unit, Fraction(0), 5, mode),
+        search(ramsey_number, g, 5),
+        search(weighted_ramsey, unit, 5),
+        search(stable_ramsey, unit, Fraction(0), 5),
     ]
     keys = set()
     for r in results:
@@ -241,8 +264,7 @@ def test_pinned_witness_colorings():
 )
 def test_one_rooted_plan_per_arc_orbit(gw, plans):
     assert len(oracles._arc_roots(gw)) == plans
-    assert len(oracles._Copies(gw, MODE_PRUNED).plans) == plans
-    assert oracles._Copies(gw, MODE_EXHAUSTIVE).plans == []
+    assert len(oracles._Copies(gw).plans) == plans
 
 
 def test_arc_orbits_fall_back_to_every_arc(monkeypatch):
@@ -252,7 +274,7 @@ def test_arc_orbits_fall_back_to_every_arc(monkeypatch):
 
 def test_oracles_raise_when_the_budget_runs_out(monkeypatch):
     unit_c4 = WeightedGraph.unit(gen.cycle(4))
-    copies = oracles._Copies(unit_c4, MODE_PRUNED)
+    copies = oracles._Copies(unit_c4)
     monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
         copies.through(list(gen.complete(6).adj), 0, 1)

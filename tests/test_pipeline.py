@@ -67,6 +67,21 @@ def test_host_too_small():
             )
 
 
+def test_bad_xi_rejected_before_the_partition():
+    # the lift fails on this colouring, so a check made only after a lift
+    # would report "capacity_homomorphism" instead of raising
+    coloring = gen.random_coloring(gen.complete(24), Fraction(1, 2), 1)
+    with pytest.raises(ValueError):
+        transference_pipeline(
+            gen.complete(4),
+            gen.complete(4),
+            VertexMap(4, 4, (0, 1, 2, 3)),
+            coloring,
+            PipelineParams(Fraction(1, 2), Fraction(-5), 4),
+            seed=1,
+        )
+
+
 def test_random_colorings_stage_histogram():
     g = even_cycles(2)
     h = gen.complete(2)

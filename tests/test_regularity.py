@@ -43,6 +43,8 @@ def test_partition_validation():
         Partition(4, frozenset([0]), (frozenset([0, 1]), frozenset([2, 3])))  # overlap
     with pytest.raises(ValueError):
         Partition(5, frozenset(), (frozenset([0, 1]), frozenset([2, 3])))  # not covering
+    with pytest.raises(ValueError):  # k = 1 checks no pair, so the mode is checked up front
+        fixed_k_partition(gen.complete(6), 1, RegularityParams(Fraction(1, 4)), mode="bogus")
 
 
 def test_complete_and_empty_pairs_certified():

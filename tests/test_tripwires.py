@@ -1,9 +1,9 @@
 """Soundness rechecks are raises, not asserts that python -O strips.
 
 Each case stubs one recheck to fail and runs its entry point in a fresh
-interpreter under -O; the run must end in VerificationError.  Three AST
-scans keep the library free of assert statements, of unused imports and of
-environment reads.
+interpreter under -O; the run must end in VerificationError.  Four AST
+scans keep the library free of assert statements, of unused imports, of
+environment reads and of imports below module level.
 """
 
 from __future__ import annotations
@@ -188,6 +188,18 @@ def test_library_reads_no_environment() -> None:
         for path, tree in _library_modules()
         for node in ast.walk(tree)
         if _reads_environment(node)
+    ]
+    assert found == []
+
+
+def test_library_imports_only_at_module_level() -> None:
+    # every dependency of a module shows in its header, none inside a function
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _library_modules()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if node is not stmt and isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
 
