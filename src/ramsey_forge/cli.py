@@ -17,12 +17,18 @@ from .dense import DenseParams, DenseWitness, dense_greedy_embed, lovasz_partiti
 from .drc import DegenerateBudget, drc_bandwidth_embed
 from .graphs import Graph, WeightedGraph
 from .harness import ConfigError, VerificationError, load_config, run_experiment
-from .morphisms import DEFAULT_BUDGET, CapacityProfile, find_capacity_homomorphism
+from .morphisms import (
+    DEFAULT_BUDGET,
+    CapacityProfile,
+    VertexMap,
+    find_capacity_homomorphism,
+    verify_capacity,
+    verify_homomorphism,
+)
 from .oracles import OracleResult, stable_ramsey, weighted_ramsey, witness_verified
 from .pipeline import PipelineParams, transference_pipeline
 from .regularity import RegularityParams, fixed_k_partition, regularity_check
 from .rga import RgaParams, blowup_instance, rga_blowup_embed
-from .morphisms import VertexMap
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -58,12 +64,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     obj = fileio.read_path(args.input, args.from_format)
-    text = fileio.encode(obj, args.to_format)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+        fileio.write_path(args.output, obj, args.to_format)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.encode(obj, args.to_format))
     return 0
 
 
@@ -76,6 +80,10 @@ def cmd_hom(args: argparse.Namespace) -> int:
         profile = CapacityProfile.uniform_count_cap(h.n, args.count_cap)
     outcome = find_capacity_homomorphism(g, h, profile, budget=args.budget)
     vmap = outcome.vmap
+    if vmap is not None and not (
+        verify_homomorphism(g, h, vmap).valid and verify_capacity(vmap, profile).valid
+    ):
+        raise VerificationError(f"found map {list(vmap.image)} failed verification")
     print(json.dumps({"status": outcome.status, "image": list(vmap.image) if vmap else None}))
     return 0
 
@@ -154,7 +162,7 @@ def cmd_regularity(args: argparse.Namespace) -> int:
                 "all_classes_ok": report.all_classes_ok,
                 "pairs_ok": report.pairs_ok,
                 "exceptional_ok": report.exceptional_ok,
-                "mode": report.mode,
+                "mode": args.mode,
             }
         )
     )

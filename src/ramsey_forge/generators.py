@@ -118,25 +118,6 @@ def blowup_parts(spec: BlowupSpec) -> list[frozenset[int]]:
     return [frozenset(range(bounds[i], bounds[i + 1])) for i in range(spec.base.n)]
 
 
-def random_bounded_degree_bipartite(n_per_side: int, max_degree: int, seed: int) -> Graph:
-    """Union of max_degree seeded random perfect matchings between the sides.
-
-    Sides are 0..n-1 and n..2n-1; duplicate edges across rounds are dropped,
-    so the degree bound holds by construction.
-    """
-    if max_degree > n_per_side:
-        raise ValueError("degree bound cannot exceed the side size")
-    rng = random.Random(seed)
-    n = n_per_side
-    edges: set[tuple[int, int]] = set()
-    for _ in range(max_degree):
-        right = list(range(n, 2 * n))
-        rng.shuffle(right)
-        for u, v in zip(range(n), right):
-            edges.add((u, v))
-    return Graph(2 * n, sorted(edges))
-
-
 def random_coloring(host: Graph, red_prob: Fraction, seed: int) -> EdgeColoring:
     """Each host edge independently red with the given probability."""
     red_prob = Fraction(red_prob)

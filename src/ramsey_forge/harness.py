@@ -3,9 +3,11 @@
 A run is a grid of (instance, seed) cells.  Cells execute in a pool of
 `ExperimentConfig.workers` threads, the one place that sets the count, but
 results are emitted in deterministic cell order, so the CSV is
-byte-identical for any worker count.  Every positive result and oracle witness
-is re-verified independently; a failed verification aborts the run
-(soundness tripwire).
+byte-identical for any worker count.  Each task declares its required and
+optional instance keys; a missing or unknown instance key, or an unknown
+top-level key in a config file, is a ConfigError before any cell runs.
+Every positive result and oracle witness is re-verified independently; a
+failed verification aborts the run (soundness tripwire).
 """
 
 from __future__ import annotations
@@ -97,27 +99,19 @@ def _oracle_cell(result: OracleResult, gw: WeightedGraph) -> CellResult:
     return CellResult(result.status, str(result.value or ""), witness_verified(result, gw))
 
 
-def _n_max(instance: dict) -> int:
-    """An oracle instance's n_max.  The oracles have one search path, so an
-    instance that still picks a `mode` is a config error, not a silent no-op."""
-    if "mode" in instance:
-        raise ConfigError(f"oracle instances take no 'mode': {instance}")
-    return int(instance["n_max"])
-
-
 def _task_ramsey(instance: dict, seed: int) -> CellResult:
     gw = WeightedGraph.unit(_make_graph(instance["target"], seed))
-    return _oracle_cell(ramsey_number(gw.graph, _n_max(instance)), gw)
+    return _oracle_cell(ramsey_number(gw.graph, int(instance["n_max"])), gw)
 
 
 def _task_wramsey(instance: dict, seed: int) -> CellResult:
     gw = _weighted_target(instance, seed)
-    return _oracle_cell(weighted_ramsey(gw, _n_max(instance)), gw)
+    return _oracle_cell(weighted_ramsey(gw, int(instance["n_max"])), gw)
 
 
 def _task_sramsey(instance: dict, seed: int) -> CellResult:
     gw = _weighted_target(instance, seed)
-    return _oracle_cell(stable_ramsey(gw, Fraction(instance["eps"]), _n_max(instance)), gw)
+    return _oracle_cell(stable_ramsey(gw, Fraction(instance["eps"]), int(instance["n_max"])), gw)
 
 
 def _task_wheel(instance: dict, seed: int) -> CellResult:
@@ -204,6 +198,34 @@ TASKS = {
     "rga": _task_rga,
 }
 
+# task -> (required, optional) instance keys.  Any other key is a config
+# error, not a setting the task silently ignores (`weights` on a plain
+# ramsey target, a misspelt `nmax`, a `mode` on an oracle task).
+INSTANCE_KEYS = {
+    "ramsey": ({"target", "n_max"}, set()),
+    "wramsey": ({"target", "n_max"}, {"weights"}),
+    "sramsey": ({"target", "n_max", "eps"}, {"weights"}),
+    "wheel": ({"host", "k"}, {"red_prob", "weights"}),
+    "drc": ({"host", "max_deg", "alpha", "beta"}, {"trials"}),
+    "embed-drc": ({"host", "h", "alpha"}, {"beta", "max_deg"}),
+    "rga": ({"base", "part_size", "g", "hom"}, {"delta", "xi", "retries"}),
+}
+
+CONFIG_KEYS = {"task", "instances", "seeds", "workers", "output_csv", "output_json"}
+
+
+def _check_instance(task: str, i: int, instance: object) -> None:
+    if not isinstance(instance, dict):
+        raise ConfigError(f"instance {i}: expected an object, got {instance!r}")
+    required, optional = INSTANCE_KEYS[task]
+    missing = sorted(required - instance.keys())
+    unknown = sorted(instance.keys() - required - optional)
+    if missing or unknown:
+        raise ConfigError(
+            f"{task} instance {i}: missing {missing}, unknown {unknown}; "
+            f"it takes {sorted(required)}, optionally {sorted(optional)}"
+        )
+
 
 def load_config(path: str) -> ExperimentConfig:
     try:
@@ -211,6 +233,11 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    unknown = sorted(data.keys() - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown} (known: {sorted(CONFIG_KEYS)})")
     task = data.get("task")
     if task not in TASKS:
         raise ConfigError(f"{path}: unknown task {task!r} (known: {sorted(TASKS)})")
@@ -240,6 +267,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResu
     that fails its independent recheck, oracle witnesses included."""
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}")
+    for i, instance in enumerate(cfg.instances):
+        _check_instance(cfg.task, i, instance)
     workers = max(1, cfg.workers)
 
     cells = [

@@ -22,7 +22,6 @@ of the search bookkeeping.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -425,13 +424,3 @@ def find_weighted_embedding(gw: WeightedGraph, host: Graph) -> VertexMap | None:
     profile = CapacityProfile.weight_cap(gw.weights)
     return decided(find_capacity_homomorphism(gw.graph, host, profile, DEFAULT_BUDGET))
 
-
-def enumerate_all_maps_has_capacity_hom(
-    g: Graph, h: Graph, profile: CapacityProfile
-) -> bool:
-    """Naive |V(h)|^|V(g)| enumeration; independent oracle for small cases."""
-    for image in itertools.product(range(h.n), repeat=g.n):
-        f = VertexMap(g.n, h.n, image)
-        if verify_homomorphism(g, h, f).valid and verify_capacity(f, profile).valid:
-            return True
-    return False

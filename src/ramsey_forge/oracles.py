@@ -69,8 +69,7 @@ class OracleResult:
     value: int | None
     n_max: int
     witness_n: int | None = None
-    witness_host: Graph | None = None  # None means K_{witness_n}
-    witness_coloring: EdgeColoring | None = None
+    witness_coloring: EdgeColoring | None = None  # its host is the witness host
 
 
 def mono_copy_search(
@@ -254,21 +253,21 @@ def weighted_ramsey(gw: WeightedGraph, n_max: int) -> OracleResult:
 def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int) -> OracleResult:
     """Smallest n <= n_max at which no admissible host on n vertices has a
     copy-free coloring, with the copy-free coloring found at the largest n
-    below it.  At eps 0 the only host is K_n, left None in the result."""
+    below it."""
     value = None
-    witness: tuple[int, Graph | None, EdgeColoring] | None = None
+    witness: tuple[int, EdgeColoring] | None = None
     for n in range(1, n_max + 1):
         for host in hosts_with_min_degree(n, min_degree_threshold(n, eps)):
             coloring = _witness_coloring(host, copies)
             if coloring is not None:
-                witness = (n, host if eps else None, coloring)
+                witness = (n, coloring)
                 break
         else:
             value = n
             break
     result = OracleResult(EXCEEDS if value is None else VALUE, value, n_max)
     if witness is not None:
-        result.witness_n, result.witness_host, result.witness_coloring = witness
+        result.witness_n, result.witness_coloring = witness
     return result
 
 
@@ -342,6 +341,6 @@ def stable_ramsey(gw: WeightedGraph, eps: Fraction, n_max: int) -> OracleResult:
         coloring = _witness_coloring(host, copies)
         if coloring is not None:
             result.status = INFINITE_SUSPECTED
-            result.witness_n, result.witness_host, result.witness_coloring = n_max, host, coloring
+            result.witness_n, result.witness_coloring = n_max, coloring
             break
     return result

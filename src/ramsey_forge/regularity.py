@@ -6,8 +6,8 @@ only subpairs of the threshold sizes m_x = ceil(eps|X|), m_y = ceil(eps|Y|):
 for a fixed Y', removing from X' the vertex of smallest contribution never
 lowers the density (it is the mean of per-vertex densities), and dually for
 the largest contribution, so any violation at larger sizes forces one at the
-threshold sizes.  The reference checker below iterates every admissible
-subpair with no such reduction; both must agree.
+threshold sizes.  The tests keep a reference checker that iterates every
+admissible subpair with no such reduction; both must agree.
 
 The checkers compare integer edge counts, not densities: with e0 edges
 between X and Y, a threshold-size subpair with e edges deviates from d(X, Y)
@@ -198,47 +198,6 @@ def _check_sampled(
     return RegularityVerdict(UNREFUTED, samples_tried=tried)
 
 
-def regularity_check_all_subsets(
-    g: Graph, xs: Sequence[int], ys: Sequence[int], params: RegularityParams
-) -> RegularityVerdict:
-    """Reference checker: direct double loop over every admissible subpair.
-
-    Exponential in |X| + |Y|; exists to cross-check regularity_check.
-    """
-    d0 = pair_density(g, xs, ys)  # validates X and Y
-    xs = sorted(set(xs))
-    ys = sorted(set(ys))
-    eps = params.eps
-    m_x = threshold_size(eps, len(xs))
-    m_y = threshold_size(eps, len(ys))
-    nx, ny = len(xs), len(ys)
-    e0 = d0.numerator * nx * ny // d0.denominator
-    p, q = eps.numerator, eps.denominator
-
-    ysubs: list[tuple[int, tuple[int, ...]]] = []  # (mask over ys-index, members)
-    for size in range(m_y, ny + 1):
-        for comb in itertools.combinations(range(ny), size):
-            ysubs.append((sum(1 << i for i in comb), comb))
-
-    for size in range(m_x, nx + 1):
-        for xcomb in itertools.combinations(xs, size):
-            xmask = mask_of(xcomb)
-            counts = [(g.adj[y] & xmask).bit_count() for y in ys]
-            a = size
-            for ybits, ycomb in ysubs:
-                e = sum(counts[i] for i in ycomb)
-                b = len(ycomb)
-                # |e/(a b) - e0/(nx ny)| > p/q, all integer
-                lhs = abs(e * nx * ny - e0 * a * b) * q
-                if lhs > p * nx * ny * a * b:
-                    return RegularityVerdict(
-                        VIOLATED,
-                        frozenset(xcomb),
-                        frozenset(ys[i] for i in ycomb),
-                    )
-    return RegularityVerdict(CERTIFIED)
-
-
 @dataclass(frozen=True)
 class QualityReport:
     """Per-class irregularity counts for a partition under one mode, and the
@@ -250,28 +209,11 @@ class QualityReport:
     total_irregular_pairs: int
     pairs_ok: bool  # total <= eps * k^2 (the stricter standard reading)
     exceptional_ok: bool  # |V_0| <= eps * n
-    mode: str
-    seed: int
     regular_pairs: tuple[tuple[int, int], ...]
 
     @property
     def all_classes_ok(self) -> bool:
         return all(self.class_ok)
-
-
-def reduced_graph(
-    g: Graph,
-    partition: Partition,
-    params: RegularityParams,
-    mode: str = MODE_EXHAUSTIVE,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-    seed: int = 0,
-) -> Graph:
-    """Cluster graph on the k classes: edge {i, j} iff the pair is regular
-    under the given mode (sampled treats unrefuted as regular).  Threshold
-    its edges by density with split_by_density."""
-    pairs = _quality(g, partition, params, mode, budget, seed).regular_pairs
-    return Graph(partition.k, pairs)
 
 
 def split_by_density(
@@ -327,8 +269,6 @@ def _quality(
         total_irregular_pairs=total,
         pairs_ok=total <= eps * k * k,
         exceptional_ok=len(partition.exceptional) <= eps * partition.n,
-        mode=mode,
-        seed=seed,
         regular_pairs=tuple(regular),
     )
 

@@ -48,10 +48,10 @@ from ramsey_forge.regularity import (
     Partition,
     RegularityParams,
     regularity_check,
-    regularity_check_all_subsets,
 )
 from ramsey_forge.rga import RgaParams, rga_blowup_embed
 from oracle_reference import reference
+from regularity_reference import regularity_check_all_subsets
 
 
 def report(num: int, detail: str) -> None:

@@ -7,6 +7,7 @@ import pytest
 
 from ramsey_forge import cli, fileio, generators as gen, oracles
 from ramsey_forge.graphs import RED
+from ramsey_forge.morphisms import FOUND, SearchOutcome, VertexMap
 
 
 def _run(argv: list[str]) -> int:
@@ -98,3 +99,33 @@ def test_oracle_witness_recheck_trips(command, monkeypatch, capsys):
     argv = [command, "complete:3", "--n-max", "6"] + (["--eps", "1/4"] if command == "sramsey" else [])
     assert _run(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_hom_found_map_recheck_trips(monkeypatch, capsys):
+    # a found map that fails its recheck must exit 2, unprinted: the all-zero
+    # map of C4 into K2 sends every edge onto a non-edge
+    bad = SearchOutcome(FOUND, VertexMap(4, 2, (0, 0, 0, 0)), 1)
+    monkeypatch.setattr(cli, "find_capacity_homomorphism", lambda *args, **kw: bad)
+    assert _run(["hom", "cycle:4", "complete:2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_convert_output_writes_the_printed_bytes(files, tmp_path, capsys):
+    argv = ["convert", files["{edges}"], "--from", "edgelist", "--to", "graph6"]
+    assert _run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "c6.g6"
+    assert _run(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="ascii") == printed
+
+
+def test_run_config_with_misspelt_key_is_an_input_error(tmp_path, capsys):
+    # an instance key the task does not know is an error line and exit 1,
+    # not a KeyError traceback
+    config = tmp_path / "cfg.json"
+    instance = {"target": {"kind": "complete", "params": [3]}, "nmax": 6}
+    config.write_text(json.dumps({"task": "ramsey", "instances": [instance], "seeds": [0]}))
+    assert _run(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nmax" in err

@@ -78,20 +78,6 @@ def test_blowup_spec_validation():
         gen.BlowupSpec(gen.cycle(3), (2, 0, 1))
 
 
-def test_random_bipartite_degree_bound():
-    g = gen.random_bounded_degree_bipartite(8, 3, seed=5)
-    assert g.n == 16
-    assert g.max_degree() <= 3
-    # bipartite: no edges within a side
-    for u in range(8):
-        for v in range(u + 1, 8):
-            assert not g.has_edge(u, v)
-    assert g == gen.random_bounded_degree_bipartite(8, 3, seed=5)
-    assert g != gen.random_bounded_degree_bipartite(8, 3, seed=6)
-    with pytest.raises(ValueError):
-        gen.random_bounded_degree_bipartite(3, 4, seed=0)
-
-
 def test_random_coloring_extremes_and_determinism():
     host = gen.complete(6)
     all_red = gen.random_coloring(host, Fraction(1), seed=0)

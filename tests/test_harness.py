@@ -143,6 +143,36 @@ def test_oracle_instance_with_mode_rejected(task, extra):
         run_experiment(ramsey_cfg(task=task, instances=({**instance, "mode": "exhaustive"},)))
 
 
+@pytest.mark.parametrize(
+    "task,instance",
+    [
+        # weights on a plain ramsey target would be silently unit-weighted
+        ("ramsey", {"target": {"kind": "cycle", "params": [4]}, "n_max": 6,
+                    "weights": ["1/2", "1/2", "1/2", "1/2"]}),
+        ("ramsey", {"target": {"kind": "complete", "params": [3]}, "nmax": 6}),
+        ("ramsey", {"target": {"kind": "complete", "params": [3]}}),
+        ("sramsey", {"target": {"kind": "complete", "params": [3]}, "n_max": 6}),
+        ("wheel", {"host": {"kind": "complete", "params": [10]}, "k": 4, "seed": 1}),
+        ("rga", {"base": {"kind": "complete", "params": [2]}, "part_size": 8}),
+        ("drc", ["not", "an", "object"]),
+    ],
+)
+def test_instance_keys_checked(task, instance):
+    with pytest.raises(ConfigError):
+        run_experiment(ramsey_cfg(task=task, instances=(instance,)))
+
+
+def test_load_config_rejects_unknown_top_level_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    cfg = {"task": "ramsey", "instances": [], "seeds": [0], "worker": 4}
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="worker"):
+        load_config(str(path))
+    del cfg["worker"]
+    path.write_text(json.dumps(cfg))
+    assert load_config(str(path)).task == "ramsey"
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     from ramsey_forge.cli import main
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -22,7 +23,6 @@ from ramsey_forge.morphisms import (
     VertexMap,
     compile_plan,
     compose,
-    enumerate_all_maps_has_capacity_hom,
     find_capacity_homomorphism,
     find_weighted_embedding,
     integer_units,
@@ -31,6 +31,17 @@ from ramsey_forge.morphisms import (
     verify_homomorphism,
 )
 from ramsey_forge.oracles import plain_embeds
+
+
+def enumerate_all_maps_has_capacity_hom(
+    g: Graph, h: Graph, profile: CapacityProfile
+) -> bool:
+    """Naive |V(h)|^|V(g)| enumeration; independent oracle for small cases."""
+    for image in itertools.product(range(h.n), repeat=g.n):
+        f = VertexMap(g.n, h.n, image)
+        if verify_homomorphism(g, h, f).valid and verify_capacity(f, profile).valid:
+            return True
+    return False
 
 
 def to_nx(g: Graph) -> nx.Graph:

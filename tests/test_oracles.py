@@ -125,8 +125,8 @@ def test_stable_infinite_suspected():
     gw = WeightedGraph.unit(gen.complete(3))
     r = stable_ramsey(gw, Fraction(1, 2), 6)
     assert r.status == INFINITE_SUSPECTED
-    assert r.witness_host is not None
     assert r.witness_coloring is not None
+    assert r.witness_coloring.host != gen.complete(r.witness_n)  # a multipartite host
     assert mono_copy_search(r.witness_coloring, gw) is None
 
 

@@ -1,9 +1,10 @@
 """Soundness rechecks are raises, not asserts that python -O strips.
 
 Each case stubs one recheck to fail and runs its entry point in a fresh
-interpreter under -O; the run must end in VerificationError.  Four AST
+interpreter under -O; the run must end in VerificationError.  Five AST
 scans keep the library free of assert statements, of unused imports, of
-environment reads and of imports below module level.
+environment reads, of imports below module level and of top-level
+definitions that no library code reads.
 """
 
 from __future__ import annotations
@@ -223,4 +224,34 @@ def test_library_has_no_unused_imports() -> None:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read and (path.name, name) not in TRACED_BINDINGS:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+# read by no library code on purpose: perfbench/layers.py traces this name,
+# and its smoke test fails on an absent binding
+TRACED_NAMES = {("oracles.py", "plain_embeds")}
+
+
+def _reads(node: ast.AST) -> set[str]:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) or isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_every_library_definition_has_a_library_reader() -> None:
+    # a top-level function or class is public API or read by other library
+    # code (its own body does not count); one that only tests call belongs in
+    # tests/
+    stmts = [(path, stmt) for path, tree in _library_modules() for stmt in tree.body]
+    reads = [_reads(stmt) for _, stmt in stmts]
+    found = [
+        f"{path.name} {stmt.name}"
+        for k, (path, stmt) in enumerate(stmts)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name not in ramsey_forge.__all__
+        and (path.name, stmt.name) not in TRACED_NAMES
+        and not any(stmt.name in r for j, r in enumerate(reads) if j != k)
+    ]
     assert found == []
