@@ -68,21 +68,30 @@ def hypercube(d: int) -> Graph:
     return Graph(n, edges)
 
 
+# kind -> (builder, parameter count); a count of None takes any number
 _NAMED = {
-    "path": lambda params: path(int(params[0])),
-    "cycle": lambda params: cycle(int(params[0])),
-    "complete": lambda params: complete(int(params[0])),
-    "complete_multipartite": lambda params: complete_multipartite([int(p) for p in params]),
-    "wheel": lambda params: wheel(int(params[0])),
-    "path_power": lambda params: path_power(int(params[0]), int(params[1])),
-    "hypercube": lambda params: hypercube(int(params[0])),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "complete_multipartite": (lambda *sizes: complete_multipartite(sizes), None),
+    "wheel": (wheel, 1),
+    "path_power": (path_power, 2),
+    "hypercube": (hypercube, 1),
 }
 
 
-def make_named(kind: str, params: Sequence[int]) -> Graph:
+def check_named(kind: str, params: Sequence[object]) -> None:
+    """Raise ValueError unless `kind` is a named family given its parameter count."""
     if kind not in _NAMED:
         raise ValueError(f"unknown graph kind {kind!r} (known: {sorted(_NAMED)})")
-    return _NAMED[kind](params)
+    count = _NAMED[kind][1]
+    if count is not None and len(params) != count:
+        raise ValueError(f"{kind} takes {count} parameter(s), got {len(params)}")
+
+
+def make_named(kind: str, params: Sequence[int]) -> Graph:
+    check_named(kind, params)
+    return _NAMED[kind][0](*(int(p) for p in params))
 
 
 @dataclass(frozen=True)

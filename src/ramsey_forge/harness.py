@@ -4,10 +4,11 @@ A run is a grid of (instance, seed) cells.  Cells execute in a pool of
 `ExperimentConfig.workers` threads, the one place that sets the count, but
 results are emitted in deterministic cell order, so the CSV is
 byte-identical for any worker count.  Each task declares its required and
-optional instance keys; a missing or unknown instance key, or an unknown
-top-level key in a config file, is a ConfigError before any cell runs.
-Every positive result and oracle witness is re-verified independently; a
-failed verification aborts the run (soundness tripwire).
+optional instance keys; a missing or unknown instance key, a graph spec
+with a key other than `kind` and `params` or the wrong parameter count, or
+an unknown top-level key in a config file, is a ConfigError before any cell
+runs.  Every positive result and oracle witness is re-verified
+independently; a failed verification aborts the run (soundness tripwire).
 """
 
 from __future__ import annotations
@@ -71,17 +72,41 @@ class CellResult:
     wall_time: float = 0.0
 
 
+# graph kinds drawn from the cell's seed: kind -> (builder of (n, x, seed),
+# parameter count)
+_SEEDED_KINDS = {
+    "random_min_degree_host": (
+        lambda n, eps, seed: generators.random_min_degree_host(int(n), Fraction(eps), seed), 2
+    ),
+    "random_bounded_degree": (
+        lambda n, d, seed: generators.random_bounded_degree_graph(int(n), int(d), seed), 2
+    ),
+}
+
+
+def _check_graph_spec(where: str, spec: object) -> None:
+    if not isinstance(spec, dict) or "kind" not in spec or spec.keys() - {"kind", "params"}:
+        raise ConfigError(
+            f"{where}: a graph spec takes 'kind' and optionally 'params', got {spec!r}"
+        )
+    kind, params = spec["kind"], spec.get("params", [])
+    if not isinstance(params, (list, tuple)):
+        raise ConfigError(f"{where}: graph params must be a list, got {params!r}")
+    if kind in _SEEDED_KINDS:
+        count = _SEEDED_KINDS[kind][1]
+        if len(params) != count:
+            raise ConfigError(f"{where}: {kind} takes {count} parameter(s), got {len(params)}")
+        return
+    try:
+        generators.check_named(kind, params)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _make_graph(spec: dict, seed: int) -> Graph:
-    kind = spec.get("kind")
-    if kind is None:
-        raise ConfigError(f"graph spec missing 'kind': {spec}")
-    params = spec.get("params", [])
-    if kind == "random_min_degree_host":
-        n, eps = params
-        return generators.random_min_degree_host(int(n), Fraction(eps), seed)
-    if kind == "random_bounded_degree":
-        n, d = params
-        return generators.random_bounded_degree_graph(int(n), int(d), seed)
+    kind, params = spec["kind"], spec.get("params", [])
+    if kind in _SEEDED_KINDS:
+        return _SEEDED_KINDS[kind][0](*params, seed)
     try:
         return generators.make_named(kind, params)
     except ValueError as exc:
@@ -211,6 +236,9 @@ INSTANCE_KEYS = {
     "rga": ({"base", "part_size", "g", "hom"}, {"delta", "xi", "retries"}),
 }
 
+# instance keys that hold a graph spec, checked by _check_graph_spec
+GRAPH_KEYS = {"target", "host", "h", "base", "g"}
+
 CONFIG_KEYS = {"task", "instances", "seeds", "workers", "output_csv", "output_json"}
 
 
@@ -225,6 +253,8 @@ def _check_instance(task: str, i: int, instance: object) -> None:
             f"{task} instance {i}: missing {missing}, unknown {unknown}; "
             f"it takes {sorted(required)}, optionally {sorted(optional)}"
         )
+    for key in sorted(instance.keys() & GRAPH_KEYS):
+        _check_graph_spec(f"{task} instance {i} {key!r}", instance[key])
 
 
 def load_config(path: str) -> ExperimentConfig:

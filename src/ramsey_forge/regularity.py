@@ -16,10 +16,20 @@ in absolute value (the density test times the constant |X||Y| m_x m_y > 0).
 Every violating witness, from either checker, is rechecked on its own by
 exact edge counts against d(X, Y) and eps; a failed recheck raises
 VerificationError.
+
+The sampled checker draws `budget` random subpairs of the threshold sizes,
+keeps the one of largest gap and grows that gap by single-vertex swaps.  Its
+draws are positions into the sorted sides, and random.sample picks positions
+by the population's length alone, so every pair of one partition attempt
+(equal class sizes, one seed) reuses one cached list of draws.  The swap
+search keeps each vertex's count of neighbours in the other side's current
+subset (Kernighan-Lin gain bookkeeping): a candidate swap's gap costs O(1),
+and an accepted swap updates the other side's counts in O(side).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -155,47 +165,83 @@ def _check_exhaustive(
     return RegularityVerdict(CERTIFIED)
 
 
+@functools.lru_cache(maxsize=8)
+def _sample_draws(
+    nx: int, ny: int, m_x: int, m_y: int, budget: int, seed: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The sampled checker's draws as sorted positions into X and Y, X then Y
+    on each draw: the positions rng.sample(xs, m_x) and rng.sample(ys, m_y)
+    pick, since sample's choices depend only on the population's length.
+    Tuples, so no caller can change what the next one gets."""
+    rng = random.Random(seed)
+    return tuple(
+        (tuple(sorted(rng.sample(range(nx), m_x))), tuple(sorted(rng.sample(range(ny), m_y))))
+        for _ in range(budget)
+    )
+
+
 def _check_sampled(
     g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
     budget: int, seed: int,
 ) -> RegularityVerdict:
     nxy, base = len(xs) * len(ys), e0 * m_x * m_y
-    rng = random.Random(seed)
+    adj = g.adj
+    xrows = [adj[x] for x in xs]
+    ybits = [1 << y for y in ys]
 
-    def gap(xsub: list[int], ysub: list[int]) -> int:
-        ymask = mask_of(ysub)
-        return abs(sum((g.adj[x] & ymask).bit_count() for x in xsub) * nxy - base)
-
-    best: tuple[int, list[int], list[int]] | None = None
-    tried = 0
-    for _ in range(budget):
-        xsub = sorted(rng.sample(xs, m_x))
-        ysub = sorted(rng.sample(ys, m_y))
-        tried += 1
-        dev = gap(xsub, ysub)
+    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
+    for xi, yi in _sample_draws(len(xs), len(ys), m_x, m_y, budget, seed):
+        ymask = 0
+        for j in yi:
+            ymask |= ybits[j]
+        dev = abs(sum((xrows[i] & ymask).bit_count() for i in xi) * nxy - base)
         if best is None or dev > best[0]:
-            best = (dev, xsub, ysub)
-    if best is not None:
-        # greedy local search: single-element swaps while the deviation grows
-        dev, xsub, ysub = best
+            best = (dev, xi, yi)
+    if best is None:
+        return RegularityVerdict(UNREFUTED)
+    dev, xi, yi = best
+    xsub, ysub = list(xi), list(yi)
+    if dev <= limit:
+        # greedy local search: single-element swaps while the deviation grows;
+        # counts[0][i] is xs[i]'s neighbour count in the current Y subset,
+        # counts[1][j] that of ys[j] in the current X subset, and e the
+        # subpair's edge count
+        yrows = [adj[y] for y in ys]
+        counts = (
+            [(row & mask_of(ys[j] for j in ysub)).bit_count() for row in xrows],
+            [(row & mask_of(xs[i] for i in xsub)).bit_count() for row in yrows],
+        )
+        inside = ([False] * len(xs), [False] * len(ys))
+        for i in xsub:
+            inside[0][i] = True
+        for j in ysub:
+            inside[1][j] = True
+        e = sum(counts[0][i] for i in xsub)
+        sides = ((xsub, xs, yrows), (ysub, ys, xrows))
         improved = True
         while improved and dev <= limit:
             improved = False
-            for side, pool in ((xsub, xs), (ysub, ys)):
+            for s, (side, pool, other_rows) in enumerate(sides):
+                own, member, other = counts[s], inside[s], counts[1 - s]
                 for i in range(len(side)):
                     kept = side[i]
-                    for new in pool:
-                        if new in side:
+                    for new in range(len(pool)):
+                        if member[new]:
                             continue
-                        side[i] = new
-                        cand = gap(xsub, ysub)
+                        cand_e = e - own[kept] + own[new]
+                        cand = abs(cand_e * nxy - base)
                         if cand > dev:
-                            dev, kept, improved = cand, new, True
-                        else:
-                            side[i] = kept
-        if dev > limit:
-            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(ysub), tried)
-    return RegularityVerdict(UNREFUTED, samples_tried=tried)
+                            dev, e, improved = cand, cand_e, True
+                            out_bit, in_bit = pool[kept], pool[new]
+                            for j, row in enumerate(other_rows):
+                                other[j] += (row >> in_bit & 1) - (row >> out_bit & 1)
+                            member[kept], member[new] = False, True
+                            side[i] = kept = new
+    if dev > limit:
+        return RegularityVerdict(
+            VIOLATED, frozenset(xs[i] for i in xsub), frozenset(ys[j] for j in ysub), budget
+        )
+    return RegularityVerdict(UNREFUTED, samples_tried=budget)
 
 
 @dataclass(frozen=True)
@@ -285,7 +331,10 @@ def fixed_k_partition(
     """Random equitable partition into k classes plus |V_0| < k leftovers.
 
     Each retry re-rolls the shuffle seed; the attempt with the fewest
-    irregular pairs wins (ties to the earliest attempt).
+    irregular pairs wins (ties to the earliest attempt).  The attempts stop
+    at the first one with 0 irregular pairs: no later attempt can have fewer,
+    and a tie goes to the earlier one, so the result is the one all
+    retries + 1 attempts would give.
     """
     if not 1 <= k <= g.n:
         raise ValueError("k must lie in 1..n")
@@ -294,12 +343,13 @@ def fixed_k_partition(
     if mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):  # k = 1 checks no pair
         raise ValueError(f"unknown mode {mode!r}")
 
-    def attempt(attempt_seed: int) -> tuple[Partition, QualityReport]:
+    best: tuple[Partition, QualityReport] | None = None
+    for a in range(retries + 1):
+        attempt_seed = seed * 1_000_003 + a
         partition = _partition_for_seed(g.n, k, attempt_seed)
-        return partition, _quality(g, partition, params, mode, budget, attempt_seed)
-
-    # min keeps the first of equal counts, so ties go to the earliest attempt
-    return min(
-        (attempt(seed * 1_000_003 + a) for a in range(retries + 1)),
-        key=lambda pr: pr[1].total_irregular_pairs,
-    )
+        report = _quality(g, partition, params, mode, budget, attempt_seed)
+        if best is None or report.total_irregular_pairs < best[1].total_irregular_pairs:
+            best = partition, report
+        if best[1].total_irregular_pairs == 0:
+            break
+    return best

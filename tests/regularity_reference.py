@@ -1,17 +1,30 @@
-"""The all-subsets reference for regularity_check.
+"""References for regularity_check.
 
 regularity_check_all_subsets iterates every admissible subpair of (X, Y),
 with no reduction to the threshold sizes.  It is exponential in |X| + |Y|
 and exists only to cross-check the library's checker on small pairs.
+
+check_sampled_rescanning is the sampled checker as it was before its swap
+search kept per-vertex counts: it draws with rng.sample over the vertices
+themselves and recounts the whole subpair for every candidate swap.  It
+takes the arguments of regularity._check_sampled, so a test can put it in
+that one's place and compare whole verdicts.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Sequence
 
 from ramsey_forge.graphs import Graph, mask_of, pair_density, threshold_size
-from ramsey_forge.regularity import CERTIFIED, VIOLATED, RegularityParams, RegularityVerdict
+from ramsey_forge.regularity import (
+    CERTIFIED,
+    UNREFUTED,
+    VIOLATED,
+    RegularityParams,
+    RegularityVerdict,
+)
 
 
 def regularity_check_all_subsets(
@@ -49,3 +62,50 @@ def regularity_check_all_subsets(
                         frozenset(ys[i] for i in ycomb),
                     )
     return RegularityVerdict(CERTIFIED)
+
+
+def check_sampled_rescanning(
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
+    budget: int, seed: int, passes: list[int] | None = None,
+) -> RegularityVerdict:
+    """The rescanning sampled checker; `passes`, when given, gets one entry
+    per swap-search pass."""
+    nxy, base = len(xs) * len(ys), e0 * m_x * m_y
+    rng = random.Random(seed)
+
+    def gap(xsub: list[int], ysub: list[int]) -> int:
+        ymask = mask_of(ysub)
+        return abs(sum((g.adj[x] & ymask).bit_count() for x in xsub) * nxy - base)
+
+    best: tuple[int, list[int], list[int]] | None = None
+    tried = 0
+    for _ in range(budget):
+        xsub = sorted(rng.sample(xs, m_x))
+        ysub = sorted(rng.sample(ys, m_y))
+        tried += 1
+        dev = gap(xsub, ysub)
+        if best is None or dev > best[0]:
+            best = (dev, xsub, ysub)
+    if best is not None:
+        # greedy local search: single-element swaps while the deviation grows
+        dev, xsub, ysub = best
+        improved = True
+        while improved and dev <= limit:
+            if passes is not None:
+                passes.append(1)
+            improved = False
+            for side, pool in ((xsub, xs), (ysub, ys)):
+                for i in range(len(side)):
+                    kept = side[i]
+                    for new in pool:
+                        if new in side:
+                            continue
+                        side[i] = new
+                        cand = gap(xsub, ysub)
+                        if cand > dev:
+                            dev, kept, improved = cand, new, True
+                        else:
+                            side[i] = kept
+        if dev > limit:
+            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(ysub), tried)
+    return RegularityVerdict(UNREFUTED, samples_tried=tried)

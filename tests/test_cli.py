@@ -120,6 +120,12 @@ def test_convert_output_writes_the_printed_bytes(files, tmp_path, capsys):
     assert out.read_text(encoding="ascii") == printed
 
 
+def test_graph_without_params_is_an_input_error(capsys):
+    assert _run(["hom", "complete", "cycle:4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "complete" in err
+
+
 def test_run_config_with_misspelt_key_is_an_input_error(tmp_path, capsys):
     # an instance key the task does not know is an error line and exit 1,
     # not a KeyError traceback

@@ -57,6 +57,20 @@ def test_make_named():
         gen.make_named("moebius", [5])
 
 
+@pytest.mark.parametrize(
+    "kind, params", [("complete", []), ("cycle", [4, 5]), ("path_power", [6]), ("hypercube", [])]
+)
+def test_make_named_checks_parameter_count(kind, params):
+    # a ValueError (an `error:` line in the CLI), not an IndexError
+    with pytest.raises(ValueError, match="parameter"):
+        gen.make_named(kind, params)
+
+
+def test_make_named_multipartite_takes_any_count():
+    assert gen.make_named("complete_multipartite", [2, 3]) == gen.complete_multipartite([2, 3])
+    assert gen.make_named("path_power", [5, 2]) == gen.path_power(5, 2)
+
+
 def test_blowup_projection_is_homomorphism():
     spec = gen.BlowupSpec(gen.cycle(3), (2, 3, 1))
     g, proj = gen.blowup(spec)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ramsey_forge import harness
 from ramsey_forge.harness import (
     CSV_COLUMNS,
     CellResult,
@@ -67,8 +68,6 @@ def test_csv_identical_across_worker_counts():
 
 
 def test_verification_tripwire(monkeypatch):
-    from ramsey_forge import harness
-
     def bad_task(instance, seed):
         return CellResult("some", "x", verified=False)
 
@@ -162,6 +161,36 @@ def test_instance_keys_checked(task, instance):
         run_experiment(ramsey_cfg(task=task, instances=(instance,)))
 
 
+@pytest.mark.parametrize(
+    "task, instance",
+    [
+        ("ramsey", {"target": {"kind": "complete", "param": [3]}, "n_max": 6}),
+        ("ramsey", {"target": {"kind": "complete"}, "n_max": 6}),
+        ("ramsey", {"target": {"params": [3]}, "n_max": 6}),
+        ("ramsey", {"target": "complete:3", "n_max": 6}),
+        ("ramsey", {"target": {"kind": "complete", "params": 3}, "n_max": 6}),
+        ("drc", {"host": {"kind": "random_min_degree_host", "params": [8, "1/4"], "seed": 5},
+                 "max_deg": 2, "alpha": "1/4", "beta": "1/2"}),
+        ("drc", {"host": {"kind": "random_min_degree_host", "params": [8]},
+                 "max_deg": 2, "alpha": "1/4", "beta": "1/2"}),
+        ("drc", {"host": {"kind": "random_bounded_degree", "params": [8, 3, 1]},
+                 "max_deg": 2, "alpha": "1/4", "beta": "1/2"}),
+        ("embed-drc", {"host": {"kind": "complete", "params": [8]},
+                       "h": {"kind": "moebius", "params": [4]}, "alpha": "1/4"}),
+        ("rga", {"base": {"kind": "cycle", "params": [3]}, "part_size": 8,
+                 "g": {"kind": "cycle", "params": [6], "seed": 1}, "hom": [0, 1, 2] * 2}),
+    ],
+)
+def test_graph_specs_checked_before_any_cell(task, instance, monkeypatch):
+    ran = []
+    monkeypatch.setitem(harness.TASKS, task, lambda inst, seed: ran.append(seed))
+    good = {"target": {"kind": "complete", "params": [3]}, "n_max": 6}
+    instances = (good, instance) if task == "ramsey" else (instance,)
+    with pytest.raises(ConfigError):
+        run_experiment(ramsey_cfg(task=task, instances=instances))
+    assert ran == []
+
+
 def test_load_config_rejects_unknown_top_level_key(tmp_path):
     path = tmp_path / "cfg.json"
     cfg = {"task": "ramsey", "instances": [], "seeds": [0], "worker": 4}
@@ -193,8 +222,6 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["run", "--config", str(bad)]) == 1
-
-    from ramsey_forge import harness
 
     monkeypatch.setitem(
         harness.TASKS, "ramsey", lambda inst, seed: CellResult("some", "x", verified=False)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramsey_forge import generators as gen
+from ramsey_forge import generators as gen, regularity
 from ramsey_forge.graphs import Graph, pair_density
 from ramsey_forge.regularity import (
     CERTIFIED,
@@ -21,7 +21,7 @@ from ramsey_forge.regularity import (
     regularity_check,
     split_by_density,
 )
-from regularity_reference import regularity_check_all_subsets
+from regularity_reference import check_sampled_rescanning, regularity_check_all_subsets
 
 
 def regular_pairs(g: Graph, partition: Partition, params: RegularityParams):
@@ -254,3 +254,120 @@ def test_fixed_k_partition_determinism_and_retries():
         fixed_k_partition(g, 0, params)
     with pytest.raises(ValueError):
         fixed_k_partition(g, 4, params, retries=-1)
+
+
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_sampled_matches_rescanning_reference(monkeypatch):
+    # seeded pairs with sides 4-16 (unequal too), interleaved labels and edges
+    # inside the sides; every verdict, witness and sample count must equal the
+    # rescanning checker's
+    rng = random.Random(12)
+    cases = []
+    for _ in range(40):
+        nx_, ny = rng.randint(4, 16), rng.randint(4, 16)
+        n = nx_ + ny + rng.randint(0, 3)
+        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+        order = list(range(n))
+        rng.shuffle(order)
+        xs, ys = order[:nx_], order[nx_ : nx_ + ny]
+        for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+            for budget in (1, 50, 200):
+                cases.append((g, xs, ys, eps, budget, rng.randrange(1000)))
+
+    def run_all():
+        return [
+            regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, budget, seed)
+            for g, xs, ys, eps, budget, seed in cases
+        ]
+
+    fast = run_all()
+    passes: list[list[int]] = []
+
+    def reference(*args):
+        passes.append([])
+        return check_sampled_rescanning(*args, passes=passes[-1])
+
+    monkeypatch.setattr(regularity, "_check_sampled", reference)
+    assert fast == run_all()
+    statuses = [v.status for v in fast]
+    assert statuses.count(VIOLATED) >= 20 and statuses.count(UNREFUTED) >= 20
+    assert sum(len(p) > 1 for p in passes) >= 20  # the swap search made several passes
+
+
+def test_sample_positions_pick_what_sampling_the_sides_picks():
+    # _check_sampled draws positions with rng.sample(range(n), m) in place of
+    # rng.sample(xs, m); random.sample picks by position alone, through its
+    # pool branch and its set branch alike (here: n > 21 and small m)
+    for seed in (0, 1, 12345):
+        for n in range(121):
+            xs = sorted(random.Random(n).sample(range(4 * n), n))
+            for m in range(n + 1):
+                positions = sorted(random.Random(seed).sample(range(n), m))
+                assert sorted(random.Random(seed).sample(xs, m)) == [xs[i] for i in positions]
+
+
+def count_attempts(monkeypatch) -> list[tuple]:
+    attempts: list[tuple] = []
+    real = regularity._partition_for_seed
+
+    def counting(*args):
+        attempts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(regularity, "_partition_for_seed", counting)
+    return attempts
+
+
+def test_zero_irregular_first_attempt_runs_no_retry(monkeypatch):
+    attempts = count_attempts(monkeypatch)
+    for mode in (MODE_EXHAUSTIVE, MODE_SAMPLED):
+        attempts.clear()
+        _, report = fixed_k_partition(
+            gen.complete(12), 3, RegularityParams(Fraction(1, 4)), seed=5, retries=4, mode=mode
+        )
+        assert report.total_irregular_pairs == 0
+        assert len(attempts) == 1
+
+
+def test_irregular_attempts_still_retry(monkeypatch):
+    attempts = count_attempts(monkeypatch)
+    # every attempt has irregular pairs: all of them run
+    g = gen.random_bounded_degree_graph(16, 5, seed=9)
+    _, report = fixed_k_partition(g, 4, RegularityParams(Fraction(1, 4)), seed=2, retries=2)
+    assert report.total_irregular_pairs > 0
+    assert len(attempts) == 3
+    # the first attempt has 1 irregular pair and the second none: two run
+    attempts.clear()
+    g = random_graph(30, 0.5, 1)
+    _, report = fixed_k_partition(g, 5, RegularityParams(Fraction(1, 2)), retries=2)
+    assert report.total_irregular_pairs == 0
+    assert len(attempts) == 2
+
+
+def best_of_all_attempts(g, k, params, seed, retries, mode, budget):
+    """Every one of the retries + 1 attempts, then the fewest irregular
+    pairs, ties to the earliest."""
+    attempts = []
+    for a in range(retries + 1):
+        attempt_seed = seed * 1_000_003 + a
+        partition = regularity._partition_for_seed(g.n, k, attempt_seed)
+        report = regularity._quality(g, partition, params, mode, budget, attempt_seed)
+        attempts.append((partition, report))
+    return min(attempts, key=lambda pr: pr[1].total_irregular_pairs)
+
+
+@pytest.mark.parametrize("mode", [MODE_EXHAUSTIVE, MODE_SAMPLED])
+def test_fixed_k_partition_matches_best_of_all_attempts(mode):
+    # first attempts score 0 to 6 irregular pairs here, and some inputs reach
+    # 0 only at a later attempt
+    for n, k, eps in ((30, 5, Fraction(1, 2)), (40, 4, Fraction(2, 5))):
+        params = RegularityParams(eps)
+        for graph_seed in range(4):
+            g = random_graph(n, 0.5, graph_seed)
+            for seed in range(3):
+                expected = best_of_all_attempts(g, k, params, seed, 2, mode, 50)
+                assert fixed_k_partition(g, k, params, seed, 2, mode, 50) == expected
