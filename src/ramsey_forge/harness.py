@@ -65,7 +65,7 @@ class ExperimentConfig:
 
 @dataclass
 class CellResult:
-    outcome: str  # some | none | value | exceeds | infinite_suspected | error
+    outcome: str  # some | none | value | exceeds | infinite_suspected | inconclusive | error
     value: str = ""
     verified: bool | None = None
     stage: str = ""

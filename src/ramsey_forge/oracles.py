@@ -9,8 +9,19 @@ monochromatic copy.
 The loop has one search path.  Colorings are enumerated edge by edge, and a
 branch is cut as soon as the already-decided edges of one color contain a
 monochromatic copy (every extension then contains it too); the first edge
-is fixed red (color swap is a symmetry of the predicate).  The tests keep a
-full 2^m scan of every host as the reference it must agree with.
+is fixed red (color swap is a symmetry of the predicate).  The edges are
+visited in colex order, by larger endpoint and then by smaller, so the
+first C(k, 2) edges of K_n span K_k: every prefix of the search colors a
+smaller clique, and a copy is seen as soon as its last vertex arrives.
+(Graph.edges keeps lex order, which random_coloring draws its stream over.)
+The tests keep a full 2^m scan of every host as the reference it must
+agree with.
+
+Each oracle call may visit COLORING_BUDGET nodes of the coloring search,
+summed over its hosts.  When that runs out, or a copy search exhausts
+morphisms.DEFAULT_BUDGET, the call returns INCONCLUSIVE with no value: the
+host being searched was never decided.  The witness kept is the one found
+at the largest n below it, so it is still a verified lower bound.
 
 Copies are sought by search plans compiled once per oracle call and run
 straight on a color graph's adjacency rows: one unrooted plan, and one
@@ -55,17 +66,20 @@ from .morphisms import (
     verify_homomorphism,
 )
 
-RAMSEY_HARD_CAP = 8
+RAMSEY_HARD_CAP = 10
 STABLE_HARD_CAP = 6
+# coloring-search nodes per oracle call; r(K_{2,3}) = 10 takes about 2.7M
+COLORING_BUDGET = 10_000_000
 
 VALUE = "value"
 EXCEEDS = "exceeds"
 INFINITE_SUSPECTED = "infinite_suspected"
+INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
 class OracleResult:
-    status: str  # VALUE | EXCEEDS | INFINITE_SUSPECTED
+    status: str  # VALUE | EXCEEDS | INFINITE_SUSPECTED | INCONCLUSIVE
     value: int | None
     n_max: int
     witness_n: int | None = None
@@ -109,7 +123,8 @@ def plain_embeds(g: Graph, host: Graph) -> bool:
 
 
 class _Copies:
-    """Monochromatic-copy tests of one weighted target, built once per oracle call.
+    """Monochromatic-copy tests of one weighted target, built once per oracle
+    call, with the call's remaining coloring budget in nodes_left.
 
     anywhere(rows) runs the unrooted plan on the color graph with adjacency
     rows `rows`; its order is non-increasing demand, then decreasing degree,
@@ -129,6 +144,7 @@ class _Copies:
         self.plans = [
             compile_plan(g, demand, _rooted_order(g, a, b), 2) for a, b in _arc_roots(gw)
         ]
+        self.nodes_left = COLORING_BUDGET
         self._size(0)
 
     def _size(self, n: int) -> None:
@@ -205,20 +221,25 @@ def _arc_roots(gw: WeightedGraph) -> list[tuple[int, int]]:
 def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
     """A coloring of the host with no monochromatic copy, or None if all have one.
 
-    DFS over the edge list; a branch dies once one color's decided edges
-    already contain a copy.  Each color graph was copy-free before its
-    newest edge, so only copies through that edge are sought.  The first
-    edge is fixed red: the predicate is invariant under swapping colors.
+    DFS over the edges in colex order (by larger endpoint, then smaller); a
+    branch dies once one color's decided edges already contain a copy.  Each
+    color graph was copy-free before its newest edge, so only copies through
+    that edge are sought.  The first edge is fixed red: the predicate is
+    invariant under swapping colors.  Each node visited spends one unit of
+    copies.nodes_left; BudgetExhausted is raised when none is left.
     """
     if copies.anywhere([0] * host.n):  # only an edgeless target fits
         return None
-    edges = host.edges()
+    edges = sorted(host.edges(), key=lambda e: (e[1], e[0]))
     red = [0] * host.n
     blue = [0] * host.n
 
     def decide(i: int, fixed_red: bool) -> EdgeColoring | None:
         if i == len(edges):
             return EdgeColoring.from_red_adj(host, list(red))
+        if not copies.nodes_left:
+            raise BudgetExhausted(f"coloring search gave up after {COLORING_BUDGET} nodes")
+        copies.nodes_left -= 1
         u, v = edges[i]
         choices = (RED,) if fixed_red else (RED, BLUE)
         for color in choices:
@@ -253,19 +274,22 @@ def weighted_ramsey(gw: WeightedGraph, n_max: int) -> OracleResult:
 def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int) -> OracleResult:
     """Smallest n <= n_max at which no admissible host on n vertices has a
     copy-free coloring, with the copy-free coloring found at the largest n
-    below it."""
-    value = None
+    below it.  INCONCLUSIVE when a search ran out of budget first."""
+    status, value = EXCEEDS, None
     witness: tuple[int, EdgeColoring] | None = None
-    for n in range(1, n_max + 1):
-        for host in hosts_with_min_degree(n, min_degree_threshold(n, eps)):
-            coloring = _witness_coloring(host, copies)
-            if coloring is not None:
-                witness = (n, coloring)
+    try:
+        for n in range(1, n_max + 1):
+            for host in hosts_with_min_degree(n, min_degree_threshold(n, eps)):
+                coloring = _witness_coloring(host, copies)
+                if coloring is not None:
+                    witness = (n, coloring)
+                    break
+            else:
+                status, value = VALUE, n
                 break
-        else:
-            value = n
-            break
-    result = OracleResult(EXCEEDS if value is None else VALUE, value, n_max)
+    except BudgetExhausted:
+        status = INCONCLUSIVE
+    result = OracleResult(status, value, n_max)
     if witness is not None:
         result.witness_n, result.witness_coloring = witness
     return result
@@ -324,7 +348,7 @@ def stable_ramsey(gw: WeightedGraph, eps: Fraction, n_max: int) -> OracleResult:
     eps = Fraction(eps)
     copies = _Copies(gw)
     result = _first_forced_n(copies, eps, n_max)
-    if result.status == VALUE:
+    if result.status != EXCEEDS:
         return result
 
     # Not reached by n_max.  If a complete multipartite host with p parts and
@@ -338,7 +362,11 @@ def stable_ramsey(gw: WeightedGraph, eps: Fraction, n_max: int) -> OracleResult:
         host = complete_multipartite(sizes)
         if host.min_degree() < threshold:
             continue
-        coloring = _witness_coloring(host, copies)
+        try:
+            coloring = _witness_coloring(host, copies)
+        except BudgetExhausted:  # the witness at n_max stands; the suspicion is undecided
+            result.status = INCONCLUSIVE
+            break
         if coloring is not None:
             result.status = INFINITE_SUSPECTED
             result.witness_n, result.witness_coloring = n_max, coloring

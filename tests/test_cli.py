@@ -101,6 +101,15 @@ def test_oracle_witness_recheck_trips(command, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["ramsey", "wramsey", "sramsey"])
+def test_oracle_out_of_budget_prints_inconclusive(command, monkeypatch, capsys):
+    monkeypatch.setattr(oracles, "COLORING_BUDGET", 0)
+    argv = [command, "complete:3", "--n-max", "6"] + (["--eps", "1/4"] if command == "sramsey" else [])
+    assert _run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["value"]) == (oracles.INCONCLUSIVE, None)
+
+
 def test_hom_found_map_recheck_trips(monkeypatch, capsys):
     # a found map that fails its recheck must exit 2, unprinted: the all-zero
     # map of C4 into K2 sends every edge onto a non-edge

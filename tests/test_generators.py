@@ -103,6 +103,13 @@ def test_random_coloring_extremes_and_determinism():
     assert a == b
 
 
+def test_random_coloring_rows_pinned():
+    # the draw runs over Graph.edges in lex order; reordering the edge list
+    # (colex, say) moves these rows and every seeded coloring downstream
+    coloring = gen.random_coloring(gen.complete(8), Fraction(1, 2), seed=3)
+    assert coloring.red_adj == [202, 89, 40, 135, 130, 68, 163, 89]
+
+
 def test_random_min_degree_host_certificate():
     for seed in range(5):
         g = gen.random_min_degree_host(16, Fraction(1, 4), seed)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ramsey_forge import harness
+from ramsey_forge import harness, oracles
 from ramsey_forge.harness import (
     CSV_COLUMNS,
     CellResult,
@@ -45,6 +45,16 @@ def test_ramsey_task_value():
     assert res.verified is True
     assert summary["successes"] == 1
     assert summary["values"] == ["6"]
+
+
+def test_ramsey_task_row_shows_inconclusive(monkeypatch):
+    # out of coloring budget: the row says so, has no value and is no success
+    monkeypatch.setattr(oracles, "COLORING_BUDGET", 0)
+    cfg = ramsey_cfg()
+    rows, summary = run_experiment(cfg)
+    assert render_csv(cfg, rows).splitlines()[1].split(",")[4:7] == ["inconclusive", "", "true"]
+    assert summary["successes"] == 0
+    assert summary["values"] == []
 
 
 def test_csv_identical_across_worker_counts():

@@ -16,6 +16,7 @@ from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph
 from ramsey_forge.morphisms import BudgetExhausted
 from ramsey_forge.oracles import (
     EXCEEDS,
+    INCONCLUSIVE,
     INFINITE_SUSPECTED,
     VALUE,
     hosts_with_min_degree,
@@ -50,7 +51,21 @@ def test_ramsey_exceeds_and_cap():
     assert r.status == EXCEEDS
     assert r.witness_n == 8
     with pytest.raises(ValueError):
-        ramsey_number(gen.complete(3), 9)
+        ramsey_number(gen.complete(3), 11)
+
+
+def test_cycle5_ramsey_value():
+    # r(C_n) = 2n - 1 for odd n >= 5 (Bondy-Erdos, Rosta, Faudree-Schelp)
+    r = ramsey_number(gen.cycle(5), 9)
+    assert (r.status, r.value, r.witness_n) == (VALUE, 9, 8)
+    assert witness_verified(r, WeightedGraph.unit(gen.cycle(5)))
+
+
+def test_path7_ramsey_value():
+    # r(P_n) = n + floor(n/2) - 1 (Gerencser-Gyarfas)
+    r = ramsey_number(gen.path(7), 9)
+    assert (r.status, r.value, r.witness_n) == (VALUE, 9, 8)
+    assert witness_verified(r, WeightedGraph.unit(gen.path(7)))
 
 
 def test_witness_is_copy_free():
@@ -234,7 +249,7 @@ def _benchmark_queries():
 
 def test_pinned_witness_colorings():
     # status, value and witness coloring of the benchmark's oracle queries,
-    # captured from the unrooted pruned search
+    # as the coloring search finds them visiting edges in colex order
     lines = []
     for label, query in _benchmark_queries():
         r = query()
@@ -246,7 +261,7 @@ def test_pinned_witness_colorings():
     assert lines[0] == "r(K3) value 6 5 [30, 29, 27, 23, 15] [6, 9, 17, 18, 12]"
     assert lines[3].startswith("r(P6) value 8 7 ")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "8259e347ff193cb196ee022c54bb67a0995298837c42ae1924c1ddee5e5c2e1a"
+    assert digest == "a2ca227818071c0e6d1ecde984177a78664d7ef5badb1ca967370236cc533ce9"
 
 
 @pytest.mark.parametrize(
@@ -272,15 +287,39 @@ def test_arc_orbits_fall_back_to_every_arc(monkeypatch):
     assert len(oracles._arc_roots(WeightedGraph.unit(gen.cycle(6)))) == 12
 
 
-def test_oracles_raise_when_the_budget_runs_out(monkeypatch):
+def test_oracles_are_inconclusive_when_a_copy_search_runs_out(monkeypatch):
     unit_c4 = WeightedGraph.unit(gen.cycle(4))
+    half_c5 = WeightedGraph.uniform(gen.cycle(5), Fraction(1, 2))
     copies = oracles._Copies(unit_c4)
     monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
         copies.through(list(gen.complete(6).adj), 0, 1)
-    with pytest.raises(BudgetExhausted):
-        ramsey_number(gen.cycle(4), 6)
-    with pytest.raises(BudgetExhausted):
-        weighted_ramsey(WeightedGraph.uniform(gen.cycle(5), Fraction(1, 2)), 6)
-    with pytest.raises(BudgetExhausted):
-        stable_ramsey(unit_c4, Fraction(1, 4), 5)
+    for r, gw in [
+        (ramsey_number(gen.cycle(4), 6), unit_c4),
+        (weighted_ramsey(half_c5, 6), half_c5),
+        (stable_ramsey(unit_c4, Fraction(1, 4), 5), unit_c4),
+    ]:
+        assert (r.status, r.value) == (INCONCLUSIVE, None)
+        assert witness_verified(r, gw)
+
+
+def test_coloring_budget_gives_inconclusive_never_a_value(monkeypatch):
+    # every budget either reaches the full answer or stops with no value and
+    # the witness of the largest n decided; the stable query is also cut
+    # inside its multipartite scan, after its witness on 6 vertices
+    unit_c4 = WeightedGraph.unit(gen.cycle(4))
+    queries = [
+        (lambda: ramsey_number(gen.cycle(4), 7), (VALUE, 6, 5)),
+        (lambda: stable_ramsey(unit_c4, Fraction(1, 3), 6), (INFINITE_SUSPECTED, None, 6)),
+    ]
+    for query, full in queries:
+        outcomes = []
+        for budget in range(0, 1000, 3):
+            monkeypatch.setattr(oracles, "COLORING_BUDGET", budget)
+            r = query()
+            assert witness_verified(r, unit_c4)
+            outcomes.append((r.status, r.value, r.witness_n))
+        cut = [o for o in outcomes if o[0] == INCONCLUSIVE]
+        assert outcomes == cut + [full] * (len(outcomes) - len(cut))
+        assert cut[0] == (INCONCLUSIVE, None, 1)
+        assert {n for _, _, n in cut} == set(range(1, full[2] + 1))
