@@ -13,7 +13,7 @@ from typing import NoReturn
 
 from . import fileio, generators
 from .bandwidth import exact_bandwidth, heuristic_labeling
-from .dense import DenseParams, DenseWitness, dense_greedy_embed, lovasz_partition, wheel_mono_embed
+from .dense import DenseWitness, dense_greedy_embed, lovasz_partition, wheel_mono_embed
 from .drc import DegenerateBudget, drc_bandwidth_embed
 from .graphs import Graph, WeightedGraph
 from .harness import ConfigError, VerificationError, load_config, run_experiment
@@ -181,15 +181,9 @@ def cmd_embed_dense(args: argparse.Namespace) -> int:
     host = _graph_arg(args.host)
     g = _graph_arg(args.source)
     gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    params = DenseParams(
-        alpha=Fraction(args.alpha),
-        beta=Fraction(args.beta),
-        rho=Fraction(args.rho),
-        delta=Fraction(args.delta),
-        max_deg=max(g.max_degree(), 1),
-    )
-    witness = DenseWitness.trivial(host, params.max_deg)
-    vmap = dense_greedy_embed(host, witness, params, gw)
+    max_deg = max(g.max_degree(), 1)
+    witness = DenseWitness.trivial(host, max_deg)
+    vmap = dense_greedy_embed(host, witness, gw, Fraction(args.delta), max_deg)
     print(json.dumps({"status": "some" if vmap else "none", "image": list(vmap.image) if vmap else None}))
     return 0
 
@@ -335,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("host")
     s.add_argument("source")
     s.add_argument("--weights")
-    s.add_argument("--alpha", default="1/2")
-    s.add_argument("--beta", default="1/8")
-    s.add_argument("--rho", default="1/2")
     s.add_argument("--delta", default="1/2")
     s.set_defaults(fn=cmd_embed_dense)
 

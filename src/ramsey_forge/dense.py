@@ -266,8 +266,9 @@ def _sampled_bi_dense_violation(
 def dense_greedy_embed(
     g: Graph,
     witness: DenseWitness,
-    params: DenseParams,
     gw: WeightedGraph,
+    delta: Fraction,
+    max_deg: int,
 ) -> VertexMap | None:
     """Greedy weighted embedding of gw into g guided by the witness layers.
 
@@ -278,7 +279,9 @@ def dense_greedy_embed(
     respect the weight-1 load cap.  None means the greedy starved.
     """
     src = gw.graph
-    if src.max_degree() > params.max_deg:
+    if not 0 <= delta <= 1:
+        raise ValueError("delta must lie in [0, 1]")
+    if src.max_degree() > max_deg:
         raise ValueError("source max degree exceeds the witness budget")
     s = len(witness.parts)
     classes = lovasz_partition(src, witness.degrees)
@@ -296,7 +299,7 @@ def dense_greedy_embed(
     cand = [part_masks[class_of[v]] for v in range(src.n)]
     load = [Fraction(0)] * g.n
     image = [-1] * src.n
-    half_delta = params.delta / 2
+    half_delta = Fraction(delta) / 2
 
     for t, v in enumerate(order):
         w = gw.weights[v]

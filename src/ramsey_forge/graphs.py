@@ -204,9 +204,14 @@ class WeightedGraph:
 
 
 class EdgeColoring:
-    """Red/blue assignment on exactly the edge set of a host graph."""
+    """Red/blue assignment on exactly the edge set of a host graph.
 
-    __slots__ = ("host", "red_adj")
+    Each colour graph is built and validated on first use and kept: later
+    calls of `subgraph` return the same object, which callers must not
+    mutate.  Two threads asking first at once may each build an equal copy.
+    """
+
+    __slots__ = ("host", "red_adj", "_graphs")
 
     def __init__(self, host: Graph, red_edges: Iterable[tuple[int, int]]) -> None:
         self.host = host
@@ -217,6 +222,7 @@ class EdgeColoring:
             red_adj[u] |= 1 << v
             red_adj[v] |= 1 << u
         self.red_adj = red_adj
+        self._graphs: dict[str, Graph] = {}
 
     @classmethod
     def from_red_adj(cls, host: Graph, red_adj: Sequence[int]) -> "EdgeColoring":
@@ -228,7 +234,7 @@ class EdgeColoring:
         for v in range(host.n):
             if c.red_adj[v] & ~host.adj[v]:
                 raise ValueError(f"red edges at {v} not contained in host edges")
-        Graph.from_adj(c.red_adj)  # symmetry / loop check
+        c._graphs = {RED: Graph.from_adj(c.red_adj)}  # symmetry / loop check
         return c
 
     def color_of(self, u: int, v: int) -> str:
@@ -237,26 +243,16 @@ class EdgeColoring:
         return RED if self.red_adj[u] >> v & 1 else BLUE
 
     def subgraph(self, color: str) -> Graph:
-        if color == RED:
-            return Graph.from_adj(list(self.red_adj))
-        if color == BLUE:
-            return Graph.from_adj(
-                [self.host.adj[v] & ~self.red_adj[v] for v in range(self.host.n)]
-            )
-        raise ValueError(f"unknown color {color!r}")
-
-    @property
-    def red_graph(self) -> Graph:
-        return self.subgraph(RED)
-
-    @property
-    def blue_graph(self) -> Graph:
-        return self.subgraph(BLUE)
-
-    def swapped(self) -> "EdgeColoring":
-        return EdgeColoring.from_red_adj(
-            self.host, [self.host.adj[v] & ~self.red_adj[v] for v in range(self.host.n)]
-        )
+        g = self._graphs.get(color)
+        if g is None:
+            if color == RED:
+                adj = self.red_adj
+            elif color == BLUE:
+                adj = [self.host.adj[v] & ~self.red_adj[v] for v in range(self.host.n)]
+            else:
+                raise ValueError(f"unknown color {color!r}")
+            g = self._graphs[color] = Graph.from_adj(adj)
+        return g
 
     def __eq__(self, other: object) -> bool:
         return (

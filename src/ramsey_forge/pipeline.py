@@ -20,15 +20,11 @@ from .morphisms import (
     VertexMap,
     compose,
     find_capacity_homomorphism,
+    verify_capacity,
     verify_homomorphism,
 )
-from .regularity import (
-    MODE_SAMPLED,
-    RegularityParams,
-    fixed_k_partition,
-    split_by_density,
-)
-from .rga import RgaParams, rga_blowup_embed
+from .regularity import MODE_SAMPLED, RegularityParams, fixed_k_partition
+from .rga import InsufficientSlack, RgaParams, rga_blowup_embed
 
 # unused here; perfbench/layers.py traces both names on this module, and its
 # smoke test fails on an absent binding
@@ -83,9 +79,8 @@ def transference_pipeline(
     rga = RgaParams(delta=MAJORITY_DELTA, xi=params.xi)  # validates xi before any work
 
     reg = RegularityParams(params.eps)
-    red = coloring.red_graph
     partition, report = fixed_k_partition(
-        red, params.k, reg, seed=seed, retries=PARTITION_RETRIES,
+        coloring.subgraph(RED), params.k, reg, seed=seed, retries=PARTITION_RETRIES,
         mode=params.mode, budget=SAMPLE_BUDGET,
     )
 
@@ -94,27 +89,29 @@ def transference_pipeline(
     # MAJORITY_DELTA, else the blue one; irregular pairs join neither
     if not report.regular_pairs:
         return PipelineResult(None, None, STAGE_REDUCED)
-    reduced_by_color = dict(
-        zip((RED, BLUE), split_by_density(red, partition, report.regular_pairs, MAJORITY_DELTA))
-    )
+    pairs: dict[str, list[tuple[int, int]]] = {RED: [], BLUE: []}
+    for pair, d in zip(report.regular_pairs, report.densities):
+        pairs[RED if d >= MAJORITY_DELTA else BLUE].append(pair)
+    reduced_by_color = {color: Graph(params.k, pairs[color]) for color in (RED, BLUE)}
 
     lift_failed = True
     for color in (RED, BLUE):
         reduced = reduced_by_color[color]
-        outcome = find_capacity_homomorphism(
-            h, reduced, CapacityProfile.uniform_count_cap(reduced.n, 1)
-        )
-        if outcome.vmap is None:
+        profile = CapacityProfile.uniform_count_cap(reduced.n, 1)
+        lift = find_capacity_homomorphism(h, reduced, profile).vmap
+        if lift is None:
             continue
+        if not (
+            verify_homomorphism(h, reduced, lift).valid and verify_capacity(lift, profile).valid
+        ):
+            raise VerificationError(f"{color} capacity-1 lift failed verification")
         lift_failed = False
-        composed = compose(f, outcome.vmap)
         mono = coloring.subgraph(color)
         try:
             vmap = rga_blowup_embed(
-                mono, partition, reduced, g, composed, rga, seed=seed, retries=RGA_RETRIES
+                mono, partition, reduced, g, compose(f, lift), rga, seed=seed, retries=RGA_RETRIES
             )
-        except ValueError:
-            # slack or homomorphism precondition failed for this color
+        except InsufficientSlack:  # this color's parts cannot hold the preimages
             continue
         if vmap is not None:
             if not (verify_homomorphism(g, mono, vmap).valid and vmap.is_injective()):

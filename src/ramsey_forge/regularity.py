@@ -1,4 +1,4 @@
-"""Regular-pair certification, reduced graphs, and fixed-k partitions.
+"""Regular-pair certification and fixed-k partitions.
 
 A pair (X, Y) is eps-regular when every subpair (X', Y') with |X'| >= eps|X|
 and |Y'| >= eps|Y| has density within eps of d(X, Y).  Certification iterates
@@ -32,9 +32,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph, edges_between, mask_of, pair_density, threshold_size
 from .morphisms import VerificationError
@@ -92,6 +92,7 @@ class RegularityVerdict:
     witness_x: frozenset[int] | None = None
     witness_y: frozenset[int] | None = None
     samples_tried: int = 0
+    density: Fraction | None = None  # d(X, Y); regularity_check sets it
 
     @property
     def treated_regular(self) -> bool:
@@ -111,7 +112,7 @@ def regularity_check(
 
     Exhaustive mode (sides capped at 16) returns certified_regular or a
     re-checkable violating witness.  Sampled mode never certifies: it returns
-    violated or unrefuted.
+    violated or unrefuted.  Either verdict carries d(X, Y).
     """
     d0 = pair_density(g, xs, ys)  # validates X and Y
     xs, ys = sorted(set(xs)), sorted(set(ys))
@@ -131,7 +132,7 @@ def regularity_check(
         verdict = _check_sampled(g, xs, ys, m_x, m_y, e0, limit, budget, seed)
     if verdict.status == VIOLATED and not _violates(g, xs, ys, eps, verdict):
         raise VerificationError("regularity witness does not violate eps-regularity")
-    return verdict
+    return replace(verdict, density=d0)
 
 
 def _violates(
@@ -246,9 +247,9 @@ def _check_sampled(
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Per-class irregularity counts for a partition under one mode, and the
+    """Per-class irregularity counts for a partition under one mode, the
     class pairs (i < j, in lexicographic order) that the same checks treated
-    as regular."""
+    as regular, and the density d(V_i, V_j) of each of those pairs."""
 
     per_class_bad: tuple[int, ...]
     class_ok: tuple[bool, ...]  # bad count <= eps * k, per class
@@ -256,23 +257,11 @@ class QualityReport:
     pairs_ok: bool  # total <= eps * k^2 (the stricter standard reading)
     exceptional_ok: bool  # |V_0| <= eps * n
     regular_pairs: tuple[tuple[int, int], ...]
+    densities: tuple[Fraction, ...]  # one per regular pair, in the same order
 
     @property
     def all_classes_ok(self) -> bool:
         return all(self.class_ok)
-
-
-def split_by_density(
-    g: Graph, partition: Partition, pairs: Iterable[tuple[int, int]], delta: Fraction
-) -> tuple[Graph, Graph]:
-    """Cluster graphs on the k classes from the given class pairs: a pair of
-    density at least delta is an edge of the first, any other of the second."""
-    dense: list[tuple[int, int]] = []
-    sparse: list[tuple[int, int]] = []
-    for i, j in pairs:
-        d = pair_density(g, sorted(partition.classes[i]), sorted(partition.classes[j]))
-        (dense if d >= delta else sparse).append((i, j))
-    return Graph(partition.k, dense), Graph(partition.k, sparse)
 
 
 def _partition_for_seed(n: int, k: int, seed: int) -> Partition:
@@ -301,9 +290,12 @@ def _quality(
     classes = [sorted(c) for c in partition.classes]
     bad = [0] * k
     regular = []
+    densities = []
     for i, j in itertools.combinations(range(k), 2):
-        if regularity_check(g, classes[i], classes[j], params, mode, budget, seed).treated_regular:
+        verdict = regularity_check(g, classes[i], classes[j], params, mode, budget, seed)
+        if verdict.treated_regular:
             regular.append((i, j))
+            densities.append(verdict.density)
         else:
             bad[i] += 1
             bad[j] += 1
@@ -316,6 +308,7 @@ def _quality(
         pairs_ok=total <= eps * k * k,
         exceptional_ok=len(partition.exceptional) <= eps * partition.n,
         regular_pairs=tuple(regular),
+        densities=tuple(densities),
     )
 
 

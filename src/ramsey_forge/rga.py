@@ -59,6 +59,10 @@ class RgaStats:
     aborts: tuple[str, ...] = ()
 
 
+class InsufficientSlack(ValueError):
+    """A part holds fewer than (1 + xi) times its preimage's vertices."""
+
+
 class _Abort(Exception):
     def __init__(self, stage: str) -> None:
         self.stage = stage
@@ -93,7 +97,7 @@ def rga_blowup_embed(
     m = max((len(p) for p in preimages), default=0)
     for i in range(reduced.n):
         if part_sizes[i] < (1 + params.xi) * len(preimages[i]):
-            raise ValueError(f"part {i} lacks (1 + xi) slack for its preimage")
+            raise InsufficientSlack(f"part {i} lacks (1 + xi) slack for its preimage")
 
     aborts: list[str] = []
     for attempt in range(retries + 1):

@@ -27,6 +27,8 @@ from ramsey_forge.drc import (
     drc_select,
 )
 from ramsey_forge.graphs import (
+    BLUE,
+    RED,
     EdgeColoring,
     Graph,
     WeightedGraph,
@@ -87,7 +89,7 @@ def test_criterion_01_oracle_exactness():
     assert k3.witness_n == 5
     wc = k3.witness_coloring
     assert wc is not None
-    red, blue = wc.red_graph, wc.blue_graph
+    red, blue = wc.subgraph(RED), wc.subgraph(BLUE)
     for side in (red, blue):
         assert all(side.degree(v) == 2 for v in range(5))
         assert nx.is_connected(nx.Graph(side.edges()))

@@ -78,6 +78,8 @@ CASES = [
     # no regularity output reads a density threshold
     ("regularity {edges} --epsilon 1/4 --partition 2 --delta 0", 1, None),
     ("regularity {edges} --epsilon 1/4 --pairs 0/1 --delta 1", 1, None),
+    # the dense greedy reads delta and the degree budget only
+    ("embed-dense complete:8 path:3 --alpha 1/2", 1, None),
 ]
 
 

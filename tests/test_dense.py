@@ -260,18 +260,25 @@ def test_witness_disjointness():
 def test_dense_greedy_unit_path_into_k6():
     host = gen.complete(6)
     gw = WeightedGraph.unit(gen.path(4))
-    p = params_for(2)
-    vmap = dense_greedy_embed(host, DenseWitness.trivial(host, 2), p, gw)
+    vmap = dense_greedy_embed(host, DenseWitness.trivial(host, 2), gw, Fraction(1, 2), 2)
     assert vmap is not None
     assert vmap.is_injective()  # unit weights force injectivity
     # cross-check existence with the exact search
     assert find_weighted_embedding(gw, host) is not None
 
 
+def test_dense_greedy_rejects_delta_outside_unit_interval():
+    host = gen.complete(6)
+    gw = WeightedGraph.unit(gen.path(4))
+    for delta in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            dense_greedy_embed(host, DenseWitness.trivial(host, 2), gw, delta, 2)
+
+
 def test_dense_greedy_impossible():
     host = gen.complete(1)
     gw = WeightedGraph.unit(gen.complete(2))
-    vmap = dense_greedy_embed(host, DenseWitness.trivial(host, 1), params_for(1), gw)
+    vmap = dense_greedy_embed(host, DenseWitness.trivial(host, 1), gw, Fraction(1, 2), 1)
     assert vmap is None
     assert find_weighted_embedding(gw, host) is None
 
@@ -283,8 +290,7 @@ def test_dense_greedy_weighted_cross_check():
         base = gen.cycle(4) if trial % 2 else gen.path(5)
         weights = tuple(Fraction(rng.randint(1, 4), 4) for _ in range(base.n))
         gw = WeightedGraph(base, weights)
-        p = params_for(2)
-        vmap = dense_greedy_embed(host, DenseWitness.trivial(host, 2), p, gw)
+        vmap = dense_greedy_embed(host, DenseWitness.trivial(host, 2), gw, Fraction(1, 2), 2)
         if vmap is not None:
             assert verify_homomorphism(base, host, vmap).valid
             assert verify_capacity(vmap, CapacityProfile.weight_cap(weights)).valid

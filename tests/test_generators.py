@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ramsey_forge import generators as gen
+from ramsey_forge.graphs import RED
 from ramsey_forge.morphisms import verify_homomorphism
 
 
@@ -95,9 +96,9 @@ def test_blowup_spec_validation():
 def test_random_coloring_extremes_and_determinism():
     host = gen.complete(6)
     all_red = gen.random_coloring(host, Fraction(1), seed=0)
-    assert all_red.red_graph.edge_count() == 15
+    assert all_red.subgraph(RED).edge_count() == 15
     all_blue = gen.random_coloring(host, Fraction(0), seed=0)
-    assert all_blue.red_graph.edge_count() == 0
+    assert all_blue.subgraph(RED).edge_count() == 0
     a = gen.random_coloring(host, Fraction(1, 2), seed=3)
     b = gen.random_coloring(host, Fraction(1, 2), seed=3)
     assert a == b

@@ -134,12 +134,43 @@ def test_coloring_partitions_edges():
     c = EdgeColoring(g, [(0, 1)])
     assert c.color_of(0, 1) == RED
     assert c.color_of(1, 2) == BLUE
-    red = c.red_graph
-    blue = c.blue_graph
+    red = c.subgraph(RED)
+    blue = c.subgraph(BLUE)
     assert red.edge_count() + blue.edge_count() == g.edge_count()
-    assert c.swapped().color_of(0, 1) == BLUE
+    swapped = EdgeColoring.from_red_adj(g, blue.adj)
+    assert swapped.color_of(0, 1) == BLUE
     with pytest.raises(ValueError):
         EdgeColoring(Graph(3, [(0, 1)]), [(1, 2)])
+    with pytest.raises(ValueError):
+        c.subgraph("green")
+
+
+def count_from_adj(monkeypatch) -> list[list[int]]:
+    built: list[list[int]] = []
+    real = Graph.from_adj
+
+    def counting(adj):
+        built.append(list(adj))
+        return real(adj)
+
+    monkeypatch.setattr(Graph, "from_adj", staticmethod(counting))
+    return built
+
+
+def test_coloring_builds_each_color_graph_once(monkeypatch):
+    built = count_from_adj(monkeypatch)
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c = EdgeColoring(g, [(0, 1), (2, 3)])
+    assert built == []  # nothing is built before it is asked for
+    red, blue = c.subgraph(RED), c.subgraph(BLUE)
+    assert c.subgraph(RED) is red and c.subgraph(BLUE) is blue
+    assert built == [red.adj, blue.adj]
+    assert red == Graph(4, [(0, 1), (2, 3)]) and blue == Graph(4, [(1, 2), (0, 3)])
+    # from_red_adj keeps the red graph its symmetry check built
+    built.clear()
+    d = EdgeColoring.from_red_adj(g, c.red_adj)
+    assert d.subgraph(RED) is d.subgraph(RED) == red
+    assert built == [red.adj]
 
 
 def test_coloring_from_red_adj_validates():

@@ -38,7 +38,7 @@ def test_all_red_trivial():
     assert res.ok
     assert res.color == "red"
     assert res.vmap.is_injective()
-    assert verify_homomorphism(g, coloring.red_graph, res.vmap).valid
+    assert verify_homomorphism(g, coloring.subgraph(RED), res.vmap).valid
 
 
 def test_invalid_hom_rejected():
@@ -161,16 +161,20 @@ def test_pinned_outputs(case):
 
 def test_reduced_graphs_follow_the_partition_report(monkeypatch):
     seen = {}
+    real_partition = pipeline.fixed_k_partition
 
-    def spy(name, fn):
-        def wrapper(*args, **kwargs):
-            seen[name] = fn(*args, **kwargs)
-            return seen[name]
+    def spy_partition(*args, **kwargs):
+        seen["fixed_k_partition"] = real_partition(*args, **kwargs)
+        return seen["fixed_k_partition"]
 
-        monkeypatch.setattr(pipeline, name, wrapper)
+    built = []
 
-    spy("fixed_k_partition", pipeline.fixed_k_partition)
-    spy("split_by_density", pipeline.split_by_density)
+    def spy_graph(*args):
+        built.append(Graph(*args))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "fixed_k_partition", spy_partition)
+    monkeypatch.setattr(pipeline, "Graph", spy_graph)
     g, h, f = C9_ON_K3
     k = 6
     # sampled eps 1/3 on K_48: the chosen attempt treats some pairs as
@@ -183,7 +187,33 @@ def test_reduced_graphs_follow_the_partition_report(monkeypatch):
     assert 0 < len(regular) < math.comb(k, 2)
     assert len(regular) == math.comb(k, 2) - report.total_irregular_pairs
     assert res.failed_stage != STAGE_REDUCED
-    reduced = dict(zip((RED, BLUE), seen["split_by_density"]))
+    reduced = dict(zip((RED, BLUE), built))
+    density = dict(zip(report.regular_pairs, report.densities))
     for i, j in itertools.combinations(range(k), 2):
         in_colors = [c for c in (RED, BLUE) if reduced[c].has_edge(i, j)]
         assert len(in_colors) == (1 if (i, j) in regular else 0)
+        if in_colors:
+            assert in_colors[0] == (RED if density[i, j] >= pipeline.MAJORITY_DELTA else BLUE)
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=[f"{m}-{s}" for m, _, _, s in PINNED])
+def test_each_color_graph_built_at_most_once(case, monkeypatch):
+    # counted through Graph.from_adj, which builds and validates every
+    # color graph; the coloring is made inside the count
+    built = []
+    real = Graph.from_adj
+
+    def counting(adj):
+        built.append(list(adj))
+        return real(adj)
+
+    monkeypatch.setattr(Graph, "from_adj", staticmethod(counting))
+    mode, n, k, seed = case
+    g, h, f = C9_ON_K3
+    coloring = gen.random_coloring(gen.complete(n), Fraction(1, 2), seed)
+    params = PipelineParams(eps=Fraction(1, 2), xi=Fraction(1, 4), k=k, mode=mode)
+    transference_pipeline(g, h, f, coloring, params, seed=seed)
+    red = coloring.red_adj
+    blue = [row & ~r for row, r in zip(coloring.host.adj, red)]
+    assert built.count(red) == 1  # the partition needs red
+    assert built.count(blue) <= 1

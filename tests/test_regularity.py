@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from fractions import Fraction
 
@@ -19,20 +18,21 @@ from ramsey_forge.regularity import (
     RegularityParams,
     fixed_k_partition,
     regularity_check,
-    split_by_density,
 )
 from regularity_reference import check_sampled_rescanning, regularity_check_all_subsets
 
 
 def regular_pairs(g: Graph, partition: Partition, params: RegularityParams):
-    """The class pairs (i < j) of the given partition that regularity_check
-    certifies: the edges of its reduced graph."""
-    classes = [sorted(c) for c in partition.classes]
-    return [
-        (i, j)
-        for i, j in itertools.combinations(range(partition.k), 2)
-        if regularity_check(g, classes[i], classes[j], params).treated_regular
-    ]
+    """The class pairs (i < j) of the given partition that the exhaustive
+    checks treat as regular, with their densities, as its quality report
+    keeps them."""
+    report = regularity._quality(g, partition, params, MODE_EXHAUSTIVE, 0, 0)
+    return list(zip(report.regular_pairs, report.densities))
+
+
+def dense_graph(partition: Partition, pairs, delta: Fraction) -> Graph:
+    """The cluster graph of the given pairs whose density is at least delta."""
+    return Graph(partition.k, [pair for pair, d in pairs if d >= delta])
 
 
 def bipartite_pair(nx_, ny, edges):
@@ -75,6 +75,7 @@ def test_planted_block_refuted():
     assert verdict.status == VIOLATED
     # the witness re-checks by density arithmetic
     d0 = pair_density(g, xs, ys)
+    assert verdict.density == d0
     d = pair_density(g, sorted(verdict.witness_x), sorted(verdict.witness_y))
     assert abs(d - d0) > Fraction(1, 4)
     assert len(verdict.witness_x) >= Fraction(1, 4) * 8
@@ -208,6 +209,7 @@ def test_sampled_never_certifies():
         g2, xs2, ys2, RegularityParams(Fraction(1, 4)), mode=MODE_SAMPLED, seed=1
     )
     assert verdict.status == VIOLATED
+    assert verdict.density == Fraction(1, 4)
 
 
 def test_reduced_graph_of_blowup_contains_base():
@@ -217,7 +219,7 @@ def test_reduced_graph_of_blowup_contains_base():
     partition = Partition(host.n, frozenset(), tuple(gen.blowup_parts(spec)))
     params = RegularityParams(Fraction(1, 4))
     pairs = regular_pairs(host, partition, params)
-    r = split_by_density(host, partition, pairs, Fraction(1, 2))[0]
+    r = dense_graph(partition, pairs, Fraction(1, 2))
     for u, v in base.edges():
         assert r.has_edge(u, v)
 
@@ -228,7 +230,33 @@ def test_reduced_graph_edgeless():
     params = RegularityParams(Fraction(1, 4))
     pairs = regular_pairs(g, partition, params)
     assert len(pairs) == 1  # density-0 regular
-    assert split_by_density(g, partition, pairs, Fraction(1, 2))[0].edge_count() == 0
+    assert dense_graph(partition, pairs, Fraction(1, 2)).edge_count() == 0
+
+
+@pytest.mark.parametrize("mode", [MODE_EXHAUSTIVE, MODE_SAMPLED])
+def test_one_pair_density_per_regularity_check(mode, monkeypatch):
+    densities, checks = [], []
+    real_density, real_check = regularity.pair_density, regularity.regularity_check
+
+    def counting_density(*args):
+        densities.append(args)
+        return real_density(*args)
+
+    def counting_check(*args, **kwargs):
+        checks.append(args)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "pair_density", counting_density)
+    monkeypatch.setattr(regularity, "regularity_check", counting_check)
+    g = random_graph(30, 0.5, 1)
+    partition, report = fixed_k_partition(
+        g, 5, RegularityParams(Fraction(1, 2)), retries=2, mode=mode, budget=20
+    )
+    assert len(checks) >= 10 and len(densities) == len(checks)
+    assert 0 < len(report.regular_pairs) == len(report.densities)
+    for (i, j), d in zip(report.regular_pairs, report.densities):
+        xs, ys = sorted(partition.classes[i]), sorted(partition.classes[j])
+        assert d == real_density(g, xs, ys)
 
 
 def test_fixed_k_partition_structure():

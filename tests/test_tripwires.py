@@ -23,9 +23,11 @@ import ramsey_forge
 PRELUDE = """
 import sys
 from fractions import Fraction
-from ramsey_forge import dense, drc, generators as gen, oracles, regularity, rga
+from ramsey_forge import dense, drc, generators as gen, oracles, pipeline, regularity, rga
 from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph
-from ramsey_forge.morphisms import CapVerdict, HomVerdict, VerificationError, VertexMap
+from ramsey_forge.morphisms import (
+    FOUND, CapVerdict, HomVerdict, SearchOutcome, VerificationError, VertexMap,
+)
 
 if __debug__:
     sys.exit("not running under -O")
@@ -66,12 +68,9 @@ CASES = {
     "dense_greedy_embed": """
         dense.verify_capacity = lambda f, profile: CapVerdict(False, ())
         host = gen.complete(6)
-        params = dense.DenseParams(
-            alpha=Fraction(1, 8), beta=Fraction(1, 4), rho=Fraction(1, 2),
-            delta=Fraction(1, 2), max_deg=2,
-        )
         dense.dense_greedy_embed(
-            host, dense.DenseWitness.trivial(host, 2), params, WeightedGraph.unit(gen.path(4))
+            host, dense.DenseWitness.trivial(host, 2), WeightedGraph.unit(gen.path(4)),
+            Fraction(1, 2), 2,
         )
     """,
     "wheel_mono_embed": """
@@ -128,6 +127,19 @@ CASES = {
         # every ratio compares equal, so the first class is always the minimum
         dense.Fraction = lambda num, den: 0
         dense.lovasz_partition(gen.complete(4), [1, 1])
+    """,
+    "transference_pipeline": """
+        # the all-zero map of K_2 into the reduced graph sends the edge onto
+        # a loop and puts two vertices on a capacity-1 vertex
+        pipeline.find_capacity_homomorphism = lambda h, reduced, profile: SearchOutcome(
+            FOUND, VertexMap(h.n, reduced.n, (0,) * h.n), 1
+        )
+        host = gen.complete(24)
+        pipeline.transference_pipeline(
+            gen.cycle(4), gen.complete(2), VertexMap(4, 2, (0, 1, 0, 1)),
+            EdgeColoring(host, host.edges()),
+            pipeline.PipelineParams(Fraction(1, 4), Fraction(1, 4), 4),
+        )
     """,
     "random_min_degree_host": """
         Graph.min_degree = lambda self: -1
