@@ -59,14 +59,18 @@ def _feasible(g: Graph, b: int, budget: int, counter: list[int]) -> bool:
     return place(0)
 
 
-def exact_bandwidth(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum labeling width over all bijections; exact when it returns."""
+def exact_bandwidth(g: Graph) -> int:
+    """Minimum labeling width over all bijections; exact when it returns.
+
+    Raises BudgetExhausted past DEFAULT_BUDGET nodes, summed over the widths
+    tried; the budget is read at call time.
+    """
     if g.edge_count() == 0:
         return 0
     lower = max(math.ceil(g.degree(v) / 2) for v in range(g.n))
     counter = [0]
     for b in range(lower, g.n):
-        if _feasible(g, b, budget, counter):
+        if _feasible(g, b, DEFAULT_BUDGET, counter):
             return b
     raise AssertionError("unreachable: width n-1 is always feasible")
 

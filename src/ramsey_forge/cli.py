@@ -1,6 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage, input or config error, 2 verification tripwire.
+A search that runs out of budget prints {"status": "budget_exhausted"} and
+exits 0: an inconclusive answer is an answer.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .graphs import Graph, WeightedGraph
 from .harness import ConfigError, VerificationError, load_config, run_experiment
 from .morphisms import (
     DEFAULT_BUDGET,
+    BudgetExhausted,
     CapacityProfile,
     VertexMap,
     find_capacity_homomorphism,
@@ -78,13 +81,12 @@ def cmd_hom(args: argparse.Namespace) -> int:
         profile = CapacityProfile.weight_cap(_weights_arg(args.weights, g.n))
     else:
         profile = CapacityProfile.uniform_count_cap(h.n, args.count_cap)
-    outcome = find_capacity_homomorphism(g, h, profile, budget=args.budget)
-    vmap = outcome.vmap
+    vmap = find_capacity_homomorphism(g, h, profile, budget=args.budget).vmap
     if vmap is not None and not (
         verify_homomorphism(g, h, vmap).valid and verify_capacity(vmap, profile).valid
     ):
         raise VerificationError(f"found map {list(vmap.image)} failed verification")
-    print(json.dumps({"status": outcome.status, "image": list(vmap.image) if vmap else None}))
+    print(json.dumps({"status": "found" if vmap else "none", "image": list(vmap.image) if vmap else None}))
     return 0
 
 
@@ -181,9 +183,8 @@ def cmd_embed_dense(args: argparse.Namespace) -> int:
     host = _graph_arg(args.host)
     g = _graph_arg(args.source)
     gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    max_deg = max(g.max_degree(), 1)
-    witness = DenseWitness.trivial(host, max_deg)
-    vmap = dense_greedy_embed(host, witness, gw, Fraction(args.delta), max_deg)
+    witness = DenseWitness.trivial(host, max(g.max_degree(), 1))
+    vmap = dense_greedy_embed(host, witness, gw, Fraction(args.delta))
     print(json.dumps({"status": "some" if vmap else "none", "image": list(vmap.image) if vmap else None}))
     return 0
 
@@ -384,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification tripwire: {exc}", file=sys.stderr)
         return 2
+    except BudgetExhausted:
+        print(json.dumps({"status": "budget_exhausted"}))
+        return 0
     except (ConfigError, fileio.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

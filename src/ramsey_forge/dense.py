@@ -268,7 +268,6 @@ def dense_greedy_embed(
     witness: DenseWitness,
     gw: WeightedGraph,
     delta: Fraction,
-    max_deg: int,
 ) -> VertexMap | None:
     """Greedy weighted embedding of gw into g guided by the witness layers.
 
@@ -281,8 +280,6 @@ def dense_greedy_embed(
     src = gw.graph
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    if src.max_degree() > max_deg:
-        raise ValueError("source max degree exceeds the witness budget")
     s = len(witness.parts)
     classes = lovasz_partition(src, witness.degrees)
     part_masks = [mask_of(p) for p in witness.parts]

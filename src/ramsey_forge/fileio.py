@@ -178,24 +178,28 @@ def decode_json_map(text: str) -> VertexMap:
         raise ParseError(f"invalid vertex map payload: {exc}", 1, 1) from None
 
 
+# format -> (type it holds, encoder, decoder)
 _CODECS = {
-    FORMAT_EDGELIST: (encode_edgelist, decode_edgelist),
-    FORMAT_GRAPH6: (encode_graph6, decode_graph6),
-    FORMAT_COLORING: (encode_coloring, decode_coloring),
-    FORMAT_JSON_MAP: (encode_json_map, decode_json_map),
+    FORMAT_EDGELIST: (Graph, encode_edgelist, decode_edgelist),
+    FORMAT_GRAPH6: (Graph, encode_graph6, decode_graph6),
+    FORMAT_COLORING: (EdgeColoring, encode_coloring, decode_coloring),
+    FORMAT_JSON_MAP: (VertexMap, encode_json_map, decode_json_map),
 }
 
 
 def encode(obj: object, fmt: str) -> str:
     if fmt not in _CODECS:
         raise ValueError(f"unknown format {fmt!r} (known: {FORMATS})")
-    return _CODECS[fmt][0](obj)  # type: ignore[operator]
+    kind, encoder, _ = _CODECS[fmt]
+    if not isinstance(obj, kind):
+        raise ValueError(f"format {fmt} holds {kind.__name__} objects, not {type(obj).__name__}")
+    return encoder(obj)
 
 
 def decode(text: str, fmt: str) -> object:
     if fmt not in _CODECS:
         raise ValueError(f"unknown format {fmt!r} (known: {FORMATS})")
-    return _CODECS[fmt][1](text)
+    return _CODECS[fmt][2](text)
 
 
 def read_path(path: str, fmt: str) -> object:
@@ -204,5 +208,6 @@ def read_path(path: str, fmt: str) -> object:
 
 
 def write_path(path: str, obj: object, fmt: str) -> None:
+    text = encode(obj, fmt)  # before the file is opened: a refused object writes nothing
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(encode(obj, fmt))
+        fh.write(text)

@@ -9,7 +9,6 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -94,37 +93,24 @@ def make_named(kind: str, params: Sequence[int]) -> Graph:
     return _NAMED[kind][0](*(int(p) for p in params))
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
-    base: Graph
-    part_sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.part_sizes) != self.base.n:
-            raise ValueError("one part size per base vertex required")
-        if any(s < 1 for s in self.part_sizes):
-            raise ValueError("part sizes must be positive")
-
-
-def blowup(spec: BlowupSpec) -> tuple[Graph, VertexMap]:
-    """Blow-up of the base graph plus the canonical projection back onto it."""
-    bounds = list(itertools.accumulate(spec.part_sizes, initial=0))
-    n = bounds[-1]
+def blowup(base: Graph, part_sizes: Sequence[int]) -> tuple[Graph, VertexMap]:
+    """Blow-up of base, with part i an independent set of part_sizes[i]
+    vertices, and the projection onto base, under which part i is the
+    preimage of i."""
+    if len(part_sizes) != base.n:
+        raise ValueError("one part size per base vertex required")
+    if any(s < 1 for s in part_sizes):
+        raise ValueError("part sizes must be positive")
+    bounds = list(itertools.accumulate(part_sizes, initial=0))
     base_of = []
-    for i, s in enumerate(spec.part_sizes):
+    for i, s in enumerate(part_sizes):
         base_of += [i] * s
     edges = []
-    for u, v in spec.base.edges():
+    for u, v in base.edges():
         for up in range(bounds[u], bounds[u + 1]):
             for vp in range(bounds[v], bounds[v + 1]):
                 edges.append((up, vp))
-    g = Graph(n, edges)
-    return g, VertexMap(n, spec.base.n, tuple(base_of))
-
-
-def blowup_parts(spec: BlowupSpec) -> list[frozenset[int]]:
-    bounds = list(itertools.accumulate(spec.part_sizes, initial=0))
-    return [frozenset(range(bounds[i], bounds[i + 1])) for i in range(spec.base.n)]
+    return Graph(bounds[-1], edges), VertexMap(bounds[-1], base.n, tuple(base_of))
 
 
 def random_coloring(host: Graph, red_prob: Fraction, seed: int) -> EdgeColoring:

@@ -33,10 +33,6 @@ from .graphs import Graph, WeightedGraph, iter_bits
 
 DEFAULT_BUDGET = 10_000_000
 
-FOUND = "found"
-NONE = "none"
-BUDGET_EXHAUSTED = "budget_exhausted"
-
 
 class VerificationError(RuntimeError):
     """A positive result failed independent verification."""
@@ -147,11 +143,10 @@ def verify_capacity(f: VertexMap, profile: CapacityProfile) -> CapVerdict:
     return CapVerdict(valid=not bad, violations=bad)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchOutcome:
-    status: str  # FOUND | NONE | BUDGET_EXHAUSTED
-    vmap: VertexMap | None = None
-    nodes: int = 0
+    vmap: VertexMap | None  # None is a nonexistence certificate
+    nodes: int
 
 
 class BudgetExhausted(RuntimeError):
@@ -380,12 +375,15 @@ def find_capacity_homomorphism(
     g: Graph,
     h: Graph,
     profile: CapacityProfile,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = None,
 ) -> SearchOutcome:
     """Exhaustive backtracking for a homomorphism g -> h obeying the profile.
 
-    NONE is a nonexistence certificate; BUDGET_EXHAUSTED is inconclusive.
+    Raises BudgetExhausted past budget nodes, DEFAULT_BUDGET (read at call
+    time) when none is given.
     """
+    if budget is None:
+        budget = DEFAULT_BUDGET
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     demand, room = integer_units(profile, g.n, h.n)
@@ -393,24 +391,8 @@ def find_capacity_homomorphism(
         order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
     else:
         order = sorted(range(g.n), key=lambda v: (-demand[v], v))
-    try:
-        image, nodes = run_plan(compile_plan(g, demand, order), h.adj, room, budget)
-    except BudgetExhausted:
-        return SearchOutcome(BUDGET_EXHAUSTED, nodes=budget + 1)
-    if image is None:
-        return SearchOutcome(NONE, nodes=nodes)
-    return SearchOutcome(FOUND, VertexMap(g.n, h.n, tuple(image)), nodes)
-
-
-def decided(outcome: SearchOutcome) -> VertexMap | None:
-    """The map, or None on a nonexistence certificate; raises when inconclusive.
-
-    An exact oracle that read an exhausted budget as "no copy" would report
-    an unsound value.
-    """
-    if outcome.status == BUDGET_EXHAUSTED:
-        raise BudgetExhausted(f"search gave up after {outcome.nodes} nodes")
-    return outcome.vmap
+    image, nodes = run_plan(compile_plan(g, demand, order), h.adj, room, budget)
+    return SearchOutcome(None if image is None else VertexMap(g.n, h.n, tuple(image)), nodes)
 
 
 def find_weighted_embedding(gw: WeightedGraph, host: Graph) -> VertexMap | None:
@@ -422,5 +404,4 @@ def find_weighted_embedding(gw: WeightedGraph, host: Graph) -> VertexMap | None:
     BudgetExhausted past DEFAULT_BUDGET nodes.
     """
     profile = CapacityProfile.weight_cap(gw.weights)
-    return decided(find_capacity_homomorphism(gw.graph, host, profile, DEFAULT_BUDGET))
-
+    return find_capacity_homomorphism(gw.graph, host, profile).vmap

@@ -57,7 +57,6 @@ from .morphisms import (
     VerificationError,
     VertexMap,
     compile_plan,
-    decided,
     find_capacity_homomorphism,
     find_weighted_embedding,
     integer_units,
@@ -118,8 +117,7 @@ def plain_embeds(g: Graph, host: Graph) -> bool:
     Raises BudgetExhausted past morphisms.DEFAULT_BUDGET nodes.
     """
     profile = CapacityProfile.uniform_count_cap(host.n, 1)
-    outcome = find_capacity_homomorphism(g, host, profile, morphisms.DEFAULT_BUDGET)
-    return decided(outcome) is not None
+    return find_capacity_homomorphism(g, host, profile).vmap is not None
 
 
 class _Copies:

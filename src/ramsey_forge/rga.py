@@ -47,9 +47,9 @@ class RgaParams:
 def blowup_instance(base: Graph, part_size: int) -> tuple[Graph, Partition]:
     """The blow-up of base with part_size vertices per part, and its parts as
     a partition with an empty exceptional class."""
-    spec = generators.BlowupSpec(base, (part_size,) * base.n)
-    host, _ = generators.blowup(spec)
-    return host, Partition(host.n, frozenset(), tuple(generators.blowup_parts(spec)))
+    host, proj = generators.blowup(base, (part_size,) * base.n)
+    parts = tuple(frozenset(proj.preimage(i)) for i in range(base.n))
+    return host, Partition(host.n, frozenset(), parts)
 
 
 @dataclass

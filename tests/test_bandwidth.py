@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_forge import generators as gen
+from ramsey_forge import bandwidth, generators as gen
 from ramsey_forge.bandwidth import (
     BudgetExhausted,
     exact_bandwidth,
@@ -34,10 +34,11 @@ def test_known_exact_values():
     assert exact_bandwidth(star) == 2
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
     g = gen.hypercube(4)
+    monkeypatch.setattr(bandwidth, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetExhausted):
-        exact_bandwidth(g, budget=10)
+        exact_bandwidth(g)
 
 
 def test_heuristic_is_valid_and_bounded():

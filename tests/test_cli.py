@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from ramsey_forge import cli, fileio, generators as gen, oracles
+from ramsey_forge import bandwidth, cli, fileio, generators as gen, oracles
 from ramsey_forge.graphs import RED
-from ramsey_forge.morphisms import FOUND, SearchOutcome, VertexMap
+from ramsey_forge.morphisms import SearchOutcome, VertexMap
 
 
 def _run(argv: list[str]) -> int:
@@ -80,6 +80,12 @@ CASES = [
     ("regularity {edges} --epsilon 1/4 --pairs 0/1 --delta 1", 1, None),
     # the dense greedy reads delta and the degree budget only
     ("embed-dense complete:8 path:3 --alpha 1/2", 1, None),
+    # each format holds one kind of object: graph, coloring or vertex map
+    ("gen cycle:5 --format coloring", 1, None),
+    ("gen cycle:5 --format json-map", 1, None),
+    ("convert {edges} --from edgelist --to coloring", 1, None),
+    ("convert {edges} --from edgelist --to json-map", 1, None),
+    ("convert {coloring} --from coloring --to graph6", 1, None),
 ]
 
 
@@ -115,10 +121,24 @@ def test_oracle_out_of_budget_prints_inconclusive(command, monkeypatch, capsys):
 def test_hom_found_map_recheck_trips(monkeypatch, capsys):
     # a found map that fails its recheck must exit 2, unprinted: the all-zero
     # map of C4 into K2 sends every edge onto a non-edge
-    bad = SearchOutcome(FOUND, VertexMap(4, 2, (0, 0, 0, 0)), 1)
+    bad = SearchOutcome(VertexMap(4, 2, (0, 0, 0, 0)), 1)
     monkeypatch.setattr(cli, "find_capacity_homomorphism", lambda *args, **kw: bad)
     assert _run(["hom", "cycle:4", "complete:2"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_bandwidth_out_of_budget_prints_budget_exhausted(monkeypatch, capsys):
+    monkeypatch.setattr(bandwidth, "DEFAULT_BUDGET", 10)
+    assert _run(["bandwidth", "hypercube:4", "--exact"]) == 0
+    assert capsys.readouterr().out == '{"status": "budget_exhausted"}\n'
+
+
+def test_cross_kind_convert_is_an_input_error_and_writes_nothing(files, tmp_path, capsys):
+    out = tmp_path / "c6.col"
+    argv = ["convert", files["{edges}"], "--from", "edgelist", "--to", "coloring"]
+    assert _run(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: format coloring holds EdgeColoring objects, not Graph\n"
+    assert not out.exists()
 
 
 def test_convert_output_writes_the_printed_bytes(files, tmp_path, capsys):

@@ -73,11 +73,11 @@ def test_make_named_multipartite_takes_any_count():
 
 
 def test_blowup_projection_is_homomorphism():
-    spec = gen.BlowupSpec(gen.cycle(3), (2, 3, 1))
-    g, proj = gen.blowup(spec)
+    base = gen.cycle(3)
+    g, proj = gen.blowup(base, (2, 3, 1))
     assert g.n == 6
-    assert verify_homomorphism(g, spec.base, proj).valid
-    parts = gen.blowup_parts(spec)
+    assert verify_homomorphism(g, base, proj).valid
+    parts = [proj.preimage(i) for i in range(base.n)]
     assert [len(p) for p in parts] == [2, 3, 1]
     # parts are independent sets
     for p in parts:
@@ -88,9 +88,9 @@ def test_blowup_projection_is_homomorphism():
 
 def test_blowup_spec_validation():
     with pytest.raises(ValueError):
-        gen.BlowupSpec(gen.cycle(3), (2, 2))
+        gen.blowup(gen.cycle(3), (2, 2))
     with pytest.raises(ValueError):
-        gen.BlowupSpec(gen.cycle(3), (2, 0, 1))
+        gen.blowup(gen.cycle(3), (2, 0, 1))
 
 
 def test_random_coloring_extremes_and_determinism():

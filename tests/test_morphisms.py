@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 from ramsey_forge import generators as gen
 from ramsey_forge.graphs import Graph, WeightedGraph
 from ramsey_forge.morphisms import (
-    BUDGET_EXHAUSTED,
-    FOUND,
-    NONE,
     BudgetExhausted,
     CapacityProfile,
     SearchPlan,
@@ -98,23 +95,23 @@ def test_find_capacity_homomorphism_simple():
     c4 = gen.cycle(4)
     k2 = gen.complete(2)
     out = find_capacity_homomorphism(c4, k2, CapacityProfile.uniform_count_cap(2, 2))
-    assert out.status == FOUND
+    assert out.vmap is not None
     assert verify_homomorphism(c4, k2, out.vmap).valid
     # cap 1 cannot host 4 vertices on 2 targets
     out = find_capacity_homomorphism(c4, k2, CapacityProfile.uniform_count_cap(2, 1))
-    assert out.status == NONE
+    assert out.vmap is None
     # odd cycle into K_2 impossible regardless of caps
     out = find_capacity_homomorphism(gen.cycle(5), k2, CapacityProfile.uniform_count_cap(2, 5))
-    assert out.status == NONE
+    assert out.vmap is None
 
 
 def test_budget_exhaustion():
+    # an exhausted search raises; it never reads as a nonexistence certificate
     g = gen.complete(5)
-    out = find_capacity_homomorphism(
-        g, gen.complete(4), CapacityProfile.uniform_count_cap(4, 5), budget=2
-    )
-    assert out.status in (BUDGET_EXHAUSTED, NONE)
-    assert out.status == BUDGET_EXHAUSTED
+    with pytest.raises(BudgetExhausted):
+        find_capacity_homomorphism(
+            g, gen.complete(4), CapacityProfile.uniform_count_cap(4, 5), budget=2
+        )
 
 
 @st.composite
@@ -136,8 +133,8 @@ def test_search_matches_naive_enumeration(inst):
     profile = CapacityProfile.uniform_count_cap(h.n, cap)
     out = find_capacity_homomorphism(g, h, profile)
     naive = enumerate_all_maps_has_capacity_hom(g, h, profile)
-    assert (out.status == FOUND) == naive
-    if out.status == FOUND:
+    assert (out.vmap is not None) == naive
+    if out.vmap is not None:
         assert verify_homomorphism(g, h, out.vmap).valid
         assert verify_capacity(out.vmap, profile).valid
 
@@ -207,11 +204,11 @@ def test_pigeonhole_reject_searches_nothing():
     out = find_capacity_homomorphism(
         gen.path(5), gen.complete(4), CapacityProfile.uniform_count_cap(4, 1)
     )
-    assert (out.status, out.nodes) == (NONE, 0)
+    assert (out.vmap, out.nodes) == (None, 0)
     gw = WeightedGraph.uniform(gen.path(5), Fraction(1, 2))
     profile = CapacityProfile.weight_cap(gw.weights)
     out = find_capacity_homomorphism(gw.graph, gen.complete(2), profile)
-    assert (out.status, out.nodes) == (NONE, 0)
+    assert (out.vmap, out.nodes) == (None, 0)
 
 
 def test_exhausted_budget_raises_not_none(monkeypatch):
@@ -232,12 +229,11 @@ def test_cli_hom_prints_core_status(capsys):
         return json.loads(capsys.readouterr().out)
 
     assert hom("complete:5", "complete:4", "--weights", "1/2", "--budget", "1") == {
-        "status": BUDGET_EXHAUSTED,
-        "image": None,
+        "status": "budget_exhausted",
     }
-    assert hom("complete:5", "complete:4", "--weights", "1/2")["status"] == NONE
+    assert hom("complete:5", "complete:4", "--weights", "1/2") == {"status": "none", "image": None}
     assert hom("cycle:4", "complete:2", "--weights", "1/2") == {
-        "status": FOUND,
+        "status": "found",
         "image": [0, 1, 0, 1],
     }
     assert hom("cycle:6", "complete:3", "--count-cap", "2")["image"] == [0, 1, 0, 2, 1, 2]

@@ -19,6 +19,7 @@ from ramsey_forge.regularity import (
     fixed_k_partition,
     regularity_check,
 )
+from ramsey_forge.rga import blowup_instance
 from regularity_reference import check_sampled_rescanning, regularity_check_all_subsets
 
 
@@ -214,9 +215,7 @@ def test_sampled_never_certifies():
 
 def test_reduced_graph_of_blowup_contains_base():
     base = gen.cycle(4)
-    spec = gen.BlowupSpec(base, (4, 4, 4, 4))
-    host, _ = gen.blowup(spec)
-    partition = Partition(host.n, frozenset(), tuple(gen.blowup_parts(spec)))
+    host, partition = blowup_instance(base, 4)
     params = RegularityParams(Fraction(1, 4))
     pairs = regular_pairs(host, partition, params)
     r = dense_graph(partition, pairs, Fraction(1, 2))

@@ -9,14 +9,7 @@ from ramsey_forge import generators as gen
 from ramsey_forge.graphs import Graph
 from ramsey_forge.morphisms import VertexMap, verify_homomorphism
 from ramsey_forge.regularity import Partition
-from ramsey_forge.rga import EPS, EPS1, EPS2, RgaParams, RgaStats, rga_blowup_embed
-
-
-def blowup_setup(base, part_size):
-    spec = gen.BlowupSpec(base, (part_size,) * base.n)
-    host, _ = gen.blowup(spec)
-    partition = Partition(host.n, frozenset(), tuple(gen.blowup_parts(spec)))
-    return host, partition
+from ramsey_forge.rga import EPS, EPS1, EPS2, RgaParams, RgaStats, blowup_instance, rga_blowup_embed
 
 
 def disjoint_cycles(count, length):
@@ -39,7 +32,7 @@ def test_params_chain():
 
 def test_complete_bipartite_blowup_trivial():
     base = gen.complete(2)
-    host, partition = blowup_setup(base, 12)
+    host, partition = blowup_instance(base, 12)
     g = disjoint_cycles(2, 4)  # 8 vertices, 4 per side
     f = VertexMap(g.n, 2, tuple(v % 2 for v in range(g.n)))
     params = RgaParams(delta=Fraction(1, 2), xi=Fraction(1, 4))
@@ -53,7 +46,7 @@ def test_complete_bipartite_blowup_trivial():
 
 def test_non_homomorphism_rejected():
     base = gen.complete(2)
-    host, partition = blowup_setup(base, 8)
+    host, partition = blowup_instance(base, 8)
     g = gen.cycle(3)  # odd cycle has no homomorphism to K_2
     f = VertexMap(3, 2, (0, 1, 0))
     params = RgaParams(delta=Fraction(1, 2), xi=Fraction(1, 4))
@@ -63,7 +56,7 @@ def test_non_homomorphism_rejected():
 
 def test_slack_precondition():
     base = gen.complete(2)
-    host, partition = blowup_setup(base, 4)
+    host, partition = blowup_instance(base, 4)
     g = disjoint_cycles(2, 4)  # needs 4 per part, 4 * (1 + 1/4) > 4
     f = VertexMap(g.n, 2, tuple(v % 2 for v in range(g.n)))
     with pytest.raises(ValueError):
@@ -72,7 +65,7 @@ def test_slack_precondition():
 
 def test_image_lands_in_assigned_parts():
     base = gen.cycle(3)
-    host, partition = blowup_setup(base, 10)
+    host, partition = blowup_instance(base, 10)
     g = disjoint_cycles(3, 3)
     f = VertexMap(g.n, 3, tuple(v % 3 for v in range(g.n)))
     vmap = rga_blowup_embed(
@@ -85,7 +78,7 @@ def test_image_lands_in_assigned_parts():
 
 def test_determinism_per_seed():
     base = gen.complete(2)
-    host, partition = blowup_setup(base, 10)
+    host, partition = blowup_instance(base, 10)
     g = disjoint_cycles(2, 4)
     f = VertexMap(g.n, 2, tuple(v % 2 for v in range(g.n)))
     params = RgaParams(delta=Fraction(1, 2), xi=Fraction(1, 4))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from ramsey_forge import dense, drc, generators as gen, oracles, pipeline, regularity, rga
 from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph
 from ramsey_forge.morphisms import (
-    FOUND, CapVerdict, HomVerdict, SearchOutcome, VerificationError, VertexMap,
+    CapVerdict, HomVerdict, SearchOutcome, VerificationError, VertexMap,
 )
 
 if __debug__:
@@ -70,7 +70,7 @@ CASES = {
         host = gen.complete(6)
         dense.dense_greedy_embed(
             host, dense.DenseWitness.trivial(host, 2), WeightedGraph.unit(gen.path(4)),
-            Fraction(1, 2), 2,
+            Fraction(1, 2),
         )
     """,
     "wheel_mono_embed": """
@@ -132,7 +132,7 @@ CASES = {
         # the all-zero map of K_2 into the reduced graph sends the edge onto
         # a loop and puts two vertices on a capacity-1 vertex
         pipeline.find_capacity_homomorphism = lambda h, reduced, profile: SearchOutcome(
-            FOUND, VertexMap(h.n, reduced.n, (0,) * h.n), 1
+            VertexMap(h.n, reduced.n, (0,) * h.n), 1
         )
         host = gen.complete(24)
         pipeline.transference_pipeline(
