@@ -336,37 +336,25 @@ def dense_greedy_embed(
 
 
 def _greedy_cycle_embed(
-    h: Graph,
-    allowed: int,
-    rim: list[int],
-    weights: Sequence[Fraction],
-    load: list[Fraction],
+    h: Graph, allowed: int, rim: list[int], weights: Sequence[Fraction]
 ) -> dict[int, int] | None:
     """Greedily place a cycle (rim order gives adjacency) inside the allowed
-    mask of h, heaviest vertices first; mutates load on success only."""
+    mask of h, heaviest vertices first, loading no host vertex past 1."""
     k = len(rim)
     cand = {v: allowed for v in rim}
     placed: dict[int, int] = {}
-    local_load = dict()
-    by_weight = sorted(rim, key=lambda v: (-weights[v], v))
+    load: dict[int, Fraction] = {}
     idx = {v: i for i, v in enumerate(rim)}
-    for v in by_weight:
+    for v in sorted(rim, key=lambda v: (-weights[v], v)):
         w = weights[v]
-        pick = -1
-        for u in iter_bits(cand[v]):
-            if load[u] + local_load.get(u, Fraction(0)) + w > 1:
-                continue
-            pick = u
-            break
+        pick = next((u for u in iter_bits(cand[v]) if load.get(u, 0) + w <= 1), -1)
         if pick < 0:
             return None
         placed[v] = pick
-        local_load[pick] = local_load.get(pick, Fraction(0)) + w
+        load[pick] = load.get(pick, 0) + w
         for nb in (rim[(idx[v] + 1) % k], rim[(idx[v] - 1) % k]):
             if nb not in placed:
                 cand[nb] &= h.adj[pick]
-    for u, w in local_load.items():
-        load[u] += w
     return placed
 
 
@@ -420,15 +408,11 @@ def wheel_mono_embed(
                 iter_bits(x_mask), key=lambda v: ((sec.adj[v] & x_mask).bit_count(), -v)
             )
             y_mask = sec.adj[v2] & x_mask & ~(1 << v2)
-            load = [Fraction(0)] * host_n
-            load[v2] = weights[hub]
-            placed = _greedy_cycle_embed(sec, y_mask, rim, weights, load)
+            placed = _greedy_cycle_embed(sec, y_mask, rim, weights)
             if placed is not None:
                 return finish(other_color(primary), v2, placed)
             # primary branch: rim in the primary color inside X, hub v1
-            load = [Fraction(0)] * host_n
-            load[v1] = weights[hub]
-            placed = _greedy_cycle_embed(pri, x_mask, rim, weights, load)
+            placed = _greedy_cycle_embed(pri, x_mask, rim, weights)
             if placed is not None:
                 return finish(primary, v1, placed)
     return None

@@ -20,6 +20,13 @@ comparing with beta*n.  xi(X) is 0 whenever n - D * (the largest nondegree
 in X) >= beta*n; drc_select groups the host's vertices by nondegree once per
 call and applies that shortcut from the groups, so only tuples it leaves
 open reach bad_supports' enumeration.
+
+drc_bandwidth_embed checks its labels with bandwidth.labeling_width and fixes
+its block schedule first: a B vertex goes in block label // (2 budget), a
+non-isolated A vertex in the last block of its B neighbours (so no B vertex
+meets a placed neighbour), B before A within a block, each in label order.
+Each block makes one drc_select on the unused host vertices.  None means only
+greedy starvation.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .bandwidth import labeling_width
 from .graphs import Graph, induced, iter_bits, mask_of
 from .morphisms import VerificationError, VertexMap, verify_homomorphism
 
@@ -109,12 +117,10 @@ def bad_supports(
     return out
 
 
-def bad_tuple_count(
-    g: Graph, x_mask: int, max_deg: int, threshold: Fraction, within: int | None = None
-) -> int:
+def bad_tuple_count(g: Graph, x_mask: int, max_deg: int, threshold: Fraction) -> int:
     """xi(X): ordered max_deg-tuples from X^D whose support is bad."""
     total = 0
-    for support in bad_supports(g, x_mask, max_deg, threshold, within):
+    for support in bad_supports(g, x_mask, max_deg, threshold):
         total += surjection_count(max_deg, len(support))
     return total
 
@@ -194,8 +200,6 @@ def drc_select(
             score -= w_bad * lift * bad_tuple_count(g, common, d, threshold)
         if best is None or score > best[0] or (score == best[0] and tup < best[1]):
             best = (score, tup, common)
-    if best is None:  # n >= 1 and trials >= 1 always give a candidate
-        raise ValueError("no candidate tuple")
     _, tup, common = best
 
     # independent recomputation of the stats for the winner
@@ -273,16 +277,12 @@ def drc_bandwidth_embed(
     max_deg: int | None = None,
     beta: Fraction | None = None,
 ) -> VertexMap | None:
-    """Block-by-block embedding of a bipartite low-bandwidth graph.
-
-    h's labels must have width <= floor(beta * n) with the default
-    beta = alpha^(6D+1) / (256 D); a zero budget raises DegenerateBudget
-    instead of silently looping.  One side (B) is embedded block by block
-    into intersections of successive drc_select outputs (default tuple
-    budget, BANDWIDTH_TRIALS samples); the other side (A) goes greedily
-    into common neighborhoods.  Some is always verified (a failed recheck
-    raises VerificationError); None reports greedy starvation, not
-    nonexistence.
+    """Block-by-block embedding of a bipartite low-bandwidth graph on the
+    block schedule of the module docstring.  h's labels must have width <=
+    floor(beta * n) with the default beta = alpha^(6D+1) / (256 D); a zero
+    budget raises DegenerateBudget.  Some is always verified (a failed
+    recheck raises VerificationError); None means that a B, A or isolated
+    vertex found no free candidate (greedy starvation), not nonexistence.
     """
     alpha = Fraction(alpha)
     n = host.n
@@ -296,56 +296,37 @@ def drc_bandwidth_embed(
         raise DegenerateBudget(
             f"bandwidth budget floor(beta*n) = 0 for beta={beta}, n={n}"
         )
-    if sorted(labels) != list(range(h.n)):
-        raise ValueError("labels must be a bijection onto 0..n-1")
-    width = max((abs(labels[u] - labels[v]) for u, v in h.edges()), default=0)
+    width = labeling_width(h, labels)
     if width > budget:
         raise ValueError(f"labeling width {width} exceeds budget {budget}")
     a_mask, b_mask = bipartition_of(h)
+
+    isolated = [v for v in range(h.n) if h.adj[v] == 0]
+    span = 2 * budget
+    by_label = sorted((v for v in range(h.n) if h.adj[v]), key=lambda v: labels[v])
+    b_side = [v for v in by_label if b_mask >> v & 1]
+    last = max((labels[v] // span for v in b_side), default=-1)
+    schedule: list[tuple[list[int], list[int]]] = [([], []) for _ in range(last + 1)]
+    for b in b_side:
+        schedule[labels[b] // span][0].append(b)
+    for a in by_label:
+        if a_mask >> a & 1:
+            schedule[max(labels[u] for u in iter_bits(h.adj[a])) // span][1].append(a)
 
     rng = random.Random(seed)
     gamma = 16 * beta * alpha ** (-2 * max_deg)
     threshold = 8 * beta * n
     full = (1 << n) - 1
-
-    isolated = [v for v in range(h.n) if h.adj[v] == 0]
-    by_label = sorted(
-        (v for v in range(h.n) if h.adj[v] != 0), key=lambda v: labels[v]
-    )
-    b_side = [v for v in by_label if b_mask >> v & 1]
-    a_side = [v for v in by_label if a_mask >> v & 1]
-
     image = [-1] * h.n
     used = 0
-
-    def v_t_mask() -> int:
-        return full & ~used
-
-    def block_b(t: int) -> set[int]:
-        cut = 2 * t * budget
-        return {v for v in b_side if labels[v] < cut}
-
-    def block_a(done_b: set[int]) -> set[int]:
-        return {
-            a
-            for a in a_side
-            if set(iter_bits(h.adj[a])) <= done_b
-        }
 
     sel = drc_select(
         host, range(n), max_deg, 8 * beta, trials=BANDWIDTH_TRIALS,
         seed=rng.randrange(1 << 30), alpha=alpha,
     )
     x_prev = mask_of(sel.x)
-    embedded_a: set[int] = set()
-    embedded_b: set[int] = set()
-
-    t = 0
-    max_t = (max((labels[v] for v in by_label), default=0) // (2 * budget)) + 2
-    while len(embedded_a) + len(embedded_b) < len(by_label):
-        if t > max_t:
-            return None
-        v_t = v_t_mask()
+    for new_b, new_a in schedule:
+        v_t = full & ~used
         members = list(iter_bits(v_t))
         index = {v: i for i, v in enumerate(members)}
         x0_next = x_prev & v_t
@@ -355,42 +336,33 @@ def drc_bandwidth_embed(
         )
         x_next = mask_of(members[i] for i in sel_next.x)
 
-        new_b = sorted(block_b(t + 1) - embedded_b, key=lambda v: labels[v])
         band = x_prev & x_next
         bads = bad_supports(host, x_prev | x_next, max_deg, threshold, within=v_t)
         for b in new_b:
-            placed_nbrs = [
-                image[a_nb]
-                for a_nb in iter_bits(h.adj[b])
-                if image[a_nb] >= 0
-            ]
             # avoid x that would push any partly-embedded neighbor's image
             # set into too many bad tuples
             avoid = 0
             for a_nb in iter_bits(h.adj[b]):
-                ni = [image[u] for u in iter_bits(h.adj[a_nb]) if image[u] >= 0]
+                ni = {image[u] for u in iter_bits(h.adj[a_nb]) if image[u] >= 0}
                 cap = (gamma * max(x_prev.bit_count(), 1)) ** (
                     max_deg - len(ni) - 1
                 )
                 counts: dict[int, int] = {}
-                ni_set = set(ni)
                 for support in bads:
-                    if ni_set <= set(support):
+                    if ni <= set(support):
                         for x in support:
-                            if x not in ni_set:
+                            if x not in ni:
                                 counts[x] = counts.get(x, 0) + 1
                 for x, c in counts.items():
                     if c > cap:
                         avoid |= 1 << x
-            cand = band & ~used & ~avoid & common_neighborhood(host, placed_nbrs)
+            cand = band & ~used & ~avoid
             if cand == 0:
                 return None
             pick = rng.choice(list(iter_bits(cand)))
             image[b] = pick
             used |= 1 << pick
-            embedded_b.add(b)
 
-        new_a = sorted(block_a(embedded_b) - embedded_a, key=lambda v: labels[v])
         for a in new_a:
             cand = v_t & ~used & common_neighborhood(
                 host, (image[u] for u in iter_bits(h.adj[a]))
@@ -400,10 +372,8 @@ def drc_bandwidth_embed(
             pick = rng.choice(list(iter_bits(cand)))
             image[a] = pick
             used |= 1 << pick
-            embedded_a.add(a)
 
         x_prev = x_next
-        t += 1
 
     for v in isolated:
         cand = full & ~used

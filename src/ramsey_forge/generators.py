@@ -31,15 +31,7 @@ def complete(n: int) -> Graph:
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
-    if any(s < 1 for s in sizes):
-        raise ValueError("part sizes must be positive")
-    bounds = list(itertools.accumulate(sizes, initial=0))
-    part = []
-    for i, s in enumerate(sizes):
-        part += [i] * s
-    n = bounds[-1]
-    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if part[u] != part[v]]
-    return Graph(n, edges)
+    return blowup(complete(len(sizes)), sizes)[0]
 
 
 def wheel(k: int) -> Graph:

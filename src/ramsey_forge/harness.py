@@ -5,10 +5,12 @@ A run is a grid of (instance, seed) cells.  Cells execute in a pool of
 results are emitted in deterministic cell order, so the CSV is
 byte-identical for any worker count.  Each task declares its required and
 optional instance keys; a missing or unknown instance key, a graph spec
-with a key other than `kind` and `params` or the wrong parameter count, or
-an unknown top-level key in a config file, is a ConfigError before any cell
-runs.  Every positive result and oracle witness is re-verified
-independently; a failed verification aborts the run (soundness tripwire).
+with a key other than `kind` and `params` or the wrong parameter count, a
+float or boolean where an integer is expected (graph parameters, seeds,
+workers and the integer instance keys), or an unknown top-level key in a
+config file, is a ConfigError before any cell runs.  Every positive result
+and oracle witness is re-verified independently; a failed verification
+aborts the run (soundness tripwire).
 """
 
 from __future__ import annotations
@@ -73,15 +75,29 @@ class CellResult:
 
 
 # graph kinds drawn from the cell's seed: kind -> (builder of (n, x, seed),
-# parameter count)
+# parameter types)
 _SEEDED_KINDS = {
     "random_min_degree_host": (
-        lambda n, eps, seed: generators.random_min_degree_host(int(n), Fraction(eps), seed), 2
+        lambda n, eps, seed: generators.random_min_degree_host(n, Fraction(eps), seed),
+        (int, Fraction),
     ),
-    "random_bounded_degree": (
-        lambda n, d, seed: generators.random_bounded_degree_graph(int(n), int(d), seed), 2
-    ),
+    "random_bounded_degree": (generators.random_bounded_degree_graph, (int, int)),
 }
+
+
+def _is_int(value: object) -> bool:
+    # bool subclasses int, so a JSON true would otherwise read as 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(where: str, value: object) -> None:
+    if not _is_int(value):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+
+
+def _check_ints(where: str, value: object) -> None:
+    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+        raise ConfigError(f"{where}: expected a list of integers, got {value!r}")
 
 
 def _check_graph_spec(where: str, spec: object) -> None:
@@ -93,14 +109,20 @@ def _check_graph_spec(where: str, spec: object) -> None:
     if not isinstance(params, (list, tuple)):
         raise ConfigError(f"{where}: graph params must be a list, got {params!r}")
     if kind in _SEEDED_KINDS:
-        count = _SEEDED_KINDS[kind][1]
-        if len(params) != count:
-            raise ConfigError(f"{where}: {kind} takes {count} parameter(s), got {len(params)}")
-        return
-    try:
-        generators.check_named(kind, params)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        types = _SEEDED_KINDS[kind][1]
+        if len(params) != len(types):
+            raise ConfigError(
+                f"{where}: {kind} takes {len(types)} parameter(s), got {len(params)}"
+            )
+    else:
+        try:
+            generators.check_named(kind, params)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        types = (int,) * len(params)
+    for p, t in zip(params, types):
+        if t is int:
+            _check_int(f"{where} {kind} parameter", p)
 
 
 def _make_graph(spec: dict, seed: int) -> Graph:
@@ -126,17 +148,17 @@ def _oracle_cell(result: OracleResult, gw: WeightedGraph) -> CellResult:
 
 def _task_ramsey(instance: dict, seed: int) -> CellResult:
     gw = WeightedGraph.unit(_make_graph(instance["target"], seed))
-    return _oracle_cell(ramsey_number(gw.graph, int(instance["n_max"])), gw)
+    return _oracle_cell(ramsey_number(gw.graph, instance["n_max"]), gw)
 
 
 def _task_wramsey(instance: dict, seed: int) -> CellResult:
     gw = _weighted_target(instance, seed)
-    return _oracle_cell(weighted_ramsey(gw, int(instance["n_max"])), gw)
+    return _oracle_cell(weighted_ramsey(gw, instance["n_max"]), gw)
 
 
 def _task_sramsey(instance: dict, seed: int) -> CellResult:
     gw = _weighted_target(instance, seed)
-    return _oracle_cell(stable_ramsey(gw, Fraction(instance["eps"]), int(instance["n_max"])), gw)
+    return _oracle_cell(stable_ramsey(gw, Fraction(instance["eps"]), instance["n_max"]), gw)
 
 
 def _task_wheel(instance: dict, seed: int) -> CellResult:
@@ -144,7 +166,7 @@ def _task_wheel(instance: dict, seed: int) -> CellResult:
     coloring = generators.random_coloring(
         host, Fraction(instance.get("red_prob", "1/2")), seed
     )
-    k = int(instance["k"])
+    k = instance["k"]
     weights = tuple(Fraction(w) for w in instance.get("weights", ["1"] * k))
     hit = wheel_mono_embed(coloring, k, weights)
     if hit is None:
@@ -156,7 +178,7 @@ def _task_wheel(instance: dict, seed: int) -> CellResult:
 
 def _task_drc(instance: dict, seed: int) -> CellResult:
     host = _make_graph(instance["host"], seed)
-    max_deg = int(instance["max_deg"])
+    max_deg = instance["max_deg"]
     alpha = Fraction(instance["alpha"])
     beta = Fraction(instance["beta"])
     sel = drc_select(
@@ -164,7 +186,7 @@ def _task_drc(instance: dict, seed: int) -> CellResult:
         range(host.n),
         max_deg,
         beta,
-        trials=int(instance.get("trials", 100)),
+        trials=instance.get("trials", 100),
         seed=seed,
         alpha=alpha,
     )
@@ -183,7 +205,7 @@ def _task_embed_drc(instance: dict, seed: int) -> CellResult:
     try:
         vmap = drc_bandwidth_embed(
             host, h, labels, alpha, seed=seed,
-            max_deg=int(instance["max_deg"]) if "max_deg" in instance else None,
+            max_deg=instance.get("max_deg"),
             beta=beta,
         )
     except DegenerateBudget as exc:
@@ -196,7 +218,7 @@ def _task_embed_drc(instance: dict, seed: int) -> CellResult:
 
 def _task_rga(instance: dict, seed: int) -> CellResult:
     base = _make_graph(instance["base"], seed)
-    host, partition = blowup_instance(base, int(instance["part_size"]))
+    host, partition = blowup_instance(base, instance["part_size"])
     g = _make_graph(instance["g"], seed)
     f = VertexMap(g.n, base.n, tuple(instance["hom"]))
     params = RgaParams(
@@ -205,7 +227,7 @@ def _task_rga(instance: dict, seed: int) -> CellResult:
     )
     vmap = rga_blowup_embed(
         host, partition, base, g, f, params,
-        seed=seed, retries=int(instance.get("retries", 10)),
+        seed=seed, retries=instance.get("retries", 10),
     )
     if vmap is None:
         return CellResult("none", verified=None, stage="retries_exhausted")
@@ -236,8 +258,13 @@ INSTANCE_KEYS = {
     "rga": ({"base", "part_size", "g", "hom"}, {"delta", "xi", "retries"}),
 }
 
-# instance keys that hold a graph spec, checked by _check_graph_spec
-GRAPH_KEYS = {"target", "host", "h", "base", "g"}
+# typed instance keys -> their check: graph specs, integers, and hom, the
+# list of base vertices the rga task maps g onto
+KEY_CHECKS = {
+    **dict.fromkeys(("target", "host", "h", "base", "g"), _check_graph_spec),
+    **dict.fromkeys(("n_max", "k", "max_deg", "part_size", "trials", "retries"), _check_int),
+    "hom": _check_ints,
+}
 
 CONFIG_KEYS = {"task", "instances", "seeds", "workers", "output_csv", "output_json"}
 
@@ -253,8 +280,8 @@ def _check_instance(task: str, i: int, instance: object) -> None:
             f"{task} instance {i}: missing {missing}, unknown {unknown}; "
             f"it takes {sorted(required)}, optionally {sorted(optional)}"
         )
-    for key in sorted(instance.keys() & GRAPH_KEYS):
-        _check_graph_spec(f"{task} instance {i} {key!r}", instance[key])
+    for key in sorted(instance.keys() & KEY_CHECKS.keys()):
+        KEY_CHECKS[key](f"{task} instance {i} {key!r}", instance[key])
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -272,13 +299,14 @@ def load_config(path: str) -> ExperimentConfig:
     if task not in TASKS:
         raise ConfigError(f"{path}: unknown task {task!r} (known: {sorted(TASKS)})")
     seeds = data.get("seeds", [])
-    if not all(isinstance(s, int) for s in seeds):
-        raise ConfigError(f"{path}: seeds must be integers")
+    _check_ints(f"{path}: seeds", seeds)
+    workers = data.get("workers", 1)
+    _check_int(f"{path}: workers", workers)
     return ExperimentConfig(
         task=task,
         instances=tuple(data.get("instances", [])),
         seeds=tuple(seeds),
-        workers=int(data.get("workers", 1)),
+        workers=workers,
         output_csv=data.get("output_csv"),
         output_json=data.get("output_json"),
     )

@@ -307,3 +307,63 @@ def test_ladder_into_complete_host_verified():
             assert vmap.is_injective()
             assert verify_homomorphism(h, host, vmap).valid
     assert succ >= 9
+
+
+# drc_bandwidth_embed's full result per seed (the image tuple, or None for
+# greedy starvation), captured while the embedder walked its blocks with a
+# per-iteration rescan of the embedded sets
+PINNED_BANDWIDTH_EMBEDS = {
+    # ladder(16) into K_128: 2 blocks
+    "ladder_k128": [
+        (40, 5, 35, 65, 48, 70, 67, 82, 126, 55, 125, 28, 73, 108, 115, 107,
+         127, 41, 19, 93, 21, 113, 13, 49, 14, 96, 123, 118, 10, 38, 86, 111),
+        (108, 34, 16, 27, 12, 67, 104, 70, 3, 61, 65, 127, 119, 91, 52, 111,
+         125, 63, 92, 35, 90, 116, 118, 17, 49, 0, 107, 5, 4, 69, 41, 7),
+        (41, 10, 47, 34, 82, 112, 22, 29, 84, 101, 111, 4, 81, 91, 120, 66,
+         76, 63, 95, 39, 5, 58, 124, 3, 57, 110, 75, 74, 50, 55, 83, 62),
+        (1, 49, 122, 125, 115, 81, 64, 63, 35, 86, 79, 76, 31, 9, 85, 33,
+         100, 108, 72, 21, 82, 87, 89, 57, 120, 73, 59, 2, 111, 103, 23, 11),
+        (57, 13, 97, 78, 127, 54, 66, 42, 113, 20, 11, 108, 9, 8, 2, 35,
+         4, 81, 85, 103, 44, 59, 46, 48, 33, 122, 31, 29, 58, 19, 47, 55),
+    ],
+    # C16 into random_min_degree_host(64, 1/4, seed): 4 blocks
+    "c16_min_degree": [
+        (60, 2, 37, 30, 38, 47, 36, 9, 40, 7, 26, 15, 19, 63, 57, 18),
+        (35, 17, 27, 33, 1, 7, 0, 49, 40, 61, 60, 38, 30, 46, 59, 8),
+        (18, 6, 23, 21, 20, 50, 40, 46, 37, 36, 27, 59, 22, 49, 61, 30),
+    ],
+    # ladder(16) into K_24: 32 vertices cannot fit, so every seed starves
+    "ladder_k24": [None, None, None],
+    # two edges and six isolated vertices into K_40
+    "isolated_k40": [(34, 3, 33, 18, 0, 1, 2, 4, 5, 6)],
+}
+
+
+def _bandwidth_embeds(case: str) -> list:
+    if case == "ladder_k128":
+        h = ladder(16)
+        hosts = [gen.complete(128)] * 5
+        alpha, d, beta = Fraction(1, 2), 3, Fraction(1, 16)
+    elif case == "c16_min_degree":
+        h = gen.cycle(16)
+        hosts = [gen.random_min_degree_host(64, Fraction(1, 4), s) for s in range(3)]
+        alpha, d, beta = Fraction(3, 4), 2, Fraction(1, 32)
+    elif case == "ladder_k24":
+        h = ladder(16)
+        hosts = [gen.complete(24)] * 3
+        alpha, d, beta = Fraction(3, 4), 3, Fraction(1, 12)
+    else:
+        h = Graph(10, [(0, 1), (2, 3)])
+        hosts = [gen.complete(40)]
+        alpha, d, beta = Fraction(1, 2), 1, Fraction(1, 16)
+    labels = list(range(10)) if case == "isolated_k40" else heuristic_labeling(h)[0]
+    out = []
+    for seed, host in enumerate(hosts):
+        vmap = drc_bandwidth_embed(host, h, labels, alpha, seed=seed, max_deg=d, beta=beta)
+        out.append(None if vmap is None else vmap.image)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_BANDWIDTH_EMBEDS))
+def test_drc_bandwidth_embed_results_pinned(case):
+    assert _bandwidth_embeds(case) == PINNED_BANDWIDTH_EMBEDS[case]

@@ -201,6 +201,42 @@ def test_graph_specs_checked_before_any_cell(task, instance, monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize(
+    "config, entry",
+    [
+        # each ran, truncated, before integers were checked: C4 with value 6,
+        # K1 with value 1, a 12-vertex host, n_max 6, seed 1 and 2 workers
+        ({"instances": [{"target": {"kind": "cycle", "params": [4.9]}, "n_max": 6}]},
+         "'target' cycle parameter: expected an integer, got 4.9"),
+        ({"instances": [{"target": {"kind": "complete", "params": [True]}, "n_max": 6}]},
+         "'target' complete parameter: expected an integer, got True"),
+        ({"task": "drc", "instances": [{
+            "host": {"kind": "random_min_degree_host", "params": [12.7, "1/4"]},
+            "max_deg": 2, "alpha": "3/4", "beta": "1/64"}]},
+         "'host' random_min_degree_host parameter: expected an integer, got 12.7"),
+        ({"instances": [{"target": {"kind": "cycle", "params": [4]}, "n_max": 6.5}]},
+         "'n_max': expected an integer, got 6.5"),
+        ({"seeds": [True]}, "seeds: expected a list of integers, got [True]"),
+        ({"workers": 2.5}, "workers: expected an integer, got 2.5"),
+    ],
+    ids=["cycle-float", "complete-bool", "host-float", "n_max-float", "seeds-bool",
+         "workers-float"],
+)
+def test_config_integers_checked_not_truncated(config, entry, tmp_path, monkeypatch, capsys):
+    from ramsey_forge.cli import main
+
+    ran = []
+    for task in ("ramsey", "drc"):
+        monkeypatch.setitem(harness.TASKS, task, lambda inst, seed: ran.append(seed))
+    cfg = {"task": "ramsey", "seeds": [0],
+           "instances": [{"target": {"kind": "cycle", "params": [4]}, "n_max": 6}], **config}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    assert entry in capsys.readouterr().err
+    assert ran == []
+
+
 def test_load_config_rejects_unknown_top_level_key(tmp_path):
     path = tmp_path / "cfg.json"
     cfg = {"task": "ramsey", "instances": [], "seeds": [0], "worker": 4}
