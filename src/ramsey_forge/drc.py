@@ -17,9 +17,10 @@ lowest terms, the score times the per-call constant 2 p1 p2 > 0 is
 its term is dropped and the other is scaled by its own positive constant.
 Integer codegrees are compared with ceil(beta*n), which is the same test as
 comparing with beta*n.  xi(X) is 0 whenever n - D * (the largest nondegree
-in X) >= beta*n; drc_select groups the host's vertices by nondegree once per
-call and applies that shortcut from the groups, so only tuples it leaves
-open reach bad_supports' enumeration.
+in X) >= beta*n; drc_select masks once per call the vertices whose nondegree
+breaks that bound, and only a set meeting the mask reaches bad_supports'
+enumeration.  The exhaustive scan walks the multisets depth-first, so each
+level ANDs one host row into its prefix's intersection.
 
 drc_bandwidth_embed checks its labels with bandwidth.labeling_width and fixes
 its block schedule first: a B vertex goes in block label // (2 budget), a
@@ -31,12 +32,11 @@ greedy starvation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bandwidth import labeling_width
 from .graphs import Graph, induced, iter_bits, mask_of
@@ -63,26 +63,17 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> int:
     return common
 
 
-def _nondegree_groups(g: Graph, scope: int) -> list[tuple[int, int]]:
-    """(nondegree, mask) for every vertex of g, highest nondegree first; a
-    vertex's nondegree counts the scope vertices it is not adjacent to."""
+def _high_nondegree(g: Graph, scope: int, max_deg: int, need: int) -> int:
+    """Mask of the vertices v of g with n' - max_deg * k(v) < need, where n'
+    counts the scope and k(v) the scope vertices v is not adjacent to.  A
+    support of at most max_deg vertices of X keeps at least need common
+    neighbors in the scope whenever X misses this mask."""
     n_scope = scope.bit_count()
-    groups: dict[int, int] = {}
+    high = 0
     for v, row in enumerate(g.adj):
-        k = n_scope - (row & scope).bit_count()
-        groups[k] = groups.get(k, 0) | 1 << v
-    return sorted(groups.items(), reverse=True)
-
-
-def _no_bad_support(
-    groups: list[tuple[int, int]], x_mask: int, n_scope: int, max_deg: int, need: int
-) -> bool:
-    """Whether every support of at most max_deg vertices of X keeps at least
-    need common neighbors, by n_scope - max_deg * max_nondegree >= need."""
-    for nondeg, mask in groups:
-        if mask & x_mask:
-            return n_scope - max_deg * nondeg >= need
-    return True  # X is empty
+        if n_scope - max_deg * (n_scope - (row & scope).bit_count()) < need:
+            high |= 1 << v
+    return high
 
 
 def bad_supports(
@@ -97,7 +88,7 @@ def bad_supports(
     """
     scope = within if within is not None else (1 << g.n) - 1
     need = math.ceil(threshold)  # an integer count is < threshold iff it is < need
-    if _no_bad_support(_nondegree_groups(g, scope), x_mask, scope.bit_count(), max_deg, need):
+    if not x_mask & _high_nondegree(g, scope, max_deg, need):
         return []
     members = list(iter_bits(x_mask))
     out: list[tuple[int, ...]] = []
@@ -123,6 +114,46 @@ def bad_tuple_count(g: Graph, x_mask: int, max_deg: int, threshold: Fraction) ->
     for support in bad_supports(g, x_mask, max_deg, threshold):
         total += surjection_count(max_deg, len(support))
     return total
+
+
+def _best_multiset(
+    rows: Sequence[int],
+    depth: int,
+    x0_mask: int,
+    d: int,
+    w_size: int,
+    open_mask: int,
+    penalty: Callable[[int], int],
+) -> tuple[tuple[int, ...], int]:
+    """The multiset of `depth` row indices whose rows' intersection X scores
+    highest, |X0 cap X|^d (w_size |X|^d - penalty(X)) with the penalty taken
+    only when X meets open_mask, and that X.  Multisets are walked
+    depth-first in combinations_with_replacement order, each level ANDing
+    one row into its prefix's intersection, so the first of equal scores is
+    the least tuple; a leaf builds its tuple only when it sets a new best."""
+    n = len(rows)
+    best_score = best = None
+
+    def descend(start: int, prefix: int, chosen: tuple[int, ...]) -> None:
+        nonlocal best_score, best
+        if len(chosen) < depth - 1:
+            for i in range(start, n):
+                descend(i, prefix & rows[i], chosen + (i,))
+            return
+        for i in range(start, n):
+            common = prefix & rows[i]
+            lift = (common & x0_mask).bit_count() ** d
+            if not lift:
+                score = 0
+            elif common & open_mask:
+                score = lift * (w_size * common.bit_count() ** d - penalty(common))
+            else:
+                score = lift * w_size * common.bit_count() ** d
+            if best is None or score > best_score:
+                best_score, best = score, (chosen + (i,), common)
+
+    descend(0, -1, ())  # -1: the empty intersection holds every vertex
+    return best
 
 
 @dataclass(frozen=True)
@@ -164,20 +195,6 @@ def drc_select(
     x0_size = x0_mask.bit_count()
     threshold = beta * n
 
-    exhaustive = math.comb(n + max_deg - 1, max_deg) <= tuple_budget
-    if exhaustive:
-        candidates: Iterable[tuple[int, ...]] = itertools.combinations_with_replacement(
-            range(n), max_deg
-        )
-        mode = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        candidates = (
-            tuple(sorted(rng.randrange(n) for _ in range(max_deg)))
-            for _ in range(trials)
-        )
-        mode = "sampled"
-
     d = max_deg
     e1 = alpha ** (2 * d * d) * Fraction(x0_size) ** d * Fraction(n) ** d
     e2 = beta**d * Fraction(n) ** d * Fraction(x0_size) ** d
@@ -186,21 +203,26 @@ def drc_select(
         w_size, w_bad = 2 * e2.numerator * e1.denominator, e1.numerator * e2.denominator
     else:
         w_size, w_bad = int(e1 > 0), int(e2 > 0)
-    need = math.ceil(threshold)
-    groups = _nondegree_groups(g, (1 << n) - 1)
+    # only a set meeting this mask can have a bad support
+    open_mask = _high_nondegree(g, (1 << n) - 1, d, math.ceil(threshold)) if w_bad else 0
 
-    best: tuple[int, tuple[int, ...], int] | None = None
-    for tup in candidates:
-        common = common_neighborhood(g, tup)
-        size = common.bit_count()
-        overlap = (common & x0_mask).bit_count()
-        lift = overlap**d
-        score = w_size * lift * size**d
-        if w_bad and lift and not _no_bad_support(groups, common, n, d, need):
-            score -= w_bad * lift * bad_tuple_count(g, common, d, threshold)
-        if best is None or score > best[0] or (score == best[0] and tup < best[1]):
-            best = (score, tup, common)
-    _, tup, common = best
+    def penalty(common: int) -> int:
+        return w_bad * bad_tuple_count(g, common, d, threshold)
+
+    if math.comb(n + d - 1, d) <= tuple_budget:
+        mode = "exhaustive"
+        tup, common = _best_multiset(g.adj, d, x0_mask, d, w_size, open_mask, penalty)
+    else:
+        mode = "sampled"
+        rng = random.Random(seed)
+        draws = sorted(
+            {tuple(sorted(rng.randrange(n) for _ in range(d))) for _ in range(trials)}
+        )
+        # each draw's set scored as a one-row multiset, least draw first
+        (i,), common = _best_multiset(
+            [common_neighborhood(g, t) for t in draws], 1, x0_mask, d, w_size, open_mask, penalty
+        )
+        tup = draws[i]
 
     # independent recomputation of the stats for the winner
     recheck = (1 << n) - 1

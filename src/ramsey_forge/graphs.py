@@ -2,7 +2,9 @@
 
 Adjacency is one Python int per vertex (bit v of adj[u] is set iff {u,v} is
 an edge), so the neighborhood intersections that dominate every embedding
-search are single bitwise ands.  Densities and weights are exact
+search are single bitwise ands.  Graph.validate checks symmetry the same
+way: it packs the rows into one int, transposes that bit matrix by
+log2(width) delta swaps, and compares.  Densities and weights are exact
 `fractions.Fraction`s (hot paths compare integer counts scaled to a common
 denominator instead): the regularity and capacity predicates are sharp
 threshold checks and must never round.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 RED = "red"
@@ -37,6 +40,39 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=8)
+def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap that transposes a width x width bit
+    matrix packed row-major, width a power of two: at block size s the mask
+    holds the entries (r, c) with bit s of r clear and bit s of c set, and
+    the swap exchanges each with (r + s, c - s).  Built by shift-doubling;
+    the log2(width) masks of one width take about log2(width) width^2 / 8
+    bytes."""
+    swaps = []
+    s = width // 2
+    while s:
+        mask, span = ((1 << s) - 1) << s, 2 * s  # row 0: the columns with bit s set
+        while span < width:
+            mask, span = mask | mask << span, 2 * span
+        bit = 1  # then every row with bit s clear
+        while bit < width:
+            if bit != s:
+                mask |= mask << bit * width
+            bit *= 2
+        swaps.append((s * (width - 1), mask))
+        s //= 2
+    return tuple(swaps)
+
+
+def _transpose(packed: int, width: int) -> int:
+    """Transpose of a width x width bit matrix packed row-major (row r at
+    bits r * width ..), by log2(width) delta swaps of off-diagonal blocks."""
+    for shift, mask in _swap_masks(width):
+        t = (packed ^ packed >> shift) & mask
+        packed ^= t ^ t << shift
+    return packed
 
 
 class Graph:
@@ -67,16 +103,22 @@ class Graph:
         return g
 
     def validate(self) -> None:
-        full = (1 << self.n) - 1
+        n = self.n
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> n:  # a bit at n or above, or a negative row
                 raise ValueError(f"adjacency row {v} out of range")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for u in range(self.n):
-            for v in iter_bits(self.adj[u]):
-                if not self.adj[v] >> u & 1:
-                    raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        width = max(8, 1 << (n - 1).bit_length())  # a power of two, whole bytes
+        packed = int.from_bytes(
+            b"".join([row.to_bytes(width // 8, "little") for row in self.adj]), "little"
+        )
+        flipped = _transpose(packed, width)
+        if packed != flipped:
+            # the lowest bit of A & ~A^T is the first asymmetric (u, v), row-major
+            asym = packed & ~flipped
+            u, v = divmod((asym & -asym).bit_length() - 1, width)
+            raise ValueError(f"asymmetric adjacency at ({u}, {v})")
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -163,14 +205,23 @@ def induced(g: Graph, xs: Iterable[int]) -> Graph:
     order = sorted(set(xs))
     for x in order[:1] + order[-1:]:  # the ends bound every vertex
         g._check_vertex(x)
-    index = {x: i for i, x in enumerate(order)}
-    mask = mask_of(order)
+    # each run of consecutive vertices of X moves down by the gaps below it
+    runs = []
+    rest = mask_of(order)
+    kept = 0
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        runs.append((run, low.bit_length() - 1 - kept))
+        kept += run.bit_count()
+        rest ^= run
     adj = []
     for x in order:
-        row = 0
-        for y in iter_bits(g.adj[x] & mask):
-            row |= 1 << index[y]
-        adj.append(row)
+        row = g.adj[x]
+        relabeled = 0
+        for run, drop in runs:
+            relabeled |= (row & run) >> drop
+        adj.append(relabeled)
     return Graph.from_adj(adj)
 
 

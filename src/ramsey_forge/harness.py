@@ -7,8 +7,10 @@ byte-identical for any worker count.  Each task declares its required and
 optional instance keys; a missing or unknown instance key, a graph spec
 with a key other than `kind` and `params` or the wrong parameter count, a
 float or boolean where an integer is expected (graph parameters, seeds,
-workers and the integer instance keys), or an unknown top-level key in a
-config file, is a ConfigError before any cell runs.  Every positive result
+workers and the integer instance keys) or an exact rational (an integer or
+a "p/q" string: eps, alpha, beta, red_prob, delta, xi, each weight and the
+rational graph parameter), or an unknown top-level key in a config file,
+is a ConfigError before any cell runs.  Every positive result
 and oracle witness is re-verified independently; a failed verification
 aborts the run (soundness tripwire).
 """
@@ -100,6 +102,26 @@ def _check_ints(where: str, value: object) -> None:
         raise ConfigError(f"{where}: expected a list of integers, got {value!r}")
 
 
+def _check_rational(where: str, value: object) -> None:
+    # a JSON float is a binary fraction: 0.1 would run as 3602879701896397/2**55
+    if isinstance(value, str):
+        try:
+            Fraction(value)
+            return
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif _is_int(value):
+        return
+    raise ConfigError(f"{where}: expected an integer or a 'p/q' string, got {value!r}")
+
+
+def _check_rationals(where: str, value: object) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    for entry in value:
+        _check_rational(where, entry)
+
+
 def _check_graph_spec(where: str, spec: object) -> None:
     if not isinstance(spec, dict) or "kind" not in spec or spec.keys() - {"kind", "params"}:
         raise ConfigError(
@@ -121,8 +143,7 @@ def _check_graph_spec(where: str, spec: object) -> None:
             raise ConfigError(f"{where}: {exc}") from None
         types = (int,) * len(params)
     for p, t in zip(params, types):
-        if t is int:
-            _check_int(f"{where} {kind} parameter", p)
+        (_check_int if t is int else _check_rational)(f"{where} {kind} parameter", p)
 
 
 def _make_graph(spec: dict, seed: int) -> Graph:
@@ -258,11 +279,13 @@ INSTANCE_KEYS = {
     "rga": ({"base", "part_size", "g", "hom"}, {"delta", "xi", "retries"}),
 }
 
-# typed instance keys -> their check: graph specs, integers, and hom, the
-# list of base vertices the rga task maps g onto
+# typed instance keys -> their check: graph specs, integers, exact
+# rationals, and hom, the list of base vertices the rga task maps g onto
 KEY_CHECKS = {
     **dict.fromkeys(("target", "host", "h", "base", "g"), _check_graph_spec),
     **dict.fromkeys(("n_max", "k", "max_deg", "part_size", "trials", "retries"), _check_int),
+    **dict.fromkeys(("eps", "alpha", "beta", "red_prob", "delta", "xi"), _check_rational),
+    "weights": _check_rationals,
     "hom": _check_ints,
 }
 

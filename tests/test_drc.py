@@ -22,6 +22,7 @@ from ramsey_forge.drc import (
     drc_select,
     surjection_count,
 )
+from ramsey_forge.drc import _high_nondegree
 from ramsey_forge.graphs import Graph, mask_of
 from ramsey_forge.morphisms import verify_homomorphism
 
@@ -61,6 +62,44 @@ def test_bad_supports_min_degree_shortcut():
     g = gen.complete(12)
     # codegree of any pair is 10 >= 5, shortcut applies
     assert bad_supports(g, (1 << 12) - 1, 2, Fraction(5)) == []
+
+
+def _nondegree_groups(g, scope):
+    """(nondegree, mask) for every vertex of g, highest nondegree first; a
+    vertex's nondegree counts the scope vertices it is not adjacent to."""
+    n_scope = scope.bit_count()
+    groups = {}
+    for v, row in enumerate(g.adj):
+        k = n_scope - (row & scope).bit_count()
+        groups[k] = groups.get(k, 0) | 1 << v
+    return sorted(groups.items(), reverse=True)
+
+
+def _no_bad_support(groups, x_mask, n_scope, max_deg, need):
+    """The shortcut by the largest nondegree in X: n' - max_deg * k >= need."""
+    for nondeg, mask in groups:
+        if mask & x_mask:
+            return n_scope - max_deg * nondeg >= need
+    return True  # X is empty
+
+
+def test_high_nondegree_mask_matches_group_scan():
+    rng = random.Random(3)
+    hosts = [gen.complete(9), Graph(7)]
+    hosts += [gen.random_min_degree_host(n, eps, s)
+              for n in (8, 20, 33) for eps in (Fraction(1, 4), Fraction(1, 2)) for s in range(2)]
+    for g in hosts:
+        n = g.n
+        full = (1 << n) - 1
+        for scope in (full, rng.getrandbits(n), full & ~1, 0):
+            groups = _nondegree_groups(g, scope)
+            xs = [0, full] + [1 << v for v in range(n)] + [rng.getrandbits(n) for _ in range(8)]
+            for d in (1, 2, 3):
+                for need in range(n + 1):
+                    high = _high_nondegree(g, scope, d, need)
+                    for x in xs:
+                        expect = _no_bad_support(groups, x, scope.bit_count(), d, need)
+                        assert (not x & high) == expect, (n, scope, d, need, x)
 
 
 def brute_bad_supports(g, x_mask, d, threshold, scope):

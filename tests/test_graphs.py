@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from ramsey_forge.graphs import (
     other_color,
     pair_density,
 )
+from ramsey_forge.graphs import _transpose
 
 
 def small_graphs(max_n: int = 8):
@@ -91,6 +93,100 @@ def test_induced_relabels_in_order():
     for xs in ([1, 5], [-1, 2]):
         with pytest.raises(ValueError):
             induced(g, xs)
+
+
+def _width(n):
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _pack(rows, width):
+    return sum(row << (u * width) for u, row in enumerate(rows))
+
+
+def _naive_transpose(rows, n):
+    cols = [0] * n
+    for u, row in enumerate(rows):
+        for v in iter_bits(row):
+            cols[v] |= 1 << u
+    return cols
+
+
+def _symmetric_rows(n, rng):
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.3:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+def _first_asymmetry(rows):
+    # the per-edge scan, row-major: the first (u, v) whose mirror is missing
+    for u, row in enumerate(rows):
+        for v in iter_bits(row):
+            if not rows[v] >> u & 1:
+                return u, v
+    return None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65, 1000])
+def test_transpose_and_validate_match_naive(n):
+    rng = random.Random(n)
+    width = _width(n)
+    for rows in ([rng.getrandbits(n) for _ in range(n)], _symmetric_rows(n, rng)):
+        assert _transpose(_pack(rows, width), width) == _pack(_naive_transpose(rows, n), width)
+        loopless = [row & ~(1 << u) for u, row in enumerate(rows)]
+        hit = _first_asymmetry(loopless)
+        if hit is None:
+            assert Graph.from_adj(loopless).adj == loopless
+        else:
+            with pytest.raises(ValueError, match=rf"^asymmetric adjacency at \({hit[0]}, {hit[1]}\)$"):
+                Graph.from_adj(loopless)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([0b10, 0b00], "asymmetric adjacency at (0, 1)"),
+        ([0b100, 0b100, 0b000], "asymmetric adjacency at (0, 2)"),
+        ([0b010, 0b101, 0b000], "asymmetric adjacency at (1, 2)"),
+        ([0b01], "loop at vertex 0"),
+        ([0b10, 0b11], "loop at vertex 1"),
+        ([0b10, 0b101], "adjacency row 1 out of range"),
+        ([-1, 0], "adjacency row 0 out of range"),
+        ([1 << 9] + [0] * 8, "adjacency row 0 out of range"),
+        # rows are checked in order, range and loop before any symmetry
+        ([0b10, 0b110, 0b001], "loop at vertex 1"),
+        ([0b100, 0b000, 0b1000], "adjacency row 2 out of range"),
+    ],
+)
+def test_validate_messages(rows, message):
+    with pytest.raises(ValueError) as exc:
+        Graph.from_adj(rows)
+    assert str(exc.value) == message
+
+
+def _induced_naive(g, xs):
+    order = sorted(set(xs))
+    index = {x: i for i, x in enumerate(order)}
+    return [
+        sum(1 << index[y] for y in iter_bits(g.adj[x]) if y in index) for x in order
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 30, 64, 65, 130])
+def test_induced_matches_per_bit_relabelling(n):
+    rng = random.Random(n)
+    g = Graph.from_adj(_symmetric_rows(n, rng))
+    masks = [rng.getrandbits(n) for _ in range(20)]  # many runs
+    # co-sparse: all but a few vertices, so a few runs
+    masks += [((1 << n) - 1) & ~mask_of(rng.sample(range(n), min(n, k))) for k in (1, 2, 3, 7)]
+    masks += [(1 << n) - 1, 1 << (n - 1), 1]
+    for mask in masks:
+        xs = list(iter_bits(mask))
+        rng.shuffle(xs)
+        assert induced(g, xs + xs[:2]).adj == _induced_naive(g, xs)
 
 
 @settings(max_examples=50, deadline=None)

@@ -237,6 +237,67 @@ def test_config_integers_checked_not_truncated(config, entry, tmp_path, monkeypa
     assert ran == []
 
 
+_HOST12 = {"kind": "random_min_degree_host", "params": [12, "1/4"]}
+_RGA = {"base": {"kind": "cycle", "params": [3]}, "part_size": 8,
+        "g": {"kind": "cycle", "params": [6]}, "hom": [0, 1, 2] * 2}
+
+
+@pytest.mark.parametrize(
+    "task, instance, entry",
+    [
+        # each ran before rationals were checked, a float as its binary
+        # fraction (beta 0.1 as 3602879701896397/36028797018963968)
+        ("sramsey", {"target": {"kind": "cycle", "params": [4]}, "n_max": 6, "eps": 0.25},
+         "'eps': expected an integer or a 'p/q' string, got 0.25"),
+        ("drc", {"host": _HOST12, "max_deg": 2, "alpha": 0.75, "beta": "1/64"},
+         "'alpha': expected an integer or a 'p/q' string, got 0.75"),
+        ("drc", {"host": _HOST12, "max_deg": 2, "alpha": "3/4", "beta": 0.1},
+         "'beta': expected an integer or a 'p/q' string, got 0.1"),
+        ("wheel", {"host": {"kind": "complete", "params": [8]}, "k": 4, "red_prob": True},
+         "'red_prob': expected an integer or a 'p/q' string, got True"),
+        ("rga", {**_RGA, "delta": 0.5},
+         "'delta': expected an integer or a 'p/q' string, got 0.5"),
+        ("rga", {**_RGA, "xi": False},
+         "'xi': expected an integer or a 'p/q' string, got False"),
+        ("wramsey", {"target": {"kind": "cycle", "params": [4]}, "n_max": 6,
+                     "weights": ["1", 0.5, "1", "1"]},
+         "'weights': expected an integer or a 'p/q' string, got 0.5"),
+        ("drc", {"host": {"kind": "random_min_degree_host", "params": [12, 0.3]},
+                 "max_deg": 2, "alpha": "3/4", "beta": "1/64"},
+         "'host' random_min_degree_host parameter: expected an integer or a 'p/q' string, "
+         "got 0.3"),
+    ],
+    ids=["eps-float", "alpha-float", "beta-float", "red_prob-bool", "delta-float", "xi-bool",
+         "weight-float", "host-eps-float"],
+)
+def test_config_rationals_checked_not_rounded(task, instance, entry, tmp_path, monkeypatch,
+                                              capsys):
+    from ramsey_forge.cli import main
+
+    ran = []
+    monkeypatch.setitem(harness.TASKS, task, lambda inst, seed: ran.append(seed))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": task, "seeds": [0], "instances": [instance]}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert f"{task} instance 0 {entry}" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_config_rationals_accept_integers_and_fraction_strings():
+    cfg = ramsey_cfg(task="drc", instances=(
+        {"host": {"kind": "random_min_degree_host", "params": [12, "0.25"]},
+         "max_deg": 2, "alpha": 1, "beta": "1/64"},
+    ))
+    rows, _ = run_experiment(cfg)
+    assert [r.outcome for _, _, r in rows] == ["some"]
+    for bad in ("1/0", "one half"):
+        cfg = ramsey_cfg(task="drc", instances=(
+            {"host": _HOST12, "max_deg": 2, "alpha": bad, "beta": "1/64"},
+        ))
+        with pytest.raises(ConfigError, match="'alpha': expected an integer or a 'p/q' string"):
+            run_experiment(cfg)
+
+
 def test_load_config_rejects_unknown_top_level_key(tmp_path):
     path = tmp_path / "cfg.json"
     cfg = {"task": "ramsey", "instances": [], "seeds": [0], "worker": 4}

@@ -79,8 +79,15 @@ CASES = {
         dense.wheel_mono_embed(EdgeColoring(host, host.edges()), 4, [1] * 4)
     """,
     "drc_select": """
+        # sampled mode: each drawn tuple's set comes from common_neighborhood
         drc.common_neighborhood = lambda g, vertices: 0
-        drc.drc_select(gen.complete(6), range(6), 1, Fraction(1, 4))
+        drc.drc_select(gen.complete(6), range(6), 1, Fraction(1, 4), tuple_budget=0)
+    """,
+    "drc_select_exhaustive": """
+        # the exhaustive scan reads the host rows it is handed; hand it empty ones
+        scan = drc._best_multiset
+        drc._best_multiset = lambda rows, *rest: scan([0] * len(rows), *rest)
+        drc.drc_select(gen.complete(6), range(6), 2, Fraction(1, 4))
     """,
     "drc_bandwidth_embed": """
         drc.verify_homomorphism = reject
