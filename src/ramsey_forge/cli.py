@@ -18,7 +18,7 @@ from .bandwidth import exact_bandwidth, heuristic_labeling
 from .dense import DenseWitness, dense_greedy_embed, lovasz_partition, wheel_mono_embed
 from .drc import DegenerateBudget, drc_bandwidth_embed
 from .graphs import Graph, WeightedGraph
-from .harness import ConfigError, VerificationError, load_config, run_experiment
+from .harness import VerificationError, load_config, run_experiment
 from .morphisms import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -28,7 +28,7 @@ from .morphisms import (
     verify_capacity,
     verify_homomorphism,
 )
-from .oracles import OracleResult, stable_ramsey, weighted_ramsey, witness_verified
+from .oracles import stable_ramsey, weighted_ramsey, witness_verified
 from .pipeline import PipelineParams, transference_pipeline
 from .regularity import RegularityParams, fixed_k_partition, regularity_check
 from .rga import RgaParams, blowup_instance, rga_blowup_embed
@@ -57,6 +57,10 @@ def _weights_arg(text: str | None, n: int) -> tuple[Fraction, ...]:
     if len(parts) != n:
         raise ValueError(f"expected {n} weights, got {len(parts)}")
     return tuple(parts)
+
+
+def _print_map(vmap: VertexMap | None) -> None:
+    print(json.dumps({"status": "some" if vmap else "none", "image": list(vmap.image) if vmap else None}))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -100,7 +104,13 @@ def cmd_bandwidth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_oracle(result: OracleResult, gw: WeightedGraph) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
+    g = _graph_arg(args.target)
+    gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
+    if args.command == "sramsey":
+        result = stable_ramsey(gw, Fraction(args.eps), args.n_max)
+    else:
+        result = weighted_ramsey(gw, args.n_max)
     if not witness_verified(result, gw):
         raise VerificationError(f"witness coloring on {result.witness_n} vertices holds a copy")
     print(
@@ -114,18 +124,6 @@ def _print_oracle(result: OracleResult, gw: WeightedGraph) -> int:
         )
     )
     return 0
-
-
-def cmd_wramsey(args: argparse.Namespace) -> int:
-    g = _graph_arg(args.target)
-    gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    return _print_oracle(weighted_ramsey(gw, args.n_max), gw)
-
-
-def cmd_sramsey(args: argparse.Namespace) -> int:
-    g = _graph_arg(args.target)
-    gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    return _print_oracle(stable_ramsey(gw, Fraction(args.eps), args.n_max), gw)
 
 
 def cmd_regularity(args: argparse.Namespace) -> int:
@@ -185,7 +183,7 @@ def cmd_embed_dense(args: argparse.Namespace) -> int:
     gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
     witness = DenseWitness.trivial(host, max(g.max_degree(), 1))
     vmap = dense_greedy_embed(host, witness, gw, Fraction(args.delta))
-    print(json.dumps({"status": "some" if vmap else "none", "image": list(vmap.image) if vmap else None}))
+    _print_map(vmap)
     return 0
 
 
@@ -210,7 +208,7 @@ def cmd_embed_rga(args: argparse.Namespace) -> int:
     vmap = rga_blowup_embed(
         host, partition, base, g, f, params, seed=args.seed, retries=args.retries
     )
-    print(json.dumps({"status": "some" if vmap else "none", "image": list(vmap.image) if vmap else None}))
+    _print_map(vmap)
     return 0
 
 
@@ -227,7 +225,7 @@ def cmd_embed_drc(args: argparse.Namespace) -> int:
     except DegenerateBudget as exc:
         print(json.dumps({"status": "degenerate_budget", "detail": str(exc)}))
         return 1
-    print(json.dumps({"status": "some" if vmap else "none", "image": list(vmap.image) if vmap else None}))
+    _print_map(vmap)
     return 0
 
 
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_bandwidth)
 
     # ramsey is wramsey with unit weights
-    for name, fn in (("ramsey", cmd_wramsey), ("wramsey", cmd_wramsey), ("sramsey", cmd_sramsey)):
+    for name in ("ramsey", "wramsey", "sramsey"):
         s = sub.add_parser(name, help=f"{name} oracle")
         s.add_argument("target")
         s.add_argument("--n-max", type=int, required=True)
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--weights")
         if name == "sramsey":
             s.add_argument("--eps", required=True)
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=cmd_oracle)
 
     s = sub.add_parser("regularity", help="regular-pair check or partition report")
     s.add_argument("graph")
@@ -388,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted:
         print(json.dumps({"status": "budget_exhausted"}))
         return 0
-    except (ConfigError, fileio.ParseError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and fileio.ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,6 +33,15 @@ def _parse_int(token: str, line: int, column: int) -> int:
         raise ParseError(f"expected an integer, got {token!r}", line, column) from None
 
 
+def _header(lines: list[str]) -> tuple[int, int]:
+    if not lines:
+        raise ParseError("empty input", 1, 1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError("header must be 'n m'", 1, 1)
+    return _parse_int(head[0], 1, 1), _parse_int(head[1], 1, len(head[0]) + 2)
+
+
 def encode_edgelist(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count()}"]
     lines += [f"{u} {v}" for u, v in g.edges()]
@@ -41,13 +50,7 @@ def encode_edgelist(g: Graph) -> str:
 
 def decode_edgelist(text: str) -> Graph:
     lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1, 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("header must be 'n m'", 1, 1)
-    n = _parse_int(head[0], 1, 1)
-    m = _parse_int(head[1], 1, len(head[0]) + 2)
+    n, m = _header(lines)
     edges = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -123,13 +126,7 @@ def encode_coloring(c: EdgeColoring) -> str:
 
 def decode_coloring(text: str) -> EdgeColoring:
     lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1, 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("header must be 'n m'", 1, 1)
-    n = _parse_int(head[0], 1, 1)
-    m = _parse_int(head[1], 1, len(head[0]) + 2)
+    n, m = _header(lines)
     edges = []
     red = []
     for i, line in enumerate(lines[1:], start=2):

@@ -146,10 +146,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((row.bit_count() for row in self.adj), default=0)
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph.from_adj([full & ~row & ~(1 << v) for v, row in enumerate(self.adj)])
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -246,12 +242,6 @@ class WeightedGraph:
     @classmethod
     def uniform(cls, graph: Graph, w: Fraction) -> "WeightedGraph":
         return cls(graph, tuple(Fraction(w) for _ in range(graph.n)))
-
-    def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-    def weight_of(self, xs: Iterable[int]) -> Fraction:
-        return sum((self.weights[x] for x in xs), Fraction(0))
 
 
 class EdgeColoring:

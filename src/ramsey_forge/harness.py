@@ -10,9 +10,14 @@ float or boolean where an integer is expected (graph parameters, seeds,
 workers and the integer instance keys) or an exact rational (an integer or
 a "p/q" string: eps, alpha, beta, red_prob, delta, xi, each weight and the
 rational graph parameter), or an unknown top-level key in a config file,
-is a ConfigError before any cell runs.  Every positive result
-and oracle witness is re-verified independently; a failed verification
-aborts the run (soundness tripwire).
+is a ConfigError before any cell runs; a `weights` list of the wrong
+length, the empty list included, is a ValueError when its cell runs.
+Every positive result and oracle witness is re-verified independently
+(a wheel map as a homomorphism and against its weight capacity); a failed
+verification aborts the run (soundness tripwire).  A drc cell reports the
+DRC lemma's selection properties (i)-(iii), its conclusions for a host of
+density at least alpha: outcome some when all hold, else none with the
+failed ones in its stage.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from .drc import DegenerateBudget, drc_bandwidth_embed, drc_properties, drc_sele
 from .bandwidth import heuristic_labeling
 from .dense import wheel_mono_embed
 from .graphs import Graph, WeightedGraph, mask_of
-from .morphisms import VerificationError, VertexMap, verify_homomorphism
+from .morphisms import (
+    CapacityProfile, VerificationError, VertexMap, verify_capacity, verify_homomorphism
+)
 from .oracles import OracleResult, ramsey_number, stable_ramsey, weighted_ramsey, witness_verified
 from .rga import RgaParams, blowup_instance, rga_blowup_embed
 
@@ -158,8 +165,9 @@ def _make_graph(spec: dict, seed: int) -> Graph:
 
 def _weighted_target(instance: dict, seed: int) -> WeightedGraph:
     g = _make_graph(instance["target"], seed)
-    weights = tuple(Fraction(w) for w in instance.get("weights", [])) or None
-    return WeightedGraph(g, weights) if weights else WeightedGraph.unit(g)
+    if "weights" not in instance:
+        return WeightedGraph.unit(g)
+    return WeightedGraph(g, tuple(Fraction(w) for w in instance["weights"]))
 
 
 def _oracle_cell(result: OracleResult, gw: WeightedGraph) -> CellResult:
@@ -193,7 +201,10 @@ def _task_wheel(instance: dict, seed: int) -> CellResult:
     if hit is None:
         return CellResult("none", verified=None, stage="greedy")
     color, vmap = hit
-    ok = verify_homomorphism(generators.wheel(k), coloring.subgraph(color), vmap).valid
+    ok = (
+        verify_homomorphism(generators.wheel(k), coloring.subgraph(color), vmap).valid
+        and verify_capacity(vmap, CapacityProfile.weight_cap(weights)).valid
+    )
     return CellResult("some", color, ok)
 
 
@@ -211,10 +222,15 @@ def _task_drc(instance: dict, seed: int) -> CellResult:
         seed=seed,
         alpha=alpha,
     )
+    # the DRC lemma's conclusions, which need a host of density at least
+    # alpha: drc_select rechecks its own winner, so a miss is an answer
     props = drc_properties(
         host, (1 << host.n) - 1, mask_of(sel.x), max_deg, alpha, beta
     )
-    return CellResult("some", str(sel.size), all(props))
+    if not all(props):
+        failed = [name for name, ok in zip(("(i)", "(ii)", "(iii)"), props) if not ok]
+        return CellResult("none", stage="failed " + " ".join(failed))
+    return CellResult("some", str(sel.size), True)
 
 
 def _task_embed_drc(instance: dict, seed: int) -> CellResult:
@@ -335,13 +351,6 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def _run_cell(task: str, instance: dict, seed: int) -> CellResult:
-    start = time.perf_counter()
-    result = TASKS[task](instance, seed)
-    result.wall_time = time.perf_counter() - start
-    return result
-
-
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResult]], dict]:
     """Execute all cells and return (rows, summary); writes CSV/JSON when the
     config names output paths.  Raises VerificationError on any result
@@ -350,27 +359,22 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResu
         raise ConfigError(f"unknown task {cfg.task!r}")
     for i, instance in enumerate(cfg.instances):
         _check_instance(cfg.task, i, instance)
-    workers = max(1, cfg.workers)
+    cells = [(i, seed) for i in range(len(cfg.instances)) for seed in cfg.seeds]
 
-    cells = [
-        (i, seed)
-        for i in range(len(cfg.instances))
-        for seed in cfg.seeds
-    ]
-    results: dict[tuple[int, int], CellResult] = {}
-    if workers == 1:
-        for i, seed in cells:
-            results[(i, seed)] = _run_cell(cfg.task, cfg.instances[i], seed)
+    def run(cell: tuple[int, int]) -> CellResult:
+        i, seed = cell
+        start = time.perf_counter()
+        result = TASKS[cfg.task](cfg.instances[i], seed)
+        result.wall_time = time.perf_counter() - start
+        return result
+
+    # both maps return results in cell order and raise the first failing cell's error
+    if cfg.workers <= 1:
+        results = list(map(run, cells))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (i, seed): pool.submit(_run_cell, cfg.task, cfg.instances[i], seed)
-                for i, seed in cells
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-
-    rows = [(i, seed, results[(i, seed)]) for i, seed in cells]
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(run, cells))
+    rows = [(i, seed, res) for (i, seed), res in zip(cells, results)]
     for i, seed, res in rows:
         if res.verified is False:
             raise VerificationError(

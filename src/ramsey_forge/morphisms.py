@@ -53,10 +53,6 @@ class VertexMap:
             if not 0 <= v < self.target_n:
                 raise ValueError(f"image vertex {v} out of range")
 
-    @classmethod
-    def identity(cls, n: int) -> "VertexMap":
-        return cls(n, n, tuple(range(n)))
-
     def __call__(self, v: int) -> int:
         return self.image[v]
 
@@ -104,10 +100,6 @@ class CapacityProfile:
             raise ValueError("count caps must be nonnegative")
         if self.weights is not None and any(not 0 <= w <= 1 for w in self.weights):
             raise ValueError("weights must lie in [0, 1]")
-
-    @classmethod
-    def count_cap(cls, caps: Sequence[int]) -> "CapacityProfile":
-        return cls(count_caps=tuple(caps))
 
     @classmethod
     def uniform_count_cap(cls, target_n: int, cap: int) -> "CapacityProfile":

@@ -252,16 +252,12 @@ class QualityReport:
     as regular, and the density d(V_i, V_j) of each of those pairs."""
 
     per_class_bad: tuple[int, ...]
-    class_ok: tuple[bool, ...]  # bad count <= eps * k, per class
+    all_classes_ok: bool  # every class's bad count <= eps * k
     total_irregular_pairs: int
     pairs_ok: bool  # total <= eps * k^2 (the stricter standard reading)
     exceptional_ok: bool  # |V_0| <= eps * n
     regular_pairs: tuple[tuple[int, int], ...]
     densities: tuple[Fraction, ...]  # one per regular pair, in the same order
-
-    @property
-    def all_classes_ok(self) -> bool:
-        return all(self.class_ok)
 
 
 def _partition_for_seed(n: int, k: int, seed: int) -> Partition:
@@ -303,7 +299,7 @@ def _quality(
     eps = params.eps
     return QualityReport(
         per_class_bad=tuple(bad),
-        class_ok=tuple(b <= eps * k for b in bad),
+        all_classes_ok=all(b <= eps * k for b in bad),
         total_irregular_pairs=total,
         pairs_ok=total <= eps * k * k,
         exceptional_ok=len(partition.exceptional) <= eps * partition.n,

@@ -191,13 +191,6 @@ def test_induced_matches_per_bit_relabelling(n):
 
 @settings(max_examples=50, deadline=None)
 @given(small_graphs())
-def test_complement_involution(g):
-    assert g.complement().complement() == g
-    assert g.edge_count() + g.complement().edge_count() == g.n * (g.n - 1) // 2
-
-
-@settings(max_examples=50, deadline=None)
-@given(small_graphs())
 def test_edges_round_trip(g):
     assert Graph(g.n, g.edges()) == g
 
@@ -209,9 +202,7 @@ def test_iter_bits_and_mask():
 
 def test_weighted_graph_validation():
     g = Graph(2, [(0, 1)])
-    gw = WeightedGraph.unit(g)
-    assert gw.total_weight() == 2
-    assert gw.weight_of([0]) == 1
+    assert WeightedGraph.unit(g).weights == (1, 1)
     with pytest.raises(ValueError):
         WeightedGraph(g, (Fraction(2), Fraction(1)))
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from ramsey_forge.harness import (
     render_csv,
     run_experiment,
 )
+from ramsey_forge.morphisms import VertexMap
 
 
 def ramsey_cfg(**kw) -> ExperimentConfig:
@@ -340,3 +341,82 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         harness.TASKS, "ramsey", lambda inst, seed: CellResult("value", "6", verified=False)
     )
     assert main(["run", "--config", str(cfg_path)]) == 2
+
+
+def test_wheel_recheck_checks_weight_capacity(monkeypatch):
+    # a homomorphism of W_5 into an all-red K_8 that sends rim vertices 0 and
+    # 2 to host vertex 0: load 2 there, over the unit-weight capacity
+    hit = ("red", VertexMap(5, 8, (0, 1, 0, 2, 3)))
+    monkeypatch.setattr(harness, "wheel_mono_embed", lambda coloring, k, weights: hit)
+    cfg = ExperimentConfig(
+        task="wheel",
+        instances=({"host": {"kind": "complete", "params": [8]}, "k": 5, "red_prob": "1"},),
+        seeds=(1,),
+    )
+    with pytest.raises(VerificationError, match="instance 0 seed 1"):
+        run_experiment(cfg)
+
+
+def test_empty_weights_list_is_an_error(tmp_path, capsys):
+    # [] is a weight list of the wrong length, as ["1/2"] is: not unit weights
+    from ramsey_forge.cli import main
+
+    target = {"kind": "cycle", "params": [4]}
+    for weights in ([], ["1/2"]):
+        instance = {"target": target, "n_max": 6, "weights": weights}
+        with pytest.raises(ValueError, match="one weight per vertex"):
+            run_experiment(ExperimentConfig("wramsey", (instance,), (0,)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"task": "wramsey", "instances": [instance], "seeds": [0]}))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: one weight per vertex required\n"
+
+
+def test_drc_cell_outside_the_lemma_hypothesis_is_none(tmp_path, capsys):
+    # alpha 1 is above the density of P_10: the selection guarantees are the
+    # DRC lemma's conclusions for a dense enough host, so missing them is an
+    # outcome, not a failed recheck
+    from ramsey_forge.cli import main
+
+    instance = {"host": {"kind": "path", "params": [10]}, "max_deg": 1, "alpha": "1", "beta": "1/8"}
+    cfg = ExperimentConfig("drc", (instance,), (0,))
+    rows, summary = run_experiment(cfg)
+    assert render_csv(cfg, rows).splitlines()[1] == "1,drc,0,0,none,,,failed (i) (ii)"
+    assert summary["successes"] == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": "drc", "instances": [instance], "seeds": [0]}))
+    assert main(["run", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_first_failing_cell_raises_at_any_worker_count(workers, monkeypatch):
+    # cells run in (instance, seed) order; seeds 3 and 5 both fail, and the
+    # run raises seed 3's error whatever the worker count
+    def task(instance, seed):
+        if seed in (3, 5):
+            raise RuntimeError(f"cell with seed {seed}")
+        return CellResult("value", str(seed), verified=True)
+
+    monkeypatch.setitem(harness.TASKS, "ramsey", task)
+    with pytest.raises(RuntimeError, match="^cell with seed 3$"):
+        run_experiment(ramsey_cfg(seeds=tuple(range(8)), workers=workers))
+
+
+def test_repeated_seed_gives_one_row_per_cell_at_any_worker_count():
+    cfg = ExperimentConfig(
+        task="wheel",
+        instances=(
+            {"host": {"kind": "complete", "params": [10]}, "k": 4},
+            {"host": {"kind": "complete", "params": [12]}, "k": 5},
+        ),
+        seeds=(2, 0, 2),
+    )
+    rows1, _ = run_experiment(cfg)
+    rows4, _ = run_experiment(dataclasses.replace(cfg, workers=4))
+    assert [(i, seed) for i, seed, _ in rows1] == [(0, 2), (0, 0), (0, 2), (1, 2), (1, 0), (1, 2)]
+    assert render_csv(cfg, rows1) == render_csv(cfg, rows4)
+    lines = render_csv(cfg, rows1).splitlines()
+    assert lines[1] == lines[3] and lines[4] == lines[6]

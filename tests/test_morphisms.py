@@ -53,7 +53,7 @@ def test_vertex_map_validation():
     assert f(2) == 1
     assert f.preimage(1) == (1, 2)
     assert not f.is_injective()
-    assert VertexMap.identity(3).is_injective()
+    assert VertexMap(3, 3, (0, 1, 2)).is_injective()
     with pytest.raises(ValueError):
         VertexMap(3, 2, (0, 1))
     with pytest.raises(ValueError):
@@ -334,7 +334,7 @@ def test_kernels_match_the_reference_search():
         hn = rng.randint(max(1, n // 3), n // 2 + 6)
         h = random_graph(rng, hn, rng.choice([0.3, 0.6, 0.9]))
         if rng.random() < 0.5:
-            profile = CapacityProfile.count_cap([rng.randint(1, 3) for _ in range(h.n)])
+            profile = CapacityProfile(count_caps=tuple(rng.randint(1, 3) for _ in range(h.n)))
         else:
             profile = CapacityProfile.weight_cap([rng.choice(weights) for _ in range(n)])
         demand, room = integer_units(profile, n, h.n)
