@@ -386,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted:
         print(json.dumps({"status": "budget_exhausted"}))
         return 0
-    except ValueError as exc:  # ConfigError and fileio.ParseError included
+    except (ValueError, OSError) as exc:  # ConfigError, ParseError and unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -247,12 +247,14 @@ class WeightedGraph:
 class EdgeColoring:
     """Red/blue assignment on exactly the edge set of a host graph.
 
-    Each colour graph is built and validated on first use and kept: later
-    calls of `subgraph` return the same object, which callers must not
-    mutate.  Two threads asking first at once may each build an equal copy.
+    Each colour graph is built and validated on first use and kept in its
+    slot: later calls of `subgraph` return the same object, which callers
+    must not mutate.  Two threads asking first at once may each build an
+    equal copy.  `from_red_adj` builds the red graph at once, and `red_adj`
+    is that graph's own row list.
     """
 
-    __slots__ = ("host", "red_adj", "_graphs")
+    __slots__ = ("host", "red_adj", "_red", "_blue")
 
     def __init__(self, host: Graph, red_edges: Iterable[tuple[int, int]]) -> None:
         self.host = host
@@ -263,19 +265,21 @@ class EdgeColoring:
             red_adj[u] |= 1 << v
             red_adj[v] |= 1 << u
         self.red_adj = red_adj
-        self._graphs: dict[str, Graph] = {}
+        self._red: Graph | None = None
+        self._blue: Graph | None = None
 
     @classmethod
     def from_red_adj(cls, host: Graph, red_adj: Sequence[int]) -> "EdgeColoring":
-        c = cls.__new__(cls)
-        c.host = host
-        c.red_adj = list(red_adj)
-        if len(c.red_adj) != host.n:
+        if len(red_adj) != host.n:
             raise ValueError("red adjacency size mismatch")
         for v in range(host.n):
-            if c.red_adj[v] & ~host.adj[v]:
+            if red_adj[v] & ~host.adj[v]:
                 raise ValueError(f"red edges at {v} not contained in host edges")
-        c._graphs = {RED: Graph.from_adj(c.red_adj)}  # symmetry / loop check
+        red = Graph.from_adj(red_adj)  # symmetry / loop check, and the one copy of the rows
+        c = cls.__new__(cls)
+        c.host = host
+        c.red_adj = red.adj
+        c._red, c._blue = red, None
         return c
 
     def color_of(self, u: int, v: int) -> str:
@@ -284,16 +288,17 @@ class EdgeColoring:
         return RED if self.red_adj[u] >> v & 1 else BLUE
 
     def subgraph(self, color: str) -> Graph:
-        g = self._graphs.get(color)
-        if g is None:
-            if color == RED:
-                adj = self.red_adj
-            elif color == BLUE:
-                adj = [self.host.adj[v] & ~self.red_adj[v] for v in range(self.host.n)]
-            else:
-                raise ValueError(f"unknown color {color!r}")
-            g = self._graphs[color] = Graph.from_adj(adj)
-        return g
+        if color == RED:
+            if self._red is None:
+                self._red = Graph.from_adj(self.red_adj)
+            return self._red
+        if color == BLUE:
+            if self._blue is None:
+                self._blue = Graph.from_adj(
+                    [self.host.adj[v] & ~self.red_adj[v] for v in range(self.host.n)]
+                )
+            return self._blue
+        raise ValueError(f"unknown color {color!r}")
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -17,6 +17,21 @@ smaller clique, and a copy is seen as soon as its last vertex arrives.
 The tests keep a full 2^m scan of every host as the reference it must
 agree with.
 
+The search also breaks the host's vertex symmetry (lex-leader constraints,
+Crawford-Ginsberg-Luks-Roy, KR 1996; Codish-Miller-Prosser-Stuckey,
+Constraints 24, 2019).  Read a coloring as its word over the edges in
+colex order, red before blue.  Host vertices i < j are twins when
+N(i) - {j} = N(j) - {i}; swapping them is a host automorphism (any two
+vertices of K_n, any two of one part of a complete multipartite host).  A
+branch is cut as soon as its decided edges show that every completion is
+above its image under the swap of some twin pair.  The output cannot move:
+the search returns the least copy-free coloring W, an automorphism maps a
+copy-free coloring to a copy-free one, so W is the least of its orbit and
+passes every such test, as it passes the first-edge-red rule.  The first
+witness, every status and every value are those of the unpruned search; it
+visits a subset of the nodes, so a host it decided within COLORING_BUDGET
+stays decided.
+
 Each oracle call may visit COLORING_BUDGET nodes of the coloring search,
 summed over its hosts.  When that runs out, or a copy search exhausts
 morphisms.DEFAULT_BUDGET, the call returns INCONCLUSIVE with no value: the
@@ -42,13 +57,14 @@ unrooted check of the empty coloring decides it alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import morphisms
-from .generators import complete_multipartite, min_degree_threshold
+from .generators import complete, complete_multipartite, min_degree_threshold
 from .graphs import BLUE, RED, EdgeColoring, Graph, WeightedGraph, iter_bits
 from .morphisms import (
     BudgetExhausted,
@@ -67,7 +83,7 @@ from .morphisms import (
 
 RAMSEY_HARD_CAP = 10
 STABLE_HARD_CAP = 6
-# coloring-search nodes per oracle call; r(K_{2,3}) = 10 takes about 2.7M
+# coloring-search nodes per oracle call; r(K_{1,5}) = 10 takes about 10,000
 COLORING_BUDGET = 10_000_000
 
 VALUE = "value"
@@ -76,7 +92,7 @@ INFINITE_SUSPECTED = "infinite_suspected"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleResult:
     status: str  # VALUE | EXCEEDS | INFINITE_SUSPECTED | INCONCLUSIVE
     value: int | None
@@ -216,6 +232,28 @@ def _arc_roots(gw: WeightedGraph) -> list[tuple[int, int]]:
     return [(a, b) for a, b, _ in roots]
 
 
+def _twin_tests(host: Graph, edges: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
+    """For each edge (u, v), u < v, of the colex order: the (i, j, mask) of
+    every twin pair i < j whose lex-leader test coloring that edge decides.
+
+    Under the swap of i and j the word first changes at the least k outside
+    {i, j} where the edges ik and jk differ, and ik comes first, so the
+    coloring is the lesser of the two iff ik is red there.  A colex prefix
+    holds ik and jk for a down-set of k; coloring (u, v) adds k = u to the
+    pairs (i, v), with i != u (mask: bits 0..u), and k = v to the pairs
+    (i, u) (mask: bits 0..v); mask leaves out i and j.
+    """
+    adj = host.adj
+    twins = [
+        [i for i in range(j) if adj[i] & ~(1 << j) == adj[j] & ~(1 << i)] for j in range(host.n)
+    ]
+    return [
+        [(i, v, ((2 << u) - 1) & ~(1 << i)) for i in twins[v] if i != u]
+        + [(i, u, ((2 << v) - 1) & ~(1 << i | 1 << u)) for i in twins[u]]
+        for u, v in edges
+    ]
+
+
 def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
     """A coloring of the host with no monochromatic copy, or None if all have one.
 
@@ -223,18 +261,24 @@ def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
     branch dies once one color's decided edges already contain a copy.  Each
     color graph was copy-free before its newest edge, so only copies through
     that edge are sought.  The first edge is fixed red: the predicate is
-    invariant under swapping colors.  Each node visited spends one unit of
-    copies.nodes_left; BudgetExhausted is raised when none is left.
+    invariant under swapping colors.  A branch also dies, before its copy
+    check, once some twin pair (i, j) of the host has its first differing
+    k (see _twin_tests) with ik blue: its colorings are all above their
+    images under the swap.  The least copy-free coloring is the least of its
+    orbit, so it is never cut and is still the one returned.  Each node
+    visited spends one unit of copies.nodes_left; a cut child spends none.
+    BudgetExhausted is raised when none is left.
     """
     if copies.anywhere([0] * host.n):  # only an edgeless target fits
         return None
     edges = sorted(host.edges(), key=lambda e: (e[1], e[0]))
+    tests = _twin_tests(host, edges)
     red = [0] * host.n
     blue = [0] * host.n
 
     def decide(i: int, fixed_red: bool) -> EdgeColoring | None:
         if i == len(edges):
-            return EdgeColoring.from_red_adj(host, list(red))
+            return EdgeColoring.from_red_adj(host, red)
         if not copies.nodes_left:
             raise BudgetExhausted(f"coloring search gave up after {COLORING_BUDGET} nodes")
         copies.nodes_left -= 1
@@ -244,7 +288,10 @@ def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
             rows = red if color == RED else blue
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            if not copies.through(rows, u, v):
+            # cut when some pair's first differing k has its ak blue
+            if not any(
+                blue[a] & (d := (blue[a] ^ blue[b]) & mask) & -d for a, b, mask in tests[i]
+            ) and not copies.through(rows, u, v):
                 found = decide(i + 1, False)
                 if found is not None:
                     return found
@@ -293,14 +340,24 @@ def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int) -> OracleResult:
     return result
 
 
+@functools.cache
+def _complete(n: int) -> Graph:
+    return complete(n)
+
+
 def hosts_with_min_degree(n: int, threshold: int) -> Iterator[Graph]:
     """All graphs on [n] with minimum degree >= threshold.
 
     Enumerated in the complement (max degree <= n-1-threshold), which prunes
-    hard when the threshold is close to n-1.
+    hard when the threshold is close to n-1.  At threshold n-1 the one host
+    is K_n, built once per n and shared by every query that reaches it, so
+    the witnesses of the Ramsey oracles hold no host of their own.
     """
     cap = n - 1 - threshold
     if cap < 0:
+        return
+    if cap == 0:
+        yield _complete(n)
         return
     pairs = list(itertools.combinations(range(n), 2))
     codeg = [0] * n  # complement degrees

@@ -1,4 +1,4 @@
-"""The 2^m reference for the oracles' one search path.
+"""References for the oracles' one search path.
 
 reference(oracle, *args) runs a public oracle with oracles._witness_coloring
 swapped for a full scan of every coloring of each host.  Everything else is
@@ -6,6 +6,10 @@ the library's own: the loop over n and the admissible hosts, the stable
 oracle's multipartite fallback and the unrooted copy plan.  The swap is
 unittest.mock.patch.object, not pytest's monkeypatch fixture, so it also
 works inside hypothesis tests.
+
+witness_coloring_unpruned(host, copies) is the library's colex DFS without
+its symmetry cuts and rooted checks, so it returns the least copy-free
+coloring of the host (first edge red), which the library must return too.
 """
 
 from __future__ import annotations
@@ -41,6 +45,34 @@ def _witness_coloring_naive(host: Graph, copies: _Copies) -> EdgeColoring | None
         if not has_copy(tuple(red)) and not has_copy(blue):
             return EdgeColoring.from_red_adj(host, red)
     return None
+
+
+def witness_coloring_unpruned(host: Graph, copies: _Copies) -> EdgeColoring | None:
+    """Colex DFS, red before blue, the first edge red, each prefix checked
+    with the unrooted search on both color graphs; no twin cuts, no budget."""
+    edges = sorted(host.edges(), key=lambda e: (e[1], e[0]))
+    red = [0] * host.n
+    blue = [0] * host.n
+
+    def copy_free() -> bool:
+        return not copies.anywhere(red) and not copies.anywhere(blue)
+
+    def decide(i: int) -> EdgeColoring | None:
+        if i == len(edges):
+            return EdgeColoring.from_red_adj(host, red)
+        u, v = edges[i]
+        for rows in (red,) if i == 0 else (red, blue):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            if copy_free():
+                found = decide(i + 1)
+                if found is not None:
+                    return found
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+        return None
+
+    return decide(0) if copy_free() else None
 
 
 def reference(oracle: Callable[..., OracleResult], *args: object) -> OracleResult:

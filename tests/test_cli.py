@@ -151,6 +151,26 @@ def test_convert_output_writes_the_printed_bytes(files, tmp_path, capsys):
     assert out.read_text(encoding="ascii") == printed
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "convert {missing} --from edgelist --to graph6",
+        "regularity {missing} --epsilon 1/4 --partition 2",
+        "embed-wheel {missing} --k 4",
+        "transfer {missing} path:3 complete:2 --hom 0,1,0 --k 2",
+        "convert {edges} --from edgelist --to graph6 --output {nodir}",
+    ],
+)
+def test_unreadable_or_unwritable_file_is_an_input_error(line, files, tmp_path, capsys):
+    # an error line and exit 1, not a FileNotFoundError traceback
+    files["{missing}"] = str(tmp_path / "missing.el")
+    files["{nodir}"] = str(tmp_path / "nodir" / "out.g6")
+    assert _run([files.get(tok, tok) for tok in line.split()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+
+
 def test_graph_without_params_is_an_input_error(capsys):
     assert _run(["hom", "complete", "cycle:4"]) == 1
     err = capsys.readouterr().err

@@ -253,11 +253,13 @@ def test_coloring_builds_each_color_graph_once(monkeypatch):
     assert c.subgraph(RED) is red and c.subgraph(BLUE) is blue
     assert built == [red.adj, blue.adj]
     assert red == Graph(4, [(0, 1), (2, 3)]) and blue == Graph(4, [(1, 2), (0, 3)])
-    # from_red_adj keeps the red graph its symmetry check built
+    # from_red_adj keeps the red graph its symmetry check built, and its
+    # red rows are that graph's own list: one copy of the caller's rows
     built.clear()
     d = EdgeColoring.from_red_adj(g, c.red_adj)
     assert d.subgraph(RED) is d.subgraph(RED) == red
     assert built == [red.adj]
+    assert d.red_adj is d.subgraph(RED).adj and d.red_adj is not c.red_adj
 
 
 def test_coloring_from_red_adj_validates():

@@ -28,7 +28,7 @@ from ramsey_forge.oracles import (
     weighted_ramsey,
     witness_verified,
 )
-from oracle_reference import reference
+from oracle_reference import reference, witness_coloring_unpruned
 
 
 def test_plain_embeds_basics():
@@ -163,10 +163,68 @@ def test_pruned_and_naive_agree_on_random_targets(bits):
 
 
 def test_cycle6_ramsey_value():
-    # r(C_n) = 3n/2 - 1 for even n >= 6 (Faudree-Schelp, Rosta)
+    # r(C_n) = 3n/2 - 1 for even n >= 6 (Rosta 1973; Faudree-Schelp 1974)
     r = ramsey_number(gen.cycle(6), 8)
     assert (r.status, r.value, r.witness_n) == (VALUE, 8, 7)
     assert witness_verified(r, WeightedGraph.unit(gen.cycle(6)))
+
+
+def test_star_k15_ramsey_value():
+    # r(K_{1,n}) = 2n for odd n (Burr-Roberts 1973)
+    star = gen.complete_multipartite([1, 5])
+    r = ramsey_number(star, 10)
+    assert (r.status, r.value, r.witness_n) == (VALUE, 10, 9)
+    assert witness_verified(r, WeightedGraph.unit(star))
+
+
+def test_k23_ramsey_value_in_5000_nodes(monkeypatch):
+    # r(K_{2,3}) = 10 (Radziszowski, "Small Ramsey Numbers", DS1); the
+    # search without twin cuts spends about 2.7M nodes on it
+    monkeypatch.setattr(oracles, "COLORING_BUDGET", 5_000)
+    k23 = gen.complete_multipartite([2, 3])
+    r = ramsey_number(k23, 10)
+    assert (r.status, r.value, r.witness_n) == (VALUE, 10, 9)
+    assert witness_verified(r, WeightedGraph.unit(k23))
+
+
+def test_ramsey_witnesses_share_one_complete_host():
+    # K_n is built once per n, so a witness holds no host of its own
+    a, b = ramsey_number(gen.cycle(4), 7), ramsey_number(gen.complete(3), 6)
+    assert a.witness_n == b.witness_n == 5
+    assert a.witness_coloring.host is b.witness_coloring.host == gen.complete(5)
+
+
+def _twin_cut_cases():
+    unit = WeightedGraph.unit
+    targets = {
+        "P4": unit(gen.path(4)),
+        "P5": unit(gen.path(5)),
+        "P6": unit(gen.path(6)),
+        "C4": unit(gen.cycle(4)),
+        "C5": unit(gen.cycle(5)),
+        "K1,3": unit(gen.complete_multipartite([1, 3])),
+        "K1,4": unit(gen.complete_multipartite([1, 4])),
+        "C5half": WeightedGraph.uniform(gen.cycle(5), Fraction(1, 2)),
+    }
+    # every pair of K_n is a twin pair; the multipartite hosts' twins are
+    # non-adjacent; the min-degree hosts have whatever twins they have
+    hosts = {f"K{n}": [gen.complete(n)] for n in range(8)}
+    hosts["K2,2,2"] = [gen.complete_multipartite([2, 2, 2])]
+    hosts["K3,3"] = [gen.complete_multipartite([3, 3])]
+    cases = [
+        pytest.param(hs, gw, id=f"{h}-{t}") for h, hs in hosts.items() for t, gw in targets.items()
+    ]
+    for th in (3, 4):
+        hs = list(hosts_with_min_degree(6, th))
+        cases += [pytest.param(hs, targets[t], id=f"delta{th}-{t}") for t in ("P4", "C4")]
+    return cases
+
+
+@pytest.mark.parametrize("hosts,gw", _twin_cut_cases())
+def test_twin_cuts_keep_the_first_witness(hosts, gw):
+    copies = oracles._Copies(gw)
+    for host in hosts:
+        assert oracles._witness_coloring(host, copies) == witness_coloring_unpruned(host, copies)
 
 
 # Small graphs on at most four vertices, one per isomorphism class: the
