@@ -1,13 +1,16 @@
 """Regular-pair certification and fixed-k partitions.
 
 A pair (X, Y) is eps-regular when every subpair (X', Y') with |X'| >= eps|X|
-and |Y'| >= eps|Y| has density within eps of d(X, Y).  Certification iterates
-only subpairs of the threshold sizes m_x = ceil(eps|X|), m_y = ceil(eps|Y|):
+and |Y'| >= eps|Y| has density within eps of d(X, Y).  Certification looks
+only at subpairs of the threshold sizes m_x = ceil(eps|X|), m_y = ceil(eps|Y|):
 for a fixed Y', removing from X' the vertex of smallest contribution never
 lowers the density (it is the mean of per-vertex densities), and dually for
 the largest contribution, so any violation at larger sizes forces one at the
-threshold sizes.  The tests keep a reference checker that iterates every
-admissible subpair with no such reduction; both must agree.
+threshold sizes.  For a fixed X', the m_y vertices of Y with the fewest
+neighbours in X' form its sparsest Y' and the m_y with the most its densest,
+so only X' is searched, and the search scans X'-prefixes (below).  The tests
+keep a reference checker that iterates every admissible subpair with no
+such reduction; both must agree.
 
 The checkers compare integer edge counts, not densities: with e0 edges
 between X and Y, a threshold-size subpair with e edges deviates from d(X, Y)
@@ -17,8 +20,30 @@ Every violating witness, from either checker, is rechecked on its own by
 exact edge counts against d(X, Y) and eps; a failed recheck raises
 VerificationError.
 
-The sampled checker draws `budget` random subpairs of the threshold sizes,
-keeps the one of largest gap and grows that gap by single-vertex swaps.  Its
+The exhaustive checker builds X' depth first, in itertools.combinations
+order.  A prefix P chosen from xs[:start] still needs r vertices from
+C = xs[start:].  Over all completions, a vertex y of Y with c_y neighbours
+in P and a_y in C gets between c_y + max(0, r - (|C| - a_y)) and
+c_y + min(r, a_y) neighbours in X'.  If the m_y largest upper ends cannot
+push the gap above the limit, no completion is too dense; if the m_y
+smallest lower ends cannot pull it below minus the limit, none is too
+sparse; when both hold, the prefix is pruned.  A child's ranges lie inside
+its parent's, so a side ruled out at a prefix stays out below it, and a
+side that is out at the root is never bounded (at eps = 1/2 one side always
+is: its edge threshold lies above m_x m_y or below 0).  Each leaf tests its
+sparsest Y', then its densest.  The scan prunes only subtrees that hold no
+violating X', and it reaches its leaves in combinations order, so it
+returns the same first violating X', with the same Y', as a loop over every
+combination: no verdict or witness differs from that loop's (the tests keep
+it as a reference).
+
+The sampled checker first runs the same scan, capped at `budget` opened
+prefixes.  When the scan rules out every threshold subpair, no draw and no
+swap could refute the pair, so the checker returns unrefuted with `budget`
+samples tried, which is what drawing would return; budget 0 opens no prefix
+and draws nothing.  Otherwise (the scan found a violation or ran out of
+budget) it draws `budget` random subpairs of the threshold sizes, keeps the
+one of largest gap and grows that gap by single-vertex swaps.  Its
 draws are positions into the sorted sides, and random.sample picks positions
 by the population's length alone, so every pair of one partition attempt
 (equal class sizes, one seed) reuses one cached list of draws.  The swap
@@ -153,16 +178,55 @@ def _violates(
 def _check_exhaustive(
     g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int
 ) -> RegularityVerdict:
-    nxy, base = len(xs) * len(ys), e0 * m_x * m_y
-    for xsub in itertools.combinations(xs, m_x):
-        xmask = mask_of(xsub)
-        by_count = sorted(((g.adj[y] & xmask).bit_count(), y) for y in ys)
-        low = by_count[:m_y]
-        high = by_count[-m_y:]
-        if base - sum(c for c, _ in low) * nxy > limit:
-            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(y for _, y in low))
-        if sum(c for c, _ in high) * nxy - base > limit:
-            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(y for _, y in high))
+    return _scan(g, xs, ys, m_x, m_y, e0, limit, None)
+
+
+def _scan(
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
+    budget: int | None,
+) -> RegularityVerdict | None:
+    """The first violating threshold subpair, X' in combinations order, or
+    certified_regular when there is none; None when `budget` X'-prefixes
+    were opened first (None: no budget).  Each stack entry is a prefix's
+    mask, the position its next vertex starts from, the count still to pick,
+    and whether a completion may still be too dense and too sparse."""
+    nx, nxy, base = len(xs), len(xs) * len(ys), e0 * m_x * m_y
+    high = (base + limit) // nxy  # a subpair with e edges is too dense iff e > high
+    low = -((limit - base) // nxy)  # and too sparse iff e < low
+    rows = [g.adj[y] for y in ys]
+    bits = [1 << x for x in xs]
+    xall = mask_of(xs)
+    stack = [(0, 0, m_x, m_x * m_y > high, low > 0)]
+    opened = 0
+    while stack:
+        if opened == budget:
+            return None
+        opened += 1
+        xmask, start, r, dense, sparse = stack.pop()
+        if r == 0:
+            by_count = sorted(((row & xmask).bit_count(), y) for row, y in zip(rows, ys))
+            if sum(c for c, _ in by_count[:m_y]) < low:
+                ysub = by_count[:m_y]
+            elif sum(c for c, _ in by_count[-m_y:]) > high:
+                ysub = by_count[-m_y:]
+            else:
+                continue
+            xsub = frozenset(x for x in xs if xmask >> x & 1)
+            return RegularityVerdict(VIOLATED, xsub, frozenset(y for _, y in ysub))
+        # a completion picks r of the vertices in xs[start:] and leaves k
+        # out; y has a of them as neighbours and c in the prefix, so it gets
+        # from c + max(0, a - k) to c + min(r, a) edges
+        cmask, k = xall >> xs[start] << xs[start], nx - start - r
+        counts = [((row & xmask).bit_count(), (row & cmask).bit_count()) for row in rows]
+        if dense:
+            dense = sum(sorted([c + (a if a < r else r) for c, a in counts])[-m_y:]) > high
+        if sparse:
+            sparse = sum(sorted([c + (a - k if a > k else 0) for c, a in counts])[:m_y]) < low
+        if dense or sparse:
+            stack.extend(
+                (xmask | bits[i], i + 1, r - 1, dense, sparse)
+                for i in range(nx - r, start - 1, -1)
+            )
     return RegularityVerdict(CERTIFIED)
 
 
@@ -185,6 +249,11 @@ def _check_sampled(
     g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
     budget: int, seed: int,
 ) -> RegularityVerdict:
+    if budget > 0:
+        scan = _scan(g, xs, ys, m_x, m_y, e0, limit, budget)
+        if scan is not None and scan.status == CERTIFIED:
+            # no threshold subpair violates, so no draw or swap could refute
+            return RegularityVerdict(UNREFUTED, samples_tried=budget)
     nxy, base = len(xs) * len(ys), e0 * m_x * m_y
     adj = g.adj
     xrows = [adj[x] for x in xs]

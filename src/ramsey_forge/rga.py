@@ -142,13 +142,17 @@ def _attempt(
     embedded_deg = [0] * n_src
     image = [-1] * n_src
     used = 0
+    # the retention checks cross-multiplied by their denominators, so the
+    # loop below builds no Fraction
     retention = params.delta - EPS
-    queue_cap = EPS1 * m
+    rn, rd = retention.numerator, retention.denominator
+    queue_cap = EPS1.numerator * m // EPS1.denominator
+    p2, q2 = EPS2.numerator, EPS2.denominator
 
     def check_candidate_invariant(y: int) -> None:
         # invariant (i): |U(y)| >= (delta - EPS)^{d(y)} |V_{f(y)}|
-        bound = retention ** embedded_deg[y] * part_sizes[f(y)]
-        if cand[y].bit_count() < bound:
+        d = embedded_deg[y]
+        if cand[y].bit_count() * rd**d < rn**d * part_sizes[f(y)]:
             raise _Abort("candidate_invariant")
 
     for part in range(len(part_masks)):
@@ -157,6 +161,7 @@ def _attempt(
         pending = list(preimages[part])
         pending_pos = 0
         remaining = len(pending)
+        trigger = p2 * part_sizes[part]
         while remaining > 0:
             if queue:
                 x = queue.popleft()
@@ -172,15 +177,12 @@ def _attempt(
             free_neighbors = [
                 y for y in iter_bits(g.adj[x]) if image[y] < 0 and y != x
             ]
+            # u keeps y's candidates iff |U(y) & N(u)| >= retention |U(y)|
+            needs = [(cand[y], rn * cand[y].bit_count()) for y in free_neighbors]
             choices = []
             for u in iter_bits(free):
-                ok = True
-                for y in free_neighbors:
-                    kept = (cand[y] & host.adj[u]).bit_count()
-                    if kept < retention * cand[y].bit_count():
-                        ok = False
-                        break
-                if ok:
+                row = host.adj[u]
+                if all((c & row).bit_count() * rd >= need for c, need in needs):
                     choices.append(u)
             if not choices:
                 raise _Abort("starved")
@@ -196,7 +198,7 @@ def _attempt(
             for y in preimages[part]:
                 if image[y] >= 0 or in_queue[y]:
                     continue
-                if (cand[y] & ~used).bit_count() < EPS2 * part_sizes[part]:
+                if (cand[y] & ~used).bit_count() * q2 < trigger:
                     queue.append(y)
                     in_queue[y] = True
             if len(queue) > queue_cap:

@@ -4,6 +4,12 @@ regularity_check_all_subsets iterates every admissible subpair of (X, Y),
 with no reduction to the threshold sizes.  It is exponential in |X| + |Y|
 and exists only to cross-check the library's checker on small pairs.
 
+check_exhaustive_plain is the exhaustive checker as it was before its scan
+pruned X'-prefixes: it runs through every X' of the threshold size in
+itertools.combinations order.  It takes the arguments of
+regularity._check_exhaustive, so a test can put it in that one's place and
+compare whole verdicts, witnesses included.
+
 check_sampled_rescanning is the sampled checker as it was before its swap
 search kept per-vertex counts: it draws with rng.sample over the vertices
 themselves and recounts the whole subpair for every candidate swap.  It
@@ -61,6 +67,24 @@ def regularity_check_all_subsets(
                         frozenset(xcomb),
                         frozenset(ys[i] for i in ycomb),
                     )
+    return RegularityVerdict(CERTIFIED)
+
+
+def check_exhaustive_plain(
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int
+) -> RegularityVerdict:
+    """The plain exhaustive checker: for each X' in combinations order, the
+    m_y vertices of Y with fewest neighbours in X', then the m_y with most."""
+    nxy, base = len(xs) * len(ys), e0 * m_x * m_y
+    for xsub in itertools.combinations(xs, m_x):
+        xmask = mask_of(xsub)
+        by_count = sorted(((g.adj[y] & xmask).bit_count(), y) for y in ys)
+        low = by_count[:m_y]
+        high = by_count[-m_y:]
+        if base - sum(c for c, _ in low) * nxy > limit:
+            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(y for _, y in low))
+        if sum(c for c, _ in high) * nxy - base > limit:
+            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(y for _, y in high))
     return RegularityVerdict(CERTIFIED)
 
 

@@ -20,7 +20,11 @@ from ramsey_forge.regularity import (
     regularity_check,
 )
 from ramsey_forge.rga import blowup_instance
-from regularity_reference import check_sampled_rescanning, regularity_check_all_subsets
+from regularity_reference import (
+    check_exhaustive_plain,
+    check_sampled_rescanning,
+    regularity_check_all_subsets,
+)
 
 
 def regular_pairs(g: Graph, partition: Partition, params: RegularityParams):
@@ -323,6 +327,86 @@ def test_sampled_matches_rescanning_reference(monkeypatch):
     statuses = [v.status for v in fast]
     assert statuses.count(VIOLATED) >= 20 and statuses.count(UNREFUTED) >= 20
     assert sum(len(p) > 1 for p in passes) >= 20  # the swap search made several passes
+
+
+def test_scan_keeps_the_first_witness(monkeypatch):
+    # seeded pairs with sides 1-16 (unequal too), interleaved labels and
+    # edges inside the sides; every verdict and witness must equal the plain
+    # combinations loop's
+    rng = random.Random(21)
+    cases = []
+    for _ in range(60):
+        nx_, ny = rng.randint(1, 16), rng.randint(1, 16)
+        n = nx_ + ny + rng.randint(0, 3)
+        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append((g, order[:nx_], order[nx_ : nx_ + ny]))
+    epses = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+
+    def run_all():
+        return [
+            regularity_check(g, xs, ys, RegularityParams(eps))
+            for g, xs, ys in cases
+            for eps in epses
+        ]
+
+    scanned = run_all()
+    monkeypatch.setattr(regularity, "_check_exhaustive", check_exhaustive_plain)
+    assert scanned == run_all()
+    statuses = [v.status for v in scanned]
+    assert statuses.count(VIOLATED) >= 20 and statuses.count(CERTIFIED) >= 20
+
+
+def test_sampled_shortcut(monkeypatch):
+    # pairs the scan settles within the budget: no threshold subpair
+    # violates, so the verdict is what every draw would give, and none runs
+    complete, xs, ys = bipartite_pair(12, 12, [(u, v) for u in range(12) for v in range(12)])
+    half = random_graph(24, 0.5, 3)
+    evens, odds = list(range(0, 24, 2)), list(range(1, 24, 2))
+    settled = [  # the complete pair at the root, the random one in 8 prefixes
+        (complete, xs, ys, Fraction(1, 4), 1),
+        (complete, xs, ys, Fraction(1, 4), 50),
+        (half, evens, odds, Fraction(1, 2), 8),
+        (half, evens, odds, Fraction(1, 2), 50),
+    ]
+
+    def no_draws(*args):
+        raise AssertionError("the scan settled the pair, yet draws were made")
+
+    with monkeypatch.context() as m:
+        m.setattr(regularity, "_sample_draws", no_draws)
+        for g, xs, ys, eps, budget in settled:
+            v = regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, budget, 5)
+            assert (v.status, v.samples_tried) == (UNREFUTED, budget)
+    # a budget of fewer prefixes than the scan needs settles nothing: the
+    # draws run and give the rescanning checker's verdict
+    draws = []
+    real_draws = regularity._sample_draws
+
+    def counting_draws(*args):
+        draws.append(args)
+        return real_draws(*args)
+
+    monkeypatch.setattr(regularity, "_sample_draws", counting_draws)
+
+    def run_all():
+        return [
+            regularity_check(half, evens, odds, RegularityParams(eps), MODE_SAMPLED, budget, s)
+            for eps, budget in ((Fraction(1, 2), 7), (Fraction(1, 4), 1))
+            for s in range(20)
+        ]
+
+    fast = run_all()
+    assert len(draws) == 40
+    # budget 0 opens no prefix and draws nothing
+    for g, xs, ys, eps, _ in settled:
+        v = regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, 0, 5)
+        assert (v.status, v.samples_tried) == (UNREFUTED, 0)
+    assert [budget for *_, budget, _ in draws[40:]] == [0] * len(settled)
+    monkeypatch.setattr(regularity, "_check_sampled", check_sampled_rescanning)
+    assert fast == run_all()
+    assert {v.status for v in fast[20:]} == {VIOLATED, UNREFUTED}
 
 
 def test_sample_positions_pick_what_sampling_the_sides_picks():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -132,3 +133,55 @@ def test_fuzz_soundness():
             for y in range(g.n):
                 assert vmap(y) in partition.classes[f(y)]
     assert some > 0
+
+
+def _rga_batch(count: int = 60, seed: int = 2026) -> list[tuple]:
+    """Seeded random blow-ups of K2, C3, C4 and K3 (parts of 4-12, pair
+    densities 1/5 to 1), random sources on round-robin parts, delta in
+    {0, 1/4, 1/2, 3/4} and 0-3 retries: each map with its attempts, steps
+    and abort stages."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        base = rng.choice([gen.complete(2), gen.cycle(3), gen.cycle(4), gen.complete(3)])
+        size = rng.randint(4, 12)
+        p = rng.choice([0.2, 0.4, 0.6, 0.8, 1.0])
+        edges = [
+            (bu * size + i, bv * size + j)
+            for bu, bv in base.edges()
+            for i in range(size)
+            for j in range(size)
+            if rng.random() < p
+        ]
+        host = Graph(base.n * size, edges)
+        parts = tuple(frozenset(range(c * size, (c + 1) * size)) for c in range(base.n))
+        partition = Partition(host.n, frozenset(), parts)
+        m = base.n * rng.randint(1, max(1, size * 4 // 5))
+        f = VertexMap(m, base.n, tuple(v % base.n for v in range(m)))
+        q = rng.random()
+        g = Graph(m, [
+            (u, v)
+            for u in range(m)
+            for v in range(u + 1, m)
+            if base.has_edge(u % base.n, v % base.n) and rng.random() < q
+        ])
+        delta = rng.choice([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+        stats = RgaStats()
+        vmap = rga_blowup_embed(
+            host, partition, base, g, f, RgaParams(delta, Fraction(1, 4)),
+            seed=rng.randrange(1000), retries=rng.randint(0, 3), stats=stats,
+        )
+        image = vmap.image if vmap is not None else None
+        out.append((image, stats.attempts, stats.steps, stats.aborts))
+    return out
+
+
+def test_pinned_rga_batch():
+    # captured from the Fraction retention checks; the batch reaches every
+    # abort stage, and the integer checks must give the same maps and aborts
+    batch = _rga_batch()
+    stages = {stage for *_, aborts in batch for stage in aborts}
+    assert stages == {"starved", "candidate_invariant", "queue_overflow"}
+    assert sum(image is not None for image, *_ in batch) >= 20
+    digest = hashlib.sha256(repr(batch).encode()).hexdigest()
+    assert digest == "b8b2dd9d9702e8ef4878a6824d3b5ccdd126a9a20468200d75cf6026bf856b02"
