@@ -20,7 +20,14 @@ comparing with beta*n.  xi(X) is 0 whenever n - D * (the largest nondegree
 in X) >= beta*n; drc_select masks once per call the vertices whose nondegree
 breaks that bound, and only a set meeting the mask reaches bad_supports'
 enumeration.  The exhaustive scan walks the multisets depth-first, so each
-level ANDs one host row into its prefix's intersection.
+level ANDs one host row into its prefix's intersection P, and it is a
+branch and bound: every set below P lies inside P and xi >= 0, so no score
+below P exceeds the xi-free term of P itself (2 p2 q1 |X0 cap P|^D |P|^D
+when E1, E2 > 0).  A prefix whose bound does not beat the best score so far
+is skipped with its subtree, and xi(X) is counted only at a leaf whose
+xi-free score beats it.  A skipped multiset could at best tie, and a tie
+never replaces the best (the least tuple wins), so the winner is the one the
+full scan picks.
 
 drc_bandwidth_embed checks its labels with bandwidth.labeling_width and fixes
 its block schedule first: a B vertex goes in block label // (2 budget), a
@@ -129,26 +136,29 @@ def _best_multiset(
     highest, |X0 cap X|^d (w_size |X|^d - penalty(X)) with the penalty taken
     only when X meets open_mask, and that X.  Multisets are walked
     depth-first in combinations_with_replacement order, each level ANDing
-    one row into its prefix's intersection, so the first of equal scores is
-    the least tuple; a leaf builds its tuple only when it sets a new best."""
+    one row into its prefix's intersection P.  Every X below P lies inside
+    P and the penalty is >= 0, so |X0 cap P|^d w_size |P|^d bounds each
+    score below P: a prefix whose bound is <= the best score so far is
+    skipped with its subtree, and a leaf pays for its penalty only when its
+    penalty-free score beats the best.  A new best needs a strictly higher
+    score, so the first of equal scores, the least tuple, still wins; a
+    leaf builds its tuple only when it sets a new best."""
     n = len(rows)
     best_score = best = None
 
     def descend(start: int, prefix: int, chosen: tuple[int, ...]) -> None:
         nonlocal best_score, best
-        if len(chosen) < depth - 1:
-            for i in range(start, n):
-                descend(i, prefix & rows[i], chosen + (i,))
-            return
+        leaf = len(chosen) == depth - 1
         for i in range(start, n):
             common = prefix & rows[i]
             lift = (common & x0_mask).bit_count() ** d
-            if not lift:
-                score = 0
-            elif common & open_mask:
-                score = lift * (w_size * common.bit_count() ** d - penalty(common))
-            else:
-                score = lift * w_size * common.bit_count() ** d
+            bound = lift * w_size * common.bit_count() ** d
+            if best is not None and bound <= best_score:
+                continue  # no multiset below scores above best_score
+            if not leaf:
+                descend(i, common, chosen + (i,))
+                continue
+            score = bound - lift * penalty(common) if lift and common & open_mask else bound
             if best is None or score > best_score:
                 best_score, best = score, (chosen + (i,), common)
 

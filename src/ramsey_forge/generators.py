@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import EdgeColoring, Graph
+from .graphs import EdgeColoring, Graph, iter_bits
 from .morphisms import VerificationError, VertexMap
 
 
@@ -111,7 +111,10 @@ def random_coloring(host: Graph, red_prob: Fraction, seed: int) -> EdgeColoring:
     if not 0 <= red_prob <= 1:
         raise ValueError("red_prob must lie in [0, 1]")
     rng = random.Random(seed)
-    red = [e for e in host.edges() if Fraction(rng.random()) < red_prob]
+    # random() is exactly m / 2**53, so m / 2**53 < p / q iff m q < p 2**53
+    q = red_prob.denominator
+    bound = red_prob.numerator << 53
+    red = [e for e in host.edges() if int(rng.random() * 2**53) * q < bound]
     return EdgeColoring(host, red)
 
 
@@ -134,10 +137,12 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     Stops at a seeded target deletion count or when no edge is deletable; the
     min-degree certificate is exact by construction.  The deletable edges
     (both ends above the floor) are kept in one list in lexicographic order:
-    a deletion removes its pair (found by bisection), and the list is
-    re-filtered only when a vertex reaches the floor (at most n times).  Each
-    step draws with rng.choice on that list, so the RNG stream is the one a
-    full rescan of all pairs per step would give.
+    a deletion removes its pair (found by bisection), and a vertex w that
+    reaches the floor takes its pairs out with it, the (w, b) block as one
+    slice between two bisections and each (a, w) by its own bisection, for
+    the a < w still above the floor and adjacent to w.  Each step draws with
+    rng.choice on that list, so the RNG stream is the one a full rescan of
+    all pairs per step would give.
     """
     eps = Fraction(eps)
     if not 0 <= eps < 1:
@@ -150,6 +155,7 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
 
     adj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
     deg = [n - 1] * n
+    above = (1 << n) - 1  # the vertices whose degree is above the floor
     deletable = list(itertools.combinations(range(n), 2)) if slack_per_vertex else []
     for _ in range(target):
         if not deletable:
@@ -160,10 +166,13 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
         adj[v] &= ~(1 << u)
         deg[u] -= 1
         deg[v] -= 1
-        if deg[u] == floor_deg or deg[v] == floor_deg:
-            deletable = [
-                (a, b) for a, b in deletable if deg[a] > floor_deg and deg[b] > floor_deg
-            ]
+        for w in (u, v):
+            if deg[w] == floor_deg:
+                above &= ~(1 << w)
+                lo = bisect.bisect_left(deletable, (w,))
+                del deletable[lo : bisect.bisect_left(deletable, (w + 1,), lo)]
+                for a in iter_bits(adj[w] & above & ((1 << w) - 1)):
+                    del deletable[bisect.bisect_left(deletable, (a, w))]
     g = Graph.from_adj(adj)
     if g.min_degree() < floor_deg:
         raise VerificationError(f"host minimum degree fell below {floor_deg}")

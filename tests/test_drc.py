@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from drc_reference import best_multiset_plain
 from ramsey_forge import generators as gen
 from ramsey_forge.bandwidth import heuristic_labeling
 from ramsey_forge.drc import (
@@ -22,7 +23,7 @@ from ramsey_forge.drc import (
     drc_select,
     surjection_count,
 )
-from ramsey_forge.drc import _high_nondegree
+from ramsey_forge.drc import _best_multiset, _high_nondegree
 from ramsey_forge.graphs import Graph, mask_of
 from ramsey_forge.morphisms import verify_homomorphism
 
@@ -230,6 +231,62 @@ def test_drc_select_outputs_pinned(mode):
     assert hashlib.sha256(repr(batch).encode()).hexdigest() == PINNED_SELECTIONS[mode]
 
 
+def _scan_case(case: str):
+    """(rows, depth, x0_mask, d, w_size, open_mask, xi) for one _best_multiset
+    case; xi(X) is bad_tuple_count at the case's threshold."""
+    g = gen.random_min_degree_host(16, Fraction(1, 4), 3)
+    d, threshold, w_size = 2, Fraction(8), 3
+    x0_mask = mask_of(range(0, 16, 2))
+    if case.startswith("depth"):
+        d = int(case[-1])
+    elif case == "ties":
+        g = gen.complete(12)  # its rows pairwise tie
+        x0_mask = (1 << 12) - 1
+    elif case == "empty_x0":
+        x0_mask = 0
+    elif case == "zero_w_size":
+        w_size, threshold = 0, Fraction(12)
+    elif case == "penalised":
+        threshold = Fraction(12)
+    else:
+        raise ValueError(case)
+    # each row twice: a repeated row ties with its copy
+    rows = [row for row in g.adj for _ in range(2)] if case == "ties" else g.adj
+    open_mask = _high_nondegree(g, (1 << g.n) - 1, d, math.ceil(threshold))
+
+    def xi(common):
+        return bad_tuple_count(g, common, d, threshold)
+
+    return rows, d, x0_mask, d, w_size, open_mask, xi
+
+
+SCAN_CASES = ("depth1", "depth2", "depth3", "ties", "empty_x0", "zero_w_size", "penalised")
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_best_multiset_matches_plain_scan(case):
+    rows, depth, x0_mask, d, w_size, open_mask, xi = _scan_case(case)
+    plain_calls, bounded_calls = [], []
+    for w_bad in (1, 5):
+        want = best_multiset_plain(
+            rows, depth, x0_mask, d, w_size, open_mask,
+            lambda c: plain_calls.append(c) or w_bad * xi(c),
+        )
+        got = _best_multiset(
+            rows, depth, x0_mask, d, w_size, open_mask,
+            lambda c: bounded_calls.append(c) or w_bad * xi(c),
+        )
+        assert got == want, (case, w_bad)
+    # the bounded scan prices a subset of the plain scan's leaves, in order
+    rest = iter(plain_calls)
+    assert all(any(c == p for p in rest) for c in bounded_calls)
+    if case == "empty_x0":
+        # every score is 0, so the first multiset wins and no penalty is priced
+        assert want == ((0,) * depth, rows[0]) and not bounded_calls
+    if case in ("zero_w_size", "penalised"):
+        assert any(xi(c) for c in plain_calls)  # penalties fire
+
+
 def test_drc_select_on_complete_graph():
     g = gen.complete(16)
     sel = drc_select(g, range(16), 2, Fraction(1, 8), seed=0, alpha=Fraction(1, 2))
@@ -406,3 +463,24 @@ def _bandwidth_embeds(case: str) -> list:
 @pytest.mark.parametrize("case", sorted(PINNED_BANDWIDTH_EMBEDS))
 def test_drc_bandwidth_embed_results_pinned(case):
     assert _bandwidth_embeds(case) == PINNED_BANDWIDTH_EMBEDS[case]
+
+
+# ladder(4) into a min-degree host at beta = 1/16: every drc_select is
+# exhaustive (C(42, 3) multisets) and its no-bad-support shortcut leaves
+# nearly every set open, so only the bounded scan makes these calls cheap;
+# images captured from the unbounded scan
+PINNED_LADDER_MIN_DEGREE = {
+    0: (25, 2, 19, 34, 17, 30, 23, 28),
+    1: (34, 17, 8, 15, 7, 33, 27, 21),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LADDER_MIN_DEGREE))
+def test_ladder_into_min_degree_host_pinned(seed):
+    h = ladder(4)
+    labels, _ = heuristic_labeling(h)
+    host = gen.random_min_degree_host(40, Fraction(1, 4), seed)
+    vmap = drc_bandwidth_embed(
+        host, h, labels, Fraction(1, 2), seed=seed, max_deg=3, beta=Fraction(1, 16)
+    )
+    assert vmap.image == PINNED_LADDER_MIN_DEGREE[seed]

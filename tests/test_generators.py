@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from drc_reference import random_coloring_fraction, random_min_degree_host_refiltering
 from ramsey_forge import generators as gen
 from ramsey_forge.graphs import RED
 from ramsey_forge.morphisms import verify_homomorphism
@@ -111,6 +112,16 @@ def test_random_coloring_rows_pinned():
     assert coloring.red_adj == [202, 89, 40, 135, 130, 68, 163, 89]
 
 
+@pytest.mark.parametrize("n", [5, 12, 40])
+def test_random_coloring_matches_fraction_form(n):
+    host = gen.complete(n)
+    for p in (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 8),
+              Fraction(999, 1000)):
+        for seed in range(50):
+            want = random_coloring_fraction(host, p, seed)
+            assert gen.random_coloring(host, p, seed) == want, (p, seed)
+
+
 def test_random_min_degree_host_certificate():
     for seed in range(5):
         g = gen.random_min_degree_host(16, Fraction(1, 4), seed)
@@ -142,6 +153,25 @@ def test_random_min_degree_host_rows_pinned(n, eps, seed):
     host = gen.random_min_degree_host(n, eps, seed)
     digest = hashlib.sha256(repr(host.adj).encode()).hexdigest()
     assert digest == PINNED_HOST_ROWS[n, eps, seed]
+
+
+HOST_GRID = (
+    (7, Fraction(1, 2)),
+    (12, Fraction(1, 3)),
+    (16, Fraction(1, 10)),
+    (24, Fraction(1, 4)),
+    (33, Fraction(1, 5)),
+    (48, Fraction(1, 3)),
+    (64, Fraction(1, 4)),
+    (96, Fraction(1, 10)),
+)
+
+
+@pytest.mark.parametrize("n, eps", HOST_GRID)
+def test_random_min_degree_host_matches_refiltering(n, eps):
+    for seed in range(200):
+        want = random_min_degree_host_refiltering(n, eps, seed)
+        assert gen.random_min_degree_host(n, eps, seed) == want, seed
 
 
 def test_random_bounded_degree_graph():
