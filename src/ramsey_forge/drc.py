@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -116,11 +117,11 @@ def bad_supports(
 
 
 def bad_tuple_count(g: Graph, x_mask: int, max_deg: int, threshold: Fraction) -> int:
-    """xi(X): ordered max_deg-tuples from X^D whose support is bad."""
-    total = 0
-    for support in bad_supports(g, x_mask, max_deg, threshold):
-        total += surjection_count(max_deg, len(support))
-    return total
+    """xi(X): ordered max_deg-tuples from X^D whose support is bad.  The
+    tuples onto a support of size s number surjection_count(max_deg, s), so
+    the supports are counted by size and that is taken once per size."""
+    sizes = Counter(map(len, bad_supports(g, x_mask, max_deg, threshold)))
+    return sum(k * surjection_count(max_deg, s) for s, k in sizes.items())
 
 
 def _best_multiset(

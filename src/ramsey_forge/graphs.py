@@ -193,7 +193,7 @@ def pair_density(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> Fraction:
 
 def threshold_size(eps: Fraction, size: int) -> int:
     """Least admissible subset size of a set of `size`: ceil(eps * size), at least 1."""
-    return max(1, -((-eps * size) // 1))
+    return max(1, -(-eps.numerator * size // eps.denominator))
 
 
 def induced(g: Graph, xs: Iterable[int]) -> Graph:

@@ -9,10 +9,15 @@ vertices given by the caller.  Compiling a plan generates its search kernel:
 Python source formatted from the plan's integers alone, with one nested
 `while` per search position and the images, demands and open-target masks
 in locals.  Plans deeper than one function can nest are cut into a chain of
-generated functions.  The kernels of the plans used last are kept, so a
-repeated plan is not compiled again.  run_plan is the general entry
-(pigeonhole reject and open mask, then the kernel); the interpreted search
-the kernels replaced is kept in the tests as their reference.
+generated functions.  A kernel is a function of the plan's positional shape
+alone (each position's earlier neighbours by position, the demands in
+position order, the least demand and the pinned prefix) and returns the
+images in position order, so relabelled plans of one shape share it; the
+kernels of the 128 shapes used last are kept, so a repeated shape is not
+compiled again.  run_plan is the general entry (pigeonhole reject and open
+mask, then the kernel, then the images back in source order); the
+interpreted search the kernels replaced is kept in the tests as their
+reference.
 find_capacity_homomorphism compiles a plan per call and is deterministic:
 source vertices by decreasing degree under count caps and by non-increasing
 weight under weights (ties by lowest id), candidate targets by lowest id.
@@ -170,8 +175,10 @@ class SearchPlan:
     for each position, the earlier neighbours whose images constrain it.
 
     The first `pinned` positions take their images from the caller.  kernel
-    is the plan's search as generated Python, called as
-    kernel(hadj, room, open_, budget, *pinned_images) -> (image, nodes).
+    is the search of the plan's positional shape as generated Python, shared
+    by every plan of that shape and called as
+    kernel(hadj, room, open_, budget, *pinned_images) -> (image, nodes), with
+    the image in position order (run_plan puts it back in source order).
     open_ must hold exactly the targets whose room is at least `least`.  The
     kernel writes to room but restores it before it returns; after
     BudgetExhausted room is left as it was at that node.
@@ -202,24 +209,28 @@ def compile_plan(
         seen |= 1 << v
     back = tuple(rows)
     least = min(demand, default=0)
-    kernel = _kernel(order, back, demand, least, pinned)
+    # the positional shape: what the search does depends on nothing else
+    at = {v: p for p, v in enumerate(order)}
+    shape = tuple(tuple(sorted(at[u] for u in row)) for row in back)
+    kernel = _kernel(shape, tuple(demand[v] for v in order), least, pinned)
     return SearchPlan(order, back, demand, least, sum(demand), pinned, kernel)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _kernel(
-    order: tuple[int, ...],
     back: tuple[tuple[int, ...], ...],
-    demand: tuple[int, ...],
+    need: tuple[int, ...],
     least: int,
     pinned: int,
 ) -> Callable[..., tuple[list[int] | None, int]]:
-    """A plan's search kernel, compiled from its source.  Compiling takes
-    ~0.5 ms even for a 3-vertex plan, far more than a small search, so the
-    kernels of the 64 plans used last are kept; a kernel holds no state
-    between calls."""
+    """The search kernel of a positional shape: for each position, the
+    earlier positions adjacent to it (back) and its demand (need), with the
+    least demand and the pinned prefix.  Relabelled plans of one shape share
+    a kernel.  Compiling takes ~0.5 ms even for a 3-vertex plan, far more
+    than a small search, so the kernels of the 128 shapes used last are
+    kept; a kernel holds no state between calls."""
     namespace = {"BudgetExhausted": BudgetExhausted}
-    source = _kernel_source(order, back, demand, least, pinned)
+    source = _kernel_source(back, need, least, pinned)
     exec(compile(source, "<search kernel>", "exec"), namespace)
     return namespace["_k0"]
 
@@ -231,13 +242,9 @@ _SEGMENT = 16
 
 
 def _kernel_source(
-    order: tuple[int, ...],
-    back: Sequence[tuple[int, ...]],
-    demand: tuple[int, ...],
-    least: int,
-    pinned: int,
+    back: Sequence[tuple[int, ...]], need: Sequence[int], least: int, pinned: int
 ) -> str:
-    """Source of a plan's search, formatted from the plan's ints alone.
+    """Source of a shape's search, formatted from its ints alone.
 
     Locals: t{p} is the image at position p, o{p} the open targets before p
     is placed, c{p} its remaining candidates and r{p} the room its target
@@ -248,11 +255,9 @@ def _kernel_source(
     segment stores its images in the list img before it calls the next one,
     which takes the node count and reads from img the earlier images it
     needs.  Every return restores the room its own positions wrote, latest
-    first.
+    first.  The image found is returned in position order.
     """
-    n = len(order)
-    at = {v: p for p, v in enumerate(order)}
-    need = [demand[v] for v in order]
+    n = len(need)
     cuts = [0, *range(pinned + _SEGMENT, n, _SEGMENT), n]
     wrote: dict[int, int] = {}  # position whose placement may write room -> its depth
     lines: list[str] = []
@@ -274,12 +279,12 @@ def _kernel_source(
                 emit(1, f"img = [0] * {n:d}")
         else:
             emit(0, f"def _k{j:d}(hadj, room, budget, nodes, o{a:d}, img):")
-            for q in sorted({at[u] for p in range(a, b) for u in back[p]} - set(range(a, b))):
+            for q in sorted({q for p in range(a, b) for q in back[p]} - set(range(a, b))):
                 emit(1, f"t{q:d} = img[{q:d}]")
         depth = 1
         mask = f"o{a:d}"
         for p in range(a, b):
-            cand = mask + "".join(f" & hadj[t{at[u]:d}]" for u in back[p])
+            cand = mask + "".join(f" & hadj[t{q:d}]" for q in back[p])
             if p < pinned:
                 bit = f"(1 << t{p:d})"
                 emit(depth, f"if not ({cand}) >> t{p:d} & 1:")
@@ -319,7 +324,7 @@ def _kernel_source(
             wrote[p] = depth
         if b == n:
             restore(depth, range(a, b))
-            image = (f"t{p:d}" if p >= a else f"img[{p:d}]" for p in map(at.get, range(n)))
+            image = (f"t{p:d}" if p >= a else f"img[{p:d}]" for p in range(n))
             emit(depth, f"return [{', '.join(image)}], nodes")
         else:
             for q in range(a, b):
@@ -349,9 +354,9 @@ def run_plan(
     whose loads stay within room; fixed[i] is the pinned image of
     plan.order[i], one per pinned position.
 
-    Returns the image (None is a nonexistence certificate) and the node
-    count; the rows are trusted, not validated.  Raises BudgetExhausted past
-    budget nodes.
+    Returns the image in source order (None is a nonexistence certificate)
+    and the node count; the rows are trusted, not validated.  Raises
+    BudgetExhausted past budget nodes.
     """
     if len(fixed) != plan.pinned:
         raise ValueError(f"the plan pins {plan.pinned} images, not {len(fixed)}")
@@ -360,7 +365,13 @@ def run_plan(
     open_ = (1 << len(room)) - 1
     if room and min(room) < plan.least:
         open_ = sum(1 << t for t, r in enumerate(room) if r >= plan.least)
-    return plan.kernel(hadj, list(room), open_, budget, *fixed)
+    found, nodes = plan.kernel(hadj, list(room), open_, budget, *fixed)
+    if found is None:
+        return None, nodes
+    image = [0] * len(found)
+    for v, t in zip(plan.order, found):
+        image[v] = t
+    return image, nodes
 
 
 def find_capacity_homomorphism(

@@ -30,7 +30,8 @@ copy-free coloring to a copy-free one, so W is the least of its orbit and
 passes every such test, as it passes the first-edge-red rule.  The first
 witness, every status and every value are those of the unpruned search; it
 visits a subset of the nodes, so a host it decided within COLORING_BUDGET
-stays decided.
+stays decided.  A host's colex edge list and twin tests are built once and
+kept for the 32 hosts used last; each K_n is one shared host object.
 
 Each oracle call may visit COLORING_BUDGET nodes of the coloring search,
 summed over its hosts.  When that runs out, or a copy search exhausts
@@ -232,9 +233,13 @@ def _arc_roots(gw: WeightedGraph) -> list[tuple[int, int]]:
     return [(a, b) for a, b, _ in roots]
 
 
-def _twin_tests(host: Graph, edges: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
-    """For each edge (u, v), u < v, of the colex order: the (i, j, mask) of
-    every twin pair i < j whose lex-leader test coloring that edge decides.
+@functools.lru_cache(maxsize=32)
+def _twin_tests(
+    host: Graph,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
+    """The host's edges (u, v), u < v, in colex order, and for each the
+    (i, j, mask) of every twin pair i < j whose lex-leader test coloring
+    that edge decides.  Built once per host: a Graph is never mutated.
 
     Under the swap of i and j the word first changes at the least k outside
     {i, j} where the edges ik and jk differ, and ik comes first, so the
@@ -244,14 +249,17 @@ def _twin_tests(host: Graph, edges: list[tuple[int, int]]) -> list[list[tuple[in
     (i, u) (mask: bits 0..v); mask leaves out i and j.
     """
     adj = host.adj
+    edges = tuple(sorted(host.edges(), key=lambda e: (e[1], e[0])))
     twins = [
         [i for i in range(j) if adj[i] & ~(1 << j) == adj[j] & ~(1 << i)] for j in range(host.n)
     ]
-    return [
-        [(i, v, ((2 << u) - 1) & ~(1 << i)) for i in twins[v] if i != u]
-        + [(i, u, ((2 << v) - 1) & ~(1 << i | 1 << u)) for i in twins[u]]
+    return edges, tuple(
+        tuple(
+            [(i, v, ((2 << u) - 1) & ~(1 << i)) for i in twins[v] if i != u]
+            + [(i, u, ((2 << v) - 1) & ~(1 << i | 1 << u)) for i in twins[u]]
+        )
         for u, v in edges
-    ]
+    )
 
 
 def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
@@ -271,8 +279,7 @@ def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
     """
     if copies.anywhere([0] * host.n):  # only an edgeless target fits
         return None
-    edges = sorted(host.edges(), key=lambda e: (e[1], e[0]))
-    tests = _twin_tests(host, edges)
+    edges, tests = _twin_tests(host)
     red = [0] * host.n
     blue = [0] * host.n
 

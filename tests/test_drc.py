@@ -130,6 +130,18 @@ def test_bad_supports_within_matches_brute_force():
     assert bad_supports(gen.complete(6), 0, 2, Fraction(9)) == []
 
 
+def test_bad_tuple_count_sums_surjections_per_support():
+    # counted by support size, xi(X) is still the sum over the bad supports
+    for seed in range(6):
+        g = gen.random_min_degree_host(18, Fraction(1, 3), seed)
+        x_mask = mask_of(range(seed, 18, 2))
+        for d in (1, 2, 3):
+            for threshold in (Fraction(0), Fraction(3), Fraction(7, 2), Fraction(6), Fraction(11)):
+                supports = brute_bad_supports(g, x_mask, d, threshold, (1 << 18) - 1)
+                expect = sum(surjection_count(d, len(s)) for s in supports)
+                assert bad_tuple_count(g, x_mask, d, threshold) == expect
+
+
 def reference_select(g, x0, d, beta, trials=100, seed=0, alpha=Fraction(1, 2),
                      tuple_budget=DEFAULT_TUPLE_BUDGET):
     """drc_select's winner by Fraction scores and brute-force xi(X)."""

@@ -20,6 +20,7 @@ from ramsey_forge.graphs import (
     mask_of,
     other_color,
     pair_density,
+    threshold_size,
 )
 from ramsey_forge.graphs import _transpose
 
@@ -266,3 +267,12 @@ def test_coloring_from_red_adj_validates():
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError):
         EdgeColoring.from_red_adj(g, [0b100, 0, 0b001])  # not host edges
+
+
+def test_threshold_size_matches_fraction_ceiling():
+    # the integer form against ceil(eps * size) in Fraction arithmetic
+    for q in range(1, 30):
+        for p in range(2 * q + 1):
+            eps = Fraction(p, q)
+            for size in range(70):
+                assert threshold_size(eps, size) == max(1, -((-eps * size) // 1)), (eps, size)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_forge import generators as gen
+from ramsey_forge import morphisms
 from ramsey_forge.graphs import Graph, WeightedGraph
 from ramsey_forge.morphisms import (
     BudgetExhausted,
@@ -354,8 +355,36 @@ def test_kernels_match_the_reference_search():
             with pytest.raises(BudgetExhausted):
                 run_plan(plan, h.adj, room, nodes - 1, fixed)
         if plan.total <= sum(room):
-            # called directly, a kernel leaves the room list as it found it
+            # called directly, a kernel returns the image in position order
+            # and leaves the room list as it found it
             open_ = sum(1 << t for t, r in enumerate(room) if r >= plan.least)
             work = list(room)
-            assert plan.kernel(h.adj, work, open_, nodes, *fixed) == (image, nodes)
+            ordered = None if image is None else [image[v] for v in plan.order]
+            assert plan.kernel(h.adj, work, open_, nodes, *fixed) == (ordered, nodes)
             assert work == room
+
+
+def test_relabelled_plans_share_one_kernel():
+    # a path 0-1-2-3-4 with a chord, and its image under a relabelling pi:
+    # searched in corresponding orders, both plans have one positional shape
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+    pi = [3, 0, 4, 1, 2]
+    h = Graph(5, [(pi[u], pi[v]) for u, v in g.edges()])
+    demand = [7, 5, 11, 6, 9]  # demands no other test uses, so the shape is new
+    order = [2, 0, 1, 3, 4]
+    before = morphisms._kernel.cache_info().misses
+    a = compile_plan(g, demand, order, 1)
+    b = compile_plan(h, [demand[pi.index(v)] for v in range(5)], [pi[v] for v in order], 1)
+    assert morphisms._kernel.cache_info().misses == before + 1
+    assert a.order != b.order and a.back != b.back and a.kernel is b.kernel
+    # run_plan still answers in each plan's own source order
+    host = gen.complete(5)
+    room = [11] * 5
+    image_a, nodes_a = run_plan(a, host.adj, room, 1000, (0,))
+    image_b, nodes_b = run_plan(b, host.adj, room, 1000, (0,))
+    assert nodes_a == nodes_b
+    assert image_b == [image_a[pi.index(v)] for v in range(5)]
+    for src, plan, image in ((g, a, image_a), (h, b, image_b)):
+        vmap = VertexMap(5, 5, tuple(image))
+        assert verify_homomorphism(src, host, vmap).valid
+        assert reference_run_plan(plan, host.adj, room, 1000, (0,)) == (image, nodes_a)

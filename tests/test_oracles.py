@@ -220,6 +220,18 @@ def _twin_cut_cases():
     return cases
 
 
+def test_twin_tests_are_built_once_per_host():
+    hosts = [gen.complete(n) for n in range(1, 11)]
+    hosts += [gen.complete_multipartite([1, 2, 3]), *hosts_with_min_degree(6, 3)]
+    for host in hosts:
+        built = oracles._twin_tests(host)
+        assert oracles._twin_tests(host) is built
+        assert built == oracles._twin_tests.__wrapped__(host)
+        edges, tests = built
+        assert list(edges) == sorted(host.edges(), key=lambda e: (e[1], e[0]))
+        assert len(tests) == len(edges)
+
+
 @pytest.mark.parametrize("hosts,gw", _twin_cut_cases())
 def test_twin_cuts_keep_the_first_witness(hosts, gw):
     copies = oracles._Copies(gw)
