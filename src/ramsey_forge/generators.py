@@ -136,13 +136,14 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
 
     Stops at a seeded target deletion count or when no edge is deletable; the
     min-degree certificate is exact by construction.  The deletable edges
-    (both ends above the floor) are kept in one list in lexicographic order:
-    a deletion removes its pair (found by bisection), and a vertex w that
-    reaches the floor takes its pairs out with it, the (w, b) block as one
-    slice between two bisections and each (a, w) by its own bisection, for
-    the a < w still above the floor and adjacent to w.  Each step draws with
-    rng.choice on that list, so the RNG stream is the one a full rescan of
-    all pairs per step would give.
+    (both ends above the floor) are kept in one list in lexicographic order,
+    each pair (a, b) as the int a n + b: a deletion pops the position it
+    drew, and a vertex w that reaches the floor takes its pairs out with it,
+    the (w, b) block as one slice between two bisections and each (a, w) by
+    its own bisection, for the a < w still above the floor and adjacent to
+    w.  Each step draws its position with rng.randrange(len(list)), which
+    consumes the stream as rng.choice on that list does, so the RNG stream
+    is the one a full rescan of all pairs per step would give.
     """
     eps = Fraction(eps)
     if not 0 <= eps < 1:
@@ -156,12 +157,11 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     adj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
     deg = [n - 1] * n
     above = (1 << n) - 1  # the vertices whose degree is above the floor
-    deletable = list(itertools.combinations(range(n), 2)) if slack_per_vertex else []
+    deletable = [a * n + b for a in range(n) for b in range(a + 1, n)] if slack_per_vertex else []
     for _ in range(target):
         if not deletable:
             break
-        u, v = rng.choice(deletable)
-        del deletable[bisect.bisect_left(deletable, (u, v))]
+        u, v = divmod(deletable.pop(rng.randrange(len(deletable))), n)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
         deg[u] -= 1
@@ -169,10 +169,10 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
         for w in (u, v):
             if deg[w] == floor_deg:
                 above &= ~(1 << w)
-                lo = bisect.bisect_left(deletable, (w,))
-                del deletable[lo : bisect.bisect_left(deletable, (w + 1,), lo)]
+                lo = bisect.bisect_left(deletable, w * n)
+                del deletable[lo : bisect.bisect_left(deletable, w * n + n, lo)]
                 for a in iter_bits(adj[w] & above & ((1 << w) - 1)):
-                    del deletable[bisect.bisect_left(deletable, (a, w))]
+                    del deletable[bisect.bisect_left(deletable, a * n + w)]
     g = Graph.from_adj(adj)
     if g.min_degree() < floor_deg:
         raise VerificationError(f"host minimum degree fell below {floor_deg}")

@@ -21,30 +21,49 @@ exact edge counts against d(X, Y) and eps; a failed recheck raises
 VerificationError.
 
 The exhaustive checker builds X' depth first, in itertools.combinations
-order.  A prefix P chosen from xs[:start] still needs r vertices from
-C = xs[start:].  Over all completions, a vertex y of Y with c_y neighbours
-in P and a_y in C gets between c_y + max(0, r - (|C| - a_y)) and
-c_y + min(r, a_y) neighbours in X'.  If the m_y largest upper ends cannot
-push the gap above the limit, no completion is too dense; if the m_y
-smallest lower ends cannot pull it below minus the limit, none is too
-sparse; when both hold, the prefix is pruned.  A child's ranges lie inside
-its parent's, so a side ruled out at a prefix stays out below it, and a
-side that is out at the root is never bounded (at eps = 1/2 one side always
-is: its edge threshold lies above m_x m_y or below 0).  Each leaf tests its
-sparsest Y', then its densest.  The scan prunes only subtrees that hold no
-violating X', and it reaches its leaves in combinations order, so it
-returns the same first violating X', with the same Y', as a loop over every
-combination: no verdict or witness differs from that loop's (the tests keep
-it as a reference).
+order, after a root peel (the core peeling of Alon, Duke, Lefmann, Rödl and
+Yuster, "The algorithmic aspects of the regularity lemma", J. Algorithms
+16, 1994) has tried to rule each side out.  A threshold subpair with e
+edges is too dense when e > high and too sparse when e < low, high and low
+being the most and the fewest edges whose gap stays within the limit.  A
+too-dense one has
+e >= need = high + 1 edges, so it lacks at most s = m_x m_y - need:
+each of its x has at least m_y - s neighbours in its Y' and each y at least
+m_x - s in its X'.  A vertex with fewer neighbours than that on the live
+other side lies in no such subpair, so peeling those from X and Y until
+nothing changes keeps every too-dense subpair inside the live sets.  The
+side is out when fewer than m_x or m_y vertices stay live, or when the m_y
+largest min(m_x, live degree) of the live y sum to less than `need`.  The
+sparse side is the same test on the complement inside X x Y, with
+need = m_x m_y - low + 1 (at eps = 1/2 one side is out before any peel:
+its edge threshold lies above m_x m_y or below 0).  When both sides are
+out, the pair is certified with no prefix opened.
+
+The scan starts with the sides the peel left open.  A prefix P chosen from
+xs[:start] still needs r vertices from C = xs[start:].  Over all
+completions, a vertex y of Y with c_y neighbours in P and a_y in C gets
+between c_y + max(0, r - (|C| - a_y)) and c_y + min(r, a_y) neighbours in
+X'.  If the m_y largest upper ends cannot push the gap above the limit, no
+completion is too dense; if the m_y smallest lower ends cannot pull it
+below minus the limit, none is too sparse; when both hold, the prefix is
+pruned.  A child's ranges lie inside its parent's, so a side ruled out at
+a prefix stays out below it, and a side out at the root is never bounded.
+Each leaf tests its sparsest Y', then its densest.  The peel and the
+bounds close only sides that hold no violating subpair, so the scan prunes
+only subtrees that hold no violating X', and it reaches its leaves in
+combinations order: it returns the same first violating X', with the same
+Y', as a loop over every combination, and no verdict or witness differs
+from that loop's (the tests keep it as a reference).
 
 The sampled checker first runs the same scan, capped at `budget` opened
-prefixes.  When the scan rules out every threshold subpair, no draw and no
-swap could refute the pair, so the checker returns unrefuted with `budget`
-samples tried, which is what drawing would return; budget 0 opens no prefix
-and draws nothing.  Otherwise (the scan found a violation or ran out of
-budget) it draws `budget` random subpairs of the threshold sizes, keeps the
-one of largest gap and grows that gap by single-vertex swaps.  Its
-draws are positions into the sorted sides, and random.sample picks positions
+prefixes.  When the scan (its root peel included, which opens no prefix)
+rules out every threshold subpair, no draw and no swap could refute the
+pair, so the checker returns unrefuted with `budget` samples tried, which
+is what drawing would return; budget 0 opens no prefix and draws nothing.
+Otherwise (the scan found a violation or ran out of budget) it draws
+`budget` random subpairs of the threshold sizes, keeps the one of largest
+gap and grows that gap by single-vertex swaps.  Its draws are positions
+into the sorted sides, and random.sample picks positions
 by the population's length alone, so every pair of one partition attempt
 (equal class sizes, one seed) reuses one cached list of draws.  The swap
 search keeps each vertex's count of neighbours in the other side's current
@@ -57,7 +76,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -157,7 +176,9 @@ def regularity_check(
         verdict = _check_sampled(g, xs, ys, m_x, m_y, e0, limit, budget, seed)
     if verdict.status == VIOLATED and not _violates(g, xs, ys, eps, verdict):
         raise VerificationError("regularity witness does not violate eps-regularity")
-    return replace(verdict, density=d0)
+    return RegularityVerdict(
+        verdict.status, verdict.witness_x, verdict.witness_y, verdict.samples_tried, d0
+    )
 
 
 def _violates(
@@ -181,6 +202,35 @@ def _check_exhaustive(
     return _scan(g, xs, ys, m_x, m_y, e0, limit, None)
 
 
+def _ruled_out(
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, need: int, flip: int
+) -> bool:
+    """Whether the root peel shows that no m_x x m_y subpair of (X, Y) has
+    `need` or more edges (need <= m_x m_y): edges of g when flip is 0, of its
+    complement when flip is -1 (row ^ -1 is ~row).  Each cell is a vertex's
+    bit and row; every count is taken inside the live sets, which start as
+    X and Y, so the complement needs no other mask."""
+    adj = g.adj
+    xcells = [(1 << x, adj[x] ^ flip) for x in xs]
+    ycells = [(1 << y, adj[y] ^ flip) for y in ys]
+    s = m_x * m_y - need  # the most edges such a subpair lacks
+    dx, dy = m_y - s, m_x - s  # so each x of X' has dx neighbours in Y', each y dy in X'
+    ly = sum([b for b, _ in ycells])
+    while True:
+        xcells = [c for c in xcells if (c[1] & ly).bit_count() >= dx]
+        if len(xcells) < m_x:
+            return True
+        lx = sum([b for b, _ in xcells])
+        kept = [c for c in ycells if (c[1] & lx).bit_count() >= dy]
+        if len(kept) < m_y:
+            return True
+        if len(kept) == len(ycells):  # the x kept saw these y: nothing changes
+            break
+        ycells = kept
+        ly = sum([b for b, _ in ycells])
+    return sum(sorted([min(m_x, (row & lx).bit_count()) for _, row in ycells])[-m_y:]) < need
+
+
 def _scan(
     g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
     budget: int | None,
@@ -190,13 +240,18 @@ def _scan(
     were opened first (None: no budget).  Each stack entry is a prefix's
     mask, the position its next vertex starts from, the count still to pick,
     and whether a completion may still be too dense and too sparse."""
-    nx, nxy, base = len(xs), len(xs) * len(ys), e0 * m_x * m_y
+    nx, nxy, base, mm = len(xs), len(xs) * len(ys), e0 * m_x * m_y, m_x * m_y
     high = (base + limit) // nxy  # a subpair with e edges is too dense iff e > high
     low = -((limit - base) // nxy)  # and too sparse iff e < low
+    dense = high < mm and not _ruled_out(g, xs, ys, m_x, m_y, high + 1, 0)
+    # too sparse is too dense in the complement
+    sparse = low > 0 and not _ruled_out(g, xs, ys, m_x, m_y, mm - low + 1, -1)
+    if not (dense or sparse):
+        return RegularityVerdict(CERTIFIED)
     rows = [g.adj[y] for y in ys]
     bits = [1 << x for x in xs]
     xall = mask_of(xs)
-    stack = [(0, 0, m_x, m_x * m_y > high, low > 0)]
+    stack = [(0, 0, m_x, dense, sparse)]
     opened = 0
     while stack:
         if opened == budget:

@@ -15,6 +15,10 @@ search kept per-vertex counts: it draws with rng.sample over the vertices
 themselves and recounts the whole subpair for every candidate swap.  It
 takes the arguments of regularity._check_sampled, so a test can put it in
 that one's place and compare whole verdicts.
+
+peel_rules_out is the scan's root peel as its definition states it, on
+vertex sets, and most_edges the brute force that the peel must never
+contradict.
 """
 
 from __future__ import annotations
@@ -133,3 +137,49 @@ def check_sampled_rescanning(
         if dev > limit:
             return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(ysub), tried)
     return RegularityVerdict(UNREFUTED, samples_tried=tried)
+
+
+def peel_rules_out(
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, need: int,
+    complement: bool = False, rounds: int | None = None, degree_sum: bool = True,
+) -> bool:
+    """A too-dense m_x x m_y subpair (need <= m_x m_y edges or more) lacks at
+    most s = m_x m_y - need edges, so each of its x has m_y - s neighbours in
+    its Y' and each y has m_x - s in its X'.  Drop the x of fewer live
+    neighbours, then the y, until nothing changes (or for `rounds` rounds);
+    the side is out when fewer than m_x x or m_y y stay live, or when the
+    m_y largest min(m_x, live degree) of the live y sum to less than `need`
+    (skipped without `degree_sum`).  With `complement` the edges are the
+    non-edges of X x Y."""
+
+    def adjacent(x: int, y: int) -> bool:
+        return bool(g.adj[x] >> y & 1) != complement
+
+    s = m_x * m_y - need
+    live_x, live_y = set(xs), set(ys)
+    done = 0
+    while rounds is None or done < rounds:
+        new_x = {x for x in live_x if sum(adjacent(x, y) for y in live_y) >= m_y - s}
+        new_y = {y for y in live_y if sum(adjacent(x, y) for x in new_x) >= m_x - s}
+        done += 1
+        if (new_x, new_y) == (live_x, live_y):
+            break
+        live_x, live_y = new_x, new_y
+    if len(live_x) < m_x or len(live_y) < m_y:
+        return True
+    if not degree_sum:
+        return False
+    degrees = sorted(min(m_x, sum(adjacent(x, y) for x in live_x)) for y in live_y)
+    return sum(degrees[-m_y:]) < need
+
+
+def most_edges(
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, complement: bool = False
+) -> int:
+    """The most edges (non-edges of X x Y with `complement`) of any m_x x m_y
+    subpair: every X', each with its m_y y of most such neighbours in it."""
+    best = 0
+    for xsub in itertools.combinations(xs, m_x):
+        counts = sorted(sum(bool(g.adj[x] >> y & 1) != complement for x in xsub) for y in ys)
+        best = max(best, sum(counts[-m_y:]))
+    return best

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ramsey_forge import generators as gen, regularity
-from ramsey_forge.graphs import Graph, pair_density
+from ramsey_forge.graphs import Graph, pair_density, threshold_size
 from ramsey_forge.regularity import (
     CERTIFIED,
     MODE_EXHAUSTIVE,
@@ -23,6 +23,8 @@ from ramsey_forge.rga import blowup_instance
 from regularity_reference import (
     check_exhaustive_plain,
     check_sampled_rescanning,
+    most_edges,
+    peel_rules_out,
     regularity_check_all_subsets,
 )
 
@@ -362,7 +364,7 @@ def test_sampled_shortcut(monkeypatch):
     # pairs the scan settles within the budget: no threshold subpair
     # violates, so the verdict is what every draw would give, and none runs
     complete, xs, ys = bipartite_pair(12, 12, [(u, v) for u in range(12) for v in range(12)])
-    half = random_graph(24, 0.5, 3)
+    half = random_graph(24, 0.5, 0)  # a pair whose root peel leaves the dense side open
     evens, odds = list(range(0, 24, 2)), list(range(1, 24, 2))
     settled = [  # the complete pair at the root, the random one in 8 prefixes
         (complete, xs, ys, Fraction(1, 4), 1),
@@ -407,6 +409,132 @@ def test_sampled_shortcut(monkeypatch):
     monkeypatch.setattr(regularity, "_check_sampled", check_sampled_rescanning)
     assert fast == run_all()
     assert {v.status for v in fast[20:]} == {VIOLATED, UNREFUTED}
+
+
+def planted_pair(rng: random.Random, max_side: int) -> tuple[Graph, list[int], list[int]]:
+    """A seeded pair with sides 1..max_side, interleaved labels, spare
+    vertices and edges inside the sides, of some background density, with
+    a random block A x B of density near 1 or near 0 (or none)."""
+    nx_, ny = rng.randint(1, max_side), rng.randint(1, max_side)
+    n = nx_ + ny + rng.randint(0, 3)
+    order = list(range(n))
+    rng.shuffle(order)
+    xs, ys = order[:nx_], order[nx_ : nx_ + ny]
+    block = {
+        frozenset((a, b))
+        for a in rng.sample(xs, rng.randint(1, nx_))
+        for b in rng.sample(ys, rng.randint(1, ny))
+    }
+    p = rng.random()
+    q = rng.choice((p, rng.uniform(0.8, 1), rng.uniform(0, 0.2)))
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < (q if frozenset((u, v)) in block else p)
+    ]
+    return Graph(n, edges), xs, ys
+
+
+def test_root_peel_matches_its_definition_and_is_sound():
+    # every need, on both sides, at one random threshold size per planted
+    # pair and at every size on paths split into their two colour classes
+    # (a path peels from its ends inwards, one step a round): the peel
+    # agrees with its set-based definition, and a side it rules out has no
+    # m_x x m_y subpair with need edges, by brute force over every X'
+    rng = random.Random(31)
+    cases = []
+    for _ in range(240):
+        g, xs, ys = planted_pair(rng, 8)
+        cases.append((g, xs, ys, rng.randint(1, len(xs)), rng.randint(1, len(ys))))
+    for n in range(2, 17):
+        evens, odds = list(range(0, n, 2)), list(range(1, n, 2))
+        cases += [
+            (gen.path(n), evens, odds, m_x, m_y)
+            for m_x in range(1, len(evens) + 1)
+            for m_y in range(1, len(odds) + 1)
+        ]
+    out = multi_round = by_degree_sum = 0
+    for g, xs, ys, m_x, m_y in cases:
+        for complement, flip in ((False, 0), (True, -1)):
+            most = most_edges(g, xs, ys, m_x, m_y, complement)
+            for need in range(1, m_x * m_y + 1):
+                ruled = regularity._ruled_out(g, xs, ys, m_x, m_y, need, flip)
+                args = (g, xs, ys, m_x, m_y, need, complement)
+                assert ruled == peel_rules_out(*args)
+                if ruled:
+                    assert most < need
+                    out += 1
+                    multi_round += not peel_rules_out(*args, rounds=1)
+                    by_degree_sum += not peel_rules_out(*args, degree_sum=False)
+    # the batch needs the fixed point and the degree sum, not one of them alone
+    assert out >= 4000 and multi_round >= 5 and by_degree_sum >= 2000
+
+
+def threshold_args(g: Graph, xs: list[int], ys: list[int], eps: Fraction) -> tuple:
+    """_scan's arguments before the budget, as regularity_check derives them."""
+    xs, ys = sorted(xs), sorted(ys)
+    m_x, m_y = threshold_size(eps, len(xs)), threshold_size(eps, len(ys))
+    d0, nxy = pair_density(g, xs, ys), len(xs) * len(ys)
+    limit = eps.numerator * nxy * m_x * m_y // eps.denominator
+    return g, xs, ys, m_x, m_y, d0.numerator * nxy // d0.denominator, limit
+
+
+PEEL_EPSES = [Fraction(p, q) for p, q in ((1, 4), (1, 3), (2, 5), (1, 2), (2, 3), (3, 4))]
+
+
+def test_peeled_scan_keeps_the_first_witness_on_planted_blocks(monkeypatch):
+    # dense and sparse planted blocks, sides 1-16: every verdict and witness
+    # equals the plain combinations loop's, whether the root settled the
+    # pair (a budget of 0 prefixes then still answers) or the scan ran
+    rng = random.Random(41)
+    cases = [planted_pair(rng, 16) for _ in range(36)]
+
+    def run_all():
+        return [
+            regularity_check(g, xs, ys, RegularityParams(eps))
+            for g, xs, ys in cases
+            for eps in PEEL_EPSES
+        ]
+
+    scanned = run_all()
+    at_root = [
+        regularity._scan(*threshold_args(g, xs, ys, eps), 0) is not None
+        for g, xs, ys in cases
+        for eps in PEEL_EPSES
+    ]
+    monkeypatch.setattr(regularity, "_check_exhaustive", check_exhaustive_plain)
+    assert scanned == run_all()
+    statuses = [v.status for v in scanned]
+    assert statuses.count(VIOLATED) >= 60 and statuses.count(CERTIFIED) >= 120
+    assert sum(at_root) >= 100 and statuses.count(CERTIFIED) > sum(at_root)
+
+
+def test_peeled_sampled_matches_rescanning_on_planted_blocks(monkeypatch):
+    # the sampled checker returns the rescanning checker's verdict, sample
+    # count included, on pairs the root settles and on pairs it leaves open
+    rng = random.Random(43)
+    cases = [planted_pair(rng, 14) for _ in range(30)]
+
+    def run_all():
+        return [
+            regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, budget, 9)
+            for g, xs, ys in cases
+            for eps in PEEL_EPSES
+            for budget in (1, 20)
+        ]
+
+    fast = run_all()
+    at_root = sum(
+        regularity._scan(*threshold_args(g, xs, ys, eps), 0) is not None
+        for g, xs, ys in cases
+        for eps in PEEL_EPSES
+    )
+    monkeypatch.setattr(regularity, "_check_sampled", check_sampled_rescanning)
+    assert fast == run_all()
+    statuses = [v.status for v in fast]
+    assert statuses.count(VIOLATED) >= 60 and statuses.count(UNREFUTED) >= 200
+    assert 80 <= at_root < len(cases) * len(PEEL_EPSES)
 
 
 def test_sample_positions_pick_what_sampling_the_sides_picks():
