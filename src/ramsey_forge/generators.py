@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -127,7 +126,7 @@ def min_degree_threshold(n: int, eps: Fraction) -> int:
     """
     if n == 0:
         return 0
-    return min(n - 1, math.ceil((1 - Fraction(eps)) * n))
+    return min(n - 1, -((eps.numerator - eps.denominator) * n // eps.denominator))
 
 
 def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:

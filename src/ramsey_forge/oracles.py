@@ -39,21 +39,22 @@ morphisms.DEFAULT_BUDGET, the call returns INCONCLUSIVE with no value: the
 host being searched was never decided.  The witness kept is the one found
 at the largest n below it, so it is still a verified lower bound.
 
-Copies are sought by search plans compiled once per oracle call and run
-straight on a color graph's adjacency rows: one unrooted plan, and one
-rooted plan per arc orbit, whose first two images are pinned.  The rooted
-check is the hot path, so it calls each rooted plan's kernel directly, with
-a room list and open mask built once per host size, and skips run_plan's
-per-call set-up.  The search checks only the edge it just colored.  Its
-parent color graph is copy-free (the search starts from the empty coloring,
-which it checks with the unrooted plan), so a new copy must map some arc
-(a, b) of the target onto the new edge (u, v).  If an automorphism of the
-target that keeps the weights maps (a, b) to (c, d), composing with it turns
-a copy through (c, d) into one through (a, b).  So one search per orbit of
-oriented arcs suffices, with a and b pinned to u and v.  The orbits come
-from one small automorphism search per pair of arcs; if one runs out of
-budget, every arc is its own orbit.  An edgeless target has no arc, so the
-unrooted check of the empty coloring decides it alone.
+Copies are sought by search plans compiled once per target, for the 128
+targets used last, and run straight on a color graph's adjacency rows: one
+unrooted plan, and one rooted plan per arc orbit, whose first two images
+are pinned.  The rooted check is the hot path, so it calls each rooted
+plan's kernel directly, with a room list and open mask built once per host
+size, and skips run_plan's per-call set-up.  The search checks only the
+edge it just colored.  Its parent color graph is copy-free (the search
+starts from the empty coloring, which it checks with the unrooted plan), so
+a new copy must map some arc (a, b) of the target onto the new edge (u, v).
+If an automorphism of the target that keeps the weights maps (a, b) to
+(c, d), composing with it turns a copy through (c, d) into one through
+(a, b).  So one search per orbit of oriented arcs suffices, with a and b
+pinned to u and v.  The orbits come from one small automorphism search per
+pair of arcs; if one runs out of budget, every arc is its own orbit.  An
+edgeless target has no arc, so the unrooted check of the empty coloring
+decides it alone.
 """
 
 from __future__ import annotations
@@ -138,8 +139,9 @@ def plain_embeds(g: Graph, host: Graph) -> bool:
 
 
 class _Copies:
-    """Monochromatic-copy tests of one weighted target, built once per oracle
-    call, with the call's remaining coloring budget in nodes_left.
+    """Monochromatic-copy tests of one weighted target, made once per oracle
+    call, with the call's remaining coloring budget in nodes_left; its plans
+    come from _target_plans, built once per target.
 
     anywhere(rows) runs the unrooted plan on the color graph with adjacency
     rows `rows`; its order is non-increasing demand, then decreasing degree,
@@ -152,13 +154,7 @@ class _Copies:
     """
 
     def __init__(self, gw: WeightedGraph) -> None:
-        g = gw.graph
-        demand, (self.unit,) = integer_units(CapacityProfile.weight_cap(gw.weights), g.n, 1)
-        order = sorted(range(g.n), key=lambda v: (-demand[v], -g.adj[v].bit_count(), v))
-        self.plan = compile_plan(g, demand, order)
-        self.plans = [
-            compile_plan(g, demand, _rooted_order(g, a, b), 2) for a, b in _arc_roots(gw)
-        ]
+        self.unit, self.plan, self.plans = _target_plans(gw, morphisms.DEFAULT_BUDGET)
         self.nodes_left = COLORING_BUDGET
         self._size(0)
 
@@ -184,6 +180,23 @@ class _Copies:
             if kernel(rows, room, open_, budget, u, v)[0] is not None:
                 return True
         return False
+
+
+@functools.lru_cache(maxsize=128)
+def _target_plans(
+    gw: WeightedGraph, budget: int
+) -> tuple[int, SearchPlan, tuple[SearchPlan, ...]]:
+    """The unit, the unrooted plan and one rooted plan per arc orbit of gw,
+    kept for the 128 targets used last (a WeightedGraph is frozen).  budget
+    is the morphisms.DEFAULT_BUDGET that _arc_roots reads, so plans that
+    fell back to every arc are never served under another budget."""
+    g = gw.graph
+    demand, (unit,) = integer_units(CapacityProfile.weight_cap(gw.weights), g.n, 1)
+    order = sorted(range(g.n), key=lambda v: (-demand[v], -g.adj[v].bit_count(), v))
+    plan = compile_plan(g, demand, order)
+    return unit, plan, tuple(
+        compile_plan(g, demand, _rooted_order(g, a, b), 2) for a, b in _arc_roots(gw)
+    )
 
 
 def _rooted_order(g: Graph, a: int, b: int) -> list[int]:
@@ -290,18 +303,21 @@ def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
             raise BudgetExhausted(f"coloring search gave up after {COLORING_BUDGET} nodes")
         copies.nodes_left -= 1
         u, v = edges[i]
+        cuts = tests[i]
         choices = (RED,) if fixed_red else (RED, BLUE)
         for color in choices:
             rows = red if color == RED else blue
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            # cut when some pair's first differing k has its ak blue
-            if not any(
-                blue[a] & (d := (blue[a] ^ blue[b]) & mask) & -d for a, b, mask in tests[i]
-            ) and not copies.through(rows, u, v):
-                found = decide(i + 1, False)
-                if found is not None:
-                    return found
+            for a, b, mask in cuts:
+                d = (blue[a] ^ blue[b]) & mask
+                if blue[a] & d & -d:  # this pair's first differing k has ak blue
+                    break
+            else:
+                if not copies.through(rows, u, v):
+                    found = decide(i + 1, False)
+                    if found is not None:
+                        return found
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
         return None
@@ -404,10 +420,13 @@ def _integer_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[i
 
 def stable_ramsey(gw: WeightedGraph, eps: Fraction, n_max: int) -> OracleResult:
     """Smallest n <= n_max such that every admissible host on n vertices is
-    monochromatically weighted-Ramsey for gw under every 2-coloring."""
+    monochromatically weighted-Ramsey for gw under every 2-coloring.  eps
+    lies in [0, 1): at eps >= 1 the edgeless host is admissible."""
     if n_max > STABLE_HARD_CAP:
         raise ValueError(f"n_max {n_max} exceeds hard cap {STABLE_HARD_CAP}")
     eps = Fraction(eps)
+    if not 0 <= eps < 1:
+        raise ValueError("eps must lie in [0, 1)")
     copies = _Copies(gw)
     result = _first_forced_n(copies, eps, n_max)
     if result.status != EXCEEDS:

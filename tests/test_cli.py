@@ -109,6 +109,14 @@ def test_oracle_witness_recheck_trips(command, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("eps", ["1", "3/2", "-1"])
+def test_sramsey_eps_outside_the_unit_interval_is_an_error(eps, capsys):
+    assert _run(["sramsey", "cycle:4", "--n-max", "5", "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eps must lie in [0, 1)\n"
+
+
 @pytest.mark.parametrize("command", ["ramsey", "wramsey", "sramsey"])
 def test_oracle_out_of_budget_prints_inconclusive(command, monkeypatch, capsys):
     monkeypatch.setattr(oracles, "COLORING_BUDGET", 0)

@@ -374,6 +374,21 @@ def test_empty_weights_list_is_an_error(tmp_path, capsys):
         assert captured.err == "error: one weight per vertex required\n"
 
 
+def test_sramsey_cell_eps_outside_the_unit_interval_is_an_error(tmp_path, capsys):
+    from ramsey_forge.cli import main
+
+    for eps in ("1", "3/2", -1):
+        instance = {"target": {"kind": "cycle", "params": [4]}, "n_max": 5, "eps": eps}
+        with pytest.raises(ValueError, match=r"^eps must lie in \[0, 1\)$"):
+            run_experiment(ExperimentConfig("sramsey", (instance,), (0,)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"task": "sramsey", "instances": [instance], "seeds": [0]}))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eps must lie in [0, 1)\n"
+
+
 def test_drc_cell_outside_the_lemma_hypothesis_is_none(tmp_path, capsys):
     # alpha 1 is above the density of P_10: the selection guarantees are the
     # DRC lemma's conclusions for a dense enough host, so missing them is an

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -114,6 +115,15 @@ def test_min_degree_threshold_cap():
     assert min_degree_threshold(0, eps) == 0
 
 
+def test_min_degree_threshold_is_the_capped_fraction_ceiling():
+    for q in range(1, 30):
+        for p in range(q):
+            eps = Fraction(p, q)
+            for n in range(61):
+                want = min(n - 1, math.ceil((1 - eps) * n)) if n else 0
+                assert min_degree_threshold(n, eps) == want, (eps, n)
+
+
 def test_hosts_with_min_degree_counts():
     # threshold n-1: only K_n
     hosts = list(hosts_with_min_degree(4, 3))
@@ -148,6 +158,13 @@ def test_stable_infinite_suspected():
 def test_stable_hard_cap():
     with pytest.raises(ValueError):
         stable_ramsey(WeightedGraph.unit(gen.complete(2)), Fraction(1, 4), 7)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(3, 2), Fraction(-1), Fraction(-1, 100)])
+def test_stable_eps_outside_the_unit_interval_is_an_error(eps):
+    # eps >= 1 admits the edgeless host; eps < 0 would run the plain oracle
+    with pytest.raises(ValueError, match=r"^eps must lie in \[0, 1\)$"):
+        stable_ramsey(WeightedGraph.unit(gen.cycle(4)), eps, 5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -355,6 +372,29 @@ def test_one_rooted_plan_per_arc_orbit(gw, plans):
 def test_arc_orbits_fall_back_to_every_arc(monkeypatch):
     monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
     assert len(oracles._arc_roots(WeightedGraph.unit(gen.cycle(6)))) == 12
+
+
+def test_copy_plans_are_built_once_per_target():
+    weighted_p3 = WeightedGraph(gen.path(3), (Fraction(1), Fraction(1, 2), Fraction(1, 3)))
+    for gw in [WeightedGraph.unit(g) for g in ATLAS] + [weighted_p3]:
+        copies = oracles._Copies(gw)
+        assert oracles._Copies(gw).plans is copies.plans
+        built = oracles._target_plans.__wrapped__(gw, morphisms.DEFAULT_BUDGET)
+        assert (copies.unit, copies.plan, copies.plans) == built
+        assert [p.order for p in copies.plans] == [
+            tuple(oracles._rooted_order(gw.graph, a, b)) for a, b in oracles._arc_roots(gw)
+        ]
+
+
+def test_cached_plans_never_serve_an_exhausted_orbit_search(monkeypatch):
+    # P6 has 10 arcs in 5 orbits; under budget 1 the orbit search gives up
+    p6 = WeightedGraph.unit(gen.path(6))
+    assert len(oracles._Copies(p6).plans) == 5
+    monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
+    assert len(oracles._Copies(p6).plans) == 10
+    monkeypatch.undo()
+    assert len(oracles._Copies(p6).plans) == 5
+    assert ramsey_number(gen.path(6), 8).value == 8
 
 
 def test_oracles_are_inconclusive_when_a_copy_search_runs_out(monkeypatch):
