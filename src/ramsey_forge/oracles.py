@@ -14,8 +14,14 @@ visited in colex order, by larger endpoint and then by smaller, so the
 first C(k, 2) edges of K_n span K_k: every prefix of the search colors a
 smaller clique, and a copy is seen as soon as its last vertex arrives.
 (Graph.edges keeps lex order, which random_coloring draws its stream over.)
-The tests keep a full 2^m scan of every host as the reference it must
-agree with.
+So one search serves every n.  K_n is the first admissible host at each
+n, and a copy-free coloring of K_n restricts to one of K_{n-1}
+(McKay-Radziszowski, J. Graph Theory 19, 1995).  The loop searches
+K_{n_max} once; the first prefix it reaches that colors all of K_k is
+K_k's own first witness, since an edge's place and tests depend only on
+its endpoints.  Other hosts are searched one at a time only from the
+first n whose K_n it never reaches.  The tests keep a full 2^m scan of
+every host as the reference it must agree with.
 
 The search also breaks the host's vertex symmetry (lex-leader constraints,
 Crawford-Ginsberg-Luks-Roy, KR 1996; Codish-Miller-Prosser-Stuckey,
@@ -34,27 +40,28 @@ stays decided.  A host's colex edge list and twin tests are built once and
 kept for the 32 hosts used last; each K_n is one shared host object.
 
 Each oracle call may visit COLORING_BUDGET nodes of the coloring search,
-summed over its hosts.  When that runs out, or a copy search exhausts
-morphisms.DEFAULT_BUDGET, the call returns INCONCLUSIVE with no value: the
-host being searched was never decided.  The witness kept is the one found
-at the largest n below it, so it is still a verified lower bound.
+K_{n_max}'s and then any other host's.  When that runs out, or a copy
+search exhausts morphisms.DEFAULT_BUDGET, the call returns INCONCLUSIVE
+with no value: the host being searched was never decided.  The witness
+kept is the one found at the largest n below it, a verified lower bound.
 
 Copies are sought by search plans compiled once per target, for the 128
 targets used last, and run straight on a color graph's adjacency rows: one
 unrooted plan, and one rooted plan per arc orbit, whose first two images
 are pinned.  The rooted check is the hot path, so it calls each rooted
-plan's kernel directly, with a room list and open mask built once per host
-size, and skips run_plan's per-call set-up.  The search checks only the
-edge it just colored.  Its parent color graph is copy-free (the search
-starts from the empty coloring, which it checks with the unrooted plan), so
-a new copy must map some arc (a, b) of the target onto the new edge (u, v).
-If an automorphism of the target that keeps the weights maps (a, b) to
-(c, d), composing with it turns a copy through (c, d) into one through
-(a, b).  So one search per orbit of oriented arcs suffices, with a and b
-pinned to u and v.  The orbits come from one small automorphism search per
-pair of arcs; if one runs out of budget, every arc is its own orbit.  An
-edgeless target has no arc, so the unrooted check of the empty coloring
-decides it alone.
+plan's kernel directly, with a room list and open masks built once per
+call, and skips run_plan's per-call set-up.  The search checks only the
+edge (u, v), u < v, it just colored, on vertices 0..v, which hold every
+colored edge.  If no target vertex is isolated, a copy lies on them, the
+parent color graph is copy-free, and a new copy must map some arc (a, b)
+of the target onto (u, v).  If an automorphism of the target that keeps
+the weights maps (a, b) to (c, d), composing with it turns a copy through
+(c, d) into one through (a, b).  So one search per orbit of oriented arcs
+suffices, with a and b pinned to u and v.  The orbits come from one small
+automorphism search per pair of arcs; if one runs out of budget, every arc
+is its own orbit.  A copy of a target with an isolated vertex, or none,
+may also use untouched vertices, so each prefix that colors the host's
+vertices 0..k-1 is checked with the unrooted plan on both color graphs.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ from .morphisms import (
 
 RAMSEY_HARD_CAP = 10
 STABLE_HARD_CAP = 6
-# coloring-search nodes per oracle call; r(K_{1,5}) = 10 takes about 10,000
+# coloring-search nodes per oracle call; r(K_{1,5}) = 10 takes 9,876
 COLORING_BUDGET = 10_000_000
 
 VALUE = "value"
@@ -146,37 +153,31 @@ class _Copies:
     anywhere(rows) runs the unrooted plan on the color graph with adjacency
     rows `rows`; its order is non-increasing demand, then decreasing degree,
     then lowest id, which for unit weights is plain_embeds' order.
-    through(rows, u, v) asks only for copies that map an arc of the target
-    onto the edge (u, v); it answers whether rows holds a copy only when rows
-    without that edge holds none.  It calls the kernel of each rooted plan,
-    one per arc orbit, with the arc pinned to (u, v), on a room list and
-    open mask built once per host size.
+    through(rows, u, v), u < v, asks only for copies on vertices 0..v that
+    map an arc of the target onto the edge (u, v), by each arc orbit's
+    rooted kernel with the open mask of 0..v; it answers whether rows holds
+    a copy only when rows without that edge holds none, every edge of rows
+    lies on 0..v and no target vertex is isolated (trap: one is, or the
+    target has none).  Hosts have at most RAMSEY_HARD_CAP vertices.
     """
 
     def __init__(self, gw: WeightedGraph) -> None:
         self.unit, self.plan, self.plans = _target_plans(gw, morphisms.DEFAULT_BUDGET)
         self.nodes_left = COLORING_BUDGET
-        self._size(0)
-
-    def _size(self, n: int) -> None:
-        """Set up through() for hosts on n vertices.  Uniform room is at
-        least every demand, so every target starts open; when the target's
-        demand exceeds the host's room, no kernel runs."""
-        self.n = n
-        self.room = [self.unit] * n
-        self.open = (1 << n) - 1
-        fits = self.plan.total <= n * self.unit
-        self.kernels = [plan.kernel for plan in self.plans] if fits else []
+        self.trap = not gw.graph.adj or 0 in gw.graph.adj
+        self.room = [self.unit] * RAMSEY_HARD_CAP
+        kernels = [plan.kernel for plan in self.plans]
+        fits = [self.plan.total <= (v + 1) * self.unit for v in range(RAMSEY_HARD_CAP)]
+        self.blocks = [((2 << v) - 1, kernels if fit else []) for v, fit in enumerate(fits)]
 
     def anywhere(self, rows: Sequence[int]) -> bool:
         room = [self.unit] * len(rows)
         return run_plan(self.plan, rows, room, morphisms.DEFAULT_BUDGET)[0] is not None
 
     def through(self, rows: list[int], u: int, v: int) -> bool:
-        if len(rows) != self.n:
-            self._size(len(rows))
-        room, open_, budget = self.room, self.open, morphisms.DEFAULT_BUDGET
-        for kernel in self.kernels:
+        open_, kernels = self.blocks[v]
+        room, budget = self.room, morphisms.DEFAULT_BUDGET
+        for kernel in kernels:
             if kernel(rows, room, open_, budget, u, v)[0] is not None:
                 return True
         return False
@@ -275,30 +276,39 @@ def _twin_tests(
     )
 
 
-def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
-    """A coloring of the host with no monochromatic copy, or None if all have one.
+def _least_colorings(host: Graph, copies: _Copies, found: dict[int, list[int]]) -> None:
+    """Put in found[k] the red rows of the least copy-free coloring of the
+    host's vertices 0..k-1, for each k the DFS reaches, up to k = host.n.
 
     DFS over the edges in colex order (by larger endpoint, then smaller); a
-    branch dies once one color's decided edges already contain a copy.  Each
-    color graph was copy-free before its newest edge, so only copies through
-    that edge are sought.  The first edge is fixed red: the predicate is
-    invariant under swapping colors.  A branch also dies, before its copy
-    check, once some twin pair (i, j) of the host has its first differing
-    k (see _twin_tests) with ik blue: its colorings are all above their
-    images under the swap.  The least copy-free coloring is the least of its
-    orbit, so it is never cut and is still the one returned.  Each node
+    branch dies once one color's decided edges already contain a copy, which
+    through() seeks on the newest edge.  The first edge is fixed red: the
+    predicate is invariant under swapping colors.  A branch also dies,
+    before its copy check, once some twin pair (i, j) of the host has its
+    first differing k (see _twin_tests) with ik blue: its colorings are all
+    above their images under the swap.  The least copy-free coloring is the
+    least of its orbit, so it is never cut.  A prefix has colored vertices
+    0..k-1 just before the first edge with larger endpoint k, or at the end;
+    the first there to pass, in lex order, is what found[k] keeps, and for
+    a trap target both its color graphs must pass anywhere().  Each node
     visited spends one unit of copies.nodes_left; a cut child spends none.
     BudgetExhausted is raised when none is left.
     """
-    if copies.anywhere([0] * host.n):  # only an edgeless target fits
-        return None
     edges, tests = _twin_tests(host)
+    ends = [v for _, v in edges] + [host.n]
+    stops = [k if i == 0 or ends[i - 1] < k else None for i, k in enumerate(ends)]
     red = [0] * host.n
     blue = [0] * host.n
 
-    def decide(i: int, fixed_red: bool) -> EdgeColoring | None:
-        if i == len(edges):
-            return EdgeColoring.from_red_adj(host, red)
+    def decide(i: int, fixed_red: bool) -> bool:
+        k = stops[i]
+        if k is not None:
+            if copies.trap and (copies.anywhere(red[:k]) or copies.anywhere(blue[:k])):
+                return False
+            if k not in found:
+                found[k] = red[:k]
+            if i == len(edges):
+                return True
         if not copies.nodes_left:
             raise BudgetExhausted(f"coloring search gave up after {COLORING_BUDGET} nodes")
         copies.nodes_left -= 1
@@ -314,15 +324,20 @@ def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
                 if blue[a] & d & -d:  # this pair's first differing k has ak blue
                     break
             else:
-                if not copies.through(rows, u, v):
-                    found = decide(i + 1, False)
-                    if found is not None:
-                        return found
+                if not copies.through(rows, u, v) and decide(i + 1, False):
+                    return True
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-        return None
+        return False
 
-    return decide(0, len(edges) > 0)
+    decide(0, len(edges) > 0)
+
+
+def _witness_coloring(host: Graph, copies: _Copies) -> EdgeColoring | None:
+    """The host's least copy-free coloring (first edge red), or None."""
+    found: dict[int, list[int]] = {}
+    _least_colorings(host, copies, found)
+    return EdgeColoring.from_red_adj(host, found[host.n]) if host.n in found else None
 
 
 def ramsey_number(g: Graph, n_max: int) -> OracleResult:
@@ -342,12 +357,18 @@ def weighted_ramsey(gw: WeightedGraph, n_max: int) -> OracleResult:
 def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int) -> OracleResult:
     """Smallest n <= n_max at which no admissible host on n vertices has a
     copy-free coloring, with the copy-free coloring found at the largest n
-    below it.  INCONCLUSIVE when a search ran out of budget first."""
+    below it.  INCONCLUSIVE when a search ran out of budget first.  K_n, the
+    first host at every n, is settled by the one search of K_{n_max}."""
     status, value = EXCEEDS, None
+    cliques: dict[int, list[int]] = {}
     witness: tuple[int, EdgeColoring] | None = None
     try:
+        _least_colorings(_complete(n_max), copies, cliques)
         for n in range(1, n_max + 1):
-            for host in hosts_with_min_degree(n, min_degree_threshold(n, eps)):
+            if n in cliques:
+                continue
+            hosts = hosts_with_min_degree(n, min_degree_threshold(n, eps))
+            for host in itertools.islice(hosts, 1, None):
                 coloring = _witness_coloring(host, copies)
                 if coloring is not None:
                     witness = (n, coloring)
@@ -357,6 +378,9 @@ def _first_forced_n(copies: _Copies, eps: Fraction, n_max: int) -> OracleResult:
                 break
     except BudgetExhausted:
         status = INCONCLUSIVE
+    n = max(cliques, default=0)
+    if witness is None and n:
+        witness = (n, EdgeColoring.from_red_adj(_complete(n), cliques[n]))
     result = OracleResult(status, value, n_max)
     if witness is not None:
         result.witness_n, result.witness_coloring = witness

@@ -1,8 +1,10 @@
 """References for the oracles' one search path.
 
-reference(oracle, *args) runs a public oracle with oracles._witness_coloring
-swapped for a full scan of every coloring of each host.  Everything else is
-the library's own: the loop over n and the admissible hosts, the stable
+reference(oracle, *args) runs a public oracle with a full scan of every
+coloring of each host in place of both of its searches: the one DFS over
+K_{n_max} that finds a witness on each K_n (oracles._least_colorings) and
+the per-host search (oracles._witness_coloring).  Everything else is the
+library's own: the loop over n and the admissible hosts, the stable
 oracle's multipartite fallback and the unrooted copy plan.  The swap is
 unittest.mock.patch.object, not pytest's monkeypatch fixture, so it also
 works inside hypothesis tests.
@@ -18,7 +20,7 @@ from typing import Callable
 from unittest import mock
 
 from ramsey_forge import oracles
-from ramsey_forge.graphs import EdgeColoring, Graph
+from ramsey_forge.graphs import EdgeColoring, Graph, induced
 from ramsey_forge.oracles import OracleResult, _Copies
 
 
@@ -45,6 +47,16 @@ def _witness_coloring_naive(host: Graph, copies: _Copies) -> EdgeColoring | None
         if not has_copy(tuple(red)) and not has_copy(blue):
             return EdgeColoring.from_red_adj(host, red)
     return None
+
+
+def _least_colorings_naive(host: Graph, copies: _Copies, found: dict[int, list[int]]) -> None:
+    """The 2^m scan's witness on the host's vertices 0..k-1, for k = 1, 2,
+    ... up to the first k with none; on K_{n_max} that is each K_k."""
+    for k in range(1, host.n + 1):
+        coloring = _witness_coloring_naive(induced(host, range(k)), copies)
+        if coloring is None:
+            return
+        found[k] = list(coloring.red_adj)
 
 
 def witness_coloring_unpruned(host: Graph, copies: _Copies) -> EdgeColoring | None:
@@ -77,5 +89,8 @@ def witness_coloring_unpruned(host: Graph, copies: _Copies) -> EdgeColoring | No
 
 def reference(oracle: Callable[..., OracleResult], *args: object) -> OracleResult:
     """oracle(*args) with every host searched by the 2^m scan."""
-    with mock.patch.object(oracles, "_witness_coloring", _witness_coloring_naive):
+    with (
+        mock.patch.object(oracles, "_least_colorings", _least_colorings_naive),
+        mock.patch.object(oracles, "_witness_coloring", _witness_coloring_naive),
+    ):
         return oracle(*args)

@@ -196,7 +196,7 @@ def test_star_k15_ramsey_value():
 
 def test_k23_ramsey_value_in_5000_nodes(monkeypatch):
     # r(K_{2,3}) = 10 (Radziszowski, "Small Ramsey Numbers", DS1); the
-    # search without twin cuts spends about 2.7M nodes on it
+    # search without twin cuts spends about 2.6M nodes on it
     monkeypatch.setattr(oracles, "COLORING_BUDGET", 5_000)
     k23 = gen.complete_multipartite([2, 3])
     r = ramsey_number(k23, 10)
@@ -211,9 +211,9 @@ def test_ramsey_witnesses_share_one_complete_host():
     assert a.witness_coloring.host is b.witness_coloring.host == gen.complete(5)
 
 
-def _twin_cut_cases():
+def _twin_cut_targets():
     unit = WeightedGraph.unit
-    targets = {
+    return {
         "P4": unit(gen.path(4)),
         "P5": unit(gen.path(5)),
         "P6": unit(gen.path(6)),
@@ -223,6 +223,10 @@ def _twin_cut_cases():
         "K1,4": unit(gen.complete_multipartite([1, 4])),
         "C5half": WeightedGraph.uniform(gen.cycle(5), Fraction(1, 2)),
     }
+
+
+def _twin_cut_cases():
+    targets = _twin_cut_targets()
     # every pair of K_n is a twin pair; the multipartite hosts' twins are
     # non-adjacent; the min-degree hosts have whatever twins they have
     hosts = {f"K{n}": [gen.complete(n)] for n in range(8)}
@@ -260,6 +264,62 @@ def test_twin_cuts_keep_the_first_witness(hosts, gw):
 # empty graph, edgeless graphs and graphs with isolated vertices included.
 ATLAS = [Graph(a.number_of_nodes(), list(a.edges())) for a in nx.graph_atlas_g()[:19]]
 WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "gw",
+    [pytest.param(gw, id=t) for t, gw in _twin_cut_targets().items()]
+    + [pytest.param(WeightedGraph.unit(g), id=f"atlas{i}") for i, g in enumerate(ATLAS)],
+)
+def test_one_search_finds_the_first_witness_of_every_clique(gw):
+    # the one DFS over K_7 records, for each K_k it reaches, the witness the
+    # unpruned search on K_k alone returns, and reaches no other K_k
+    copies = oracles._Copies(gw)
+    found = {}
+    oracles._least_colorings(oracles._complete(7), copies, found)
+    for k in range(1, 8):
+        want = witness_coloring_unpruned(gen.complete(k), copies)
+        assert found.get(k) == (list(want.red_adj) if want else None), k
+
+
+@pytest.mark.parametrize(
+    "gw,value",
+    [
+        # the empty target fits in K_1's one coloring
+        (WeightedGraph.unit(Graph(0)), 1),
+        # K2 plus an isolated vertex, and three isolated vertices
+        (WeightedGraph.unit(Graph(3, [(0, 1)])), 3),
+        (WeightedGraph.unit(Graph(3)), 3),
+        # a zero-weight isolated vertex shares a vertex: P3's value, then K1's
+        (WeightedGraph(Graph(4, [(0, 1), (1, 2)]), (Fraction(1),) * 3 + (Fraction(0),)), 3),
+        (WeightedGraph(Graph(2), (Fraction(0), Fraction(1))), 1),
+    ],
+    ids=["empty", "K2+K1", "3K1", "P3+K1@0", "K1+K1@0"],
+)
+def test_targets_with_an_isolated_vertex_or_none(gw, value):
+    # such a copy can use a vertex no colored edge touches yet, which the
+    # checks through the newest edge never look at
+    for n_max in (value, 7):
+        r = weighted_ramsey(gw, n_max)
+        assert (r.status, r.value, r.witness_n) == (VALUE, value, value - 1 or None)
+        assert witness_verified(r, gw)
+        b = reference(weighted_ramsey, gw, n_max)
+        assert (b.status, b.value, b.witness_n) == (r.status, r.value, r.witness_n)
+
+
+@pytest.mark.parametrize(
+    "g,n,nodes", [(gen.cycle(6), 8, 1_365), (gen.complete_multipartite([2, 3]), 10, 2_095)]
+)
+def test_one_search_spends_the_nodes_of_the_deciding_clique_alone(g, n, nodes):
+    # r(C6) = 8 and r(K2,3) = 10: the search over K_n, never restarted below it
+    gw = WeightedGraph.unit(g)
+    copies = oracles._Copies(gw)
+    r = oracles._first_forced_n(copies, Fraction(0), n)
+    assert (r.status, r.value, r.witness_n) == (VALUE, n, n - 1)
+    alone = oracles._Copies(gw)
+    assert oracles._witness_coloring(gen.complete(n), alone) is None
+    spent = oracles.COLORING_BUDGET - copies.nodes_left
+    assert spent == oracles.COLORING_BUDGET - alone.nodes_left == nodes
 
 
 @pytest.mark.parametrize("index", range(len(ATLAS)))
@@ -403,7 +463,8 @@ def test_oracles_are_inconclusive_when_a_copy_search_runs_out(monkeypatch):
     copies = oracles._Copies(unit_c4)
     monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
-        copies.through(list(gen.complete(6).adj), 0, 1)
+        # through(rows, u, v) looks at vertices 0..v alone: C4 fits in 0..5
+        copies.through(list(gen.complete(6).adj), 4, 5)
     for r, gw in [
         (ramsey_number(gen.cycle(4), 6), unit_c4),
         (weighted_ramsey(half_c5, 6), half_c5),
@@ -416,7 +477,8 @@ def test_oracles_are_inconclusive_when_a_copy_search_runs_out(monkeypatch):
 def test_coloring_budget_gives_inconclusive_never_a_value(monkeypatch):
     # every budget either reaches the full answer or stops with no value and
     # the witness of the largest n decided; the stable query is also cut
-    # inside its multipartite scan, after its witness on 6 vertices
+    # inside its multipartite scan, after its witness on 6 vertices.  One
+    # search reaches K_2 at node 1 and K_3 at node 3, so every budget is tried
     unit_c4 = WeightedGraph.unit(gen.cycle(4))
     queries = [
         (lambda: ramsey_number(gen.cycle(4), 7), (VALUE, 6, 5)),
@@ -424,7 +486,7 @@ def test_coloring_budget_gives_inconclusive_never_a_value(monkeypatch):
     ]
     for query, full in queries:
         outcomes = []
-        for budget in range(0, 1000, 3):
+        for budget in range(0, 1000):
             monkeypatch.setattr(oracles, "COLORING_BUDGET", budget)
             r = query()
             assert witness_verified(r, unit_c4)
