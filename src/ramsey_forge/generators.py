@@ -6,6 +6,7 @@ Every random generator is a pure function of (params, seed).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -15,18 +16,28 @@ from .graphs import EdgeColoring, Graph, iter_bits
 from .morphisms import VerificationError, VertexMap
 
 
+def _full(n: int) -> int:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    return (1 << n) - 1
+
+
 def path(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return path_power(n, 1)
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    adj = path(n).adj
+    adj[0] |= 1 << n - 1
+    adj[-1] |= 1
+    return Graph.from_adj(adj)
 
 
 def complete(n: int) -> Graph:
-    return Graph(n, list(itertools.combinations(range(n), 2)))
+    full = _full(n)
+    return Graph.from_adj([full ^ 1 << v for v in range(n)])
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
@@ -37,25 +48,22 @@ def wheel(k: int) -> Graph:
     """W_k: a (k-1)-cycle plus a dominating hub, the hub being vertex k-1."""
     if k < 4:
         raise ValueError("wheel needs at least 4 vertices")
-    edges = [(i, (i + 1) % (k - 1)) for i in range(k - 1)]
-    edges += [(i, k - 1) for i in range(k - 1)]
-    return Graph(k, edges)
+    hub = 1 << k - 1
+    return Graph.from_adj([row | hub for row in cycle(k - 1).adj] + [hub - 1])
 
 
 def path_power(n: int, r: int) -> Graph:
     """Vertices i, j adjacent iff 0 < |i - j| <= r."""
     if r < 0:
         raise ValueError("power must be nonnegative")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + r + 1))]
-    return Graph(n, edges)
+    full, band = _full(n), (1 << 2 * r + 1) - 1  # band << i >> r: bits i - r .. i + r
+    return Graph.from_adj([(band << i >> r & full) ^ 1 << i for i in range(n)])
 
 
 def hypercube(d: int) -> Graph:
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    n = 1 << d
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
-    return Graph(n, edges)
+    return Graph.from_adj([sum(1 << (u ^ 1 << b) for b in range(d)) for u in range(1 << d)])
 
 
 # kind -> (builder, parameter count); a count of None takes any number
@@ -87,34 +95,40 @@ def make_named(kind: str, params: Sequence[int]) -> Graph:
 def blowup(base: Graph, part_sizes: Sequence[int]) -> tuple[Graph, VertexMap]:
     """Blow-up of base, with part i an independent set of part_sizes[i]
     vertices, and the projection onto base, under which part i is the
-    preimage of i."""
+    preimage of i; a vertex's row is the OR of its base neighbours' parts."""
     if len(part_sizes) != base.n:
         raise ValueError("one part size per base vertex required")
     if any(s < 1 for s in part_sizes):
         raise ValueError("part sizes must be positive")
     bounds = list(itertools.accumulate(part_sizes, initial=0))
-    base_of = []
+    parts = [(1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])]
+    adj, base_of = [], []
     for i, s in enumerate(part_sizes):
+        adj += [sum(parts[j] for j in iter_bits(base.adj[i]))] * s  # disjoint: sum is OR
         base_of += [i] * s
-    edges = []
-    for u, v in base.edges():
-        for up in range(bounds[u], bounds[u + 1]):
-            for vp in range(bounds[v], bounds[v + 1]):
-                edges.append((up, vp))
-    return Graph(bounds[-1], edges), VertexMap(bounds[-1], base.n, tuple(base_of))
+    return Graph.from_adj(adj), VertexMap(bounds[-1], base.n, tuple(base_of))
 
 
 def random_coloring(host: Graph, red_prob: Fraction, seed: int) -> EdgeColoring:
-    """Each host edge independently red with the given probability."""
+    """Each host edge independently red with the given probability: one
+    rng.random() per edge of the rows' upper triangle, in Graph.edges' order."""
     red_prob = Fraction(red_prob)
     if not 0 <= red_prob <= 1:
         raise ValueError("red_prob must lie in [0, 1]")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     # random() is exactly m / 2**53, so m / 2**53 < p / q iff m q < p 2**53
     q = red_prob.denominator
     bound = red_prob.numerator << 53
-    red = [e for e in host.edges() if int(rng.random() * 2**53) * q < bound]
-    return EdgeColoring(host, red)
+    red = [0] * host.n
+    for u, row in enumerate(host.adj):
+        rest = row >> u + 1 << u + 1
+        while rest:
+            low = rest & -rest
+            if int(draw() * 2**53) * q < bound:
+                red[u] |= low
+                red[low.bit_length() - 1] |= 1 << u
+            rest ^= low
+    return EdgeColoring.from_red_adj(host, red)
 
 
 def min_degree_threshold(n: int, eps: Fraction) -> int:
@@ -129,6 +143,12 @@ def min_degree_threshold(n: int, eps: Fraction) -> int:
     return min(n - 1, -((eps.numerator - eps.denominator) * n // eps.denominator))
 
 
+@functools.lru_cache(maxsize=8)
+def _lex_pair_codes(n: int) -> tuple[int, ...]:
+    """The pairs a < b of 0..n-1 as a n + b, in lex order; shared, never mutated."""
+    return tuple(a * n + b for a in range(n) for b in range(a + 1, n))
+
+
 def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     """Delete random edges from K_n while min degree stays at or above
     min_degree_threshold(n, eps), so eps < 1/n leaves K_n.
@@ -136,13 +156,14 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     Stops at a seeded target deletion count or when no edge is deletable; the
     min-degree certificate is exact by construction.  The deletable edges
     (both ends above the floor) are kept in one list in lexicographic order,
-    each pair (a, b) as the int a n + b: a deletion pops the position it
-    drew, and a vertex w that reaches the floor takes its pairs out with it,
-    the (w, b) block as one slice between two bisections and each (a, w) by
-    its own bisection, for the a < w still above the floor and adjacent to
-    w.  Each step draws its position with rng.randrange(len(list)), which
-    consumes the stream as rng.choice on that list does, so the RNG stream
-    is the one a full rescan of all pairs per step would give.
+    each pair (a, b) as the int a n + b, copied from _lex_pair_codes(n): a
+    deletion pops the position it drew and spends one unit of each end's
+    slack above the floor, and a vertex w with none left takes its pairs out
+    with it, the (w, b) block as one slice between two bisections and each
+    (a, w) by its own bisection, for the a < w still above the floor and
+    adjacent to w.  Each step draws its position with rng.randrange(len(list)),
+    which consumes the stream as rng.choice on that list does, so the RNG
+    stream is the one a full rescan of all pairs per step would give.
     """
     eps = Fraction(eps)
     if not 0 <= eps < 1:
@@ -153,25 +174,32 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     max_deletions = n * slack_per_vertex // 2
     target = rng.randint(0, max_deletions) if max_deletions > 0 else 0
 
-    adj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
-    deg = [n - 1] * n
-    above = (1 << n) - 1  # the vertices whose degree is above the floor
-    deletable = [a * n + b for a in range(n) for b in range(a + 1, n)] if slack_per_vertex else []
+    full = _full(n)
+    adj = [full ^ 1 << v for v in range(n)]
+    slack = [slack_per_vertex] * n
+    above = full  # the vertices whose degree is above the floor
+    deletable = list(_lex_pair_codes(n)) if slack_per_vertex else []
+    draw, pop = rng.randrange, deletable.pop
     for _ in range(target):
         if not deletable:
             break
-        u, v = divmod(deletable.pop(rng.randrange(len(deletable))), n)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        deg[u] -= 1
-        deg[v] -= 1
+        u, v = divmod(pop(draw(len(deletable))), n)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        slack[u] -= 1
+        slack[v] -= 1
+        if slack[u] and slack[v]:
+            continue
         for w in (u, v):
-            if deg[w] == floor_deg:
+            if not slack[w]:
                 above &= ~(1 << w)
                 lo = bisect.bisect_left(deletable, w * n)
                 del deletable[lo : bisect.bisect_left(deletable, w * n + n, lo)]
-                for a in iter_bits(adj[w] & above & ((1 << w) - 1)):
-                    del deletable[bisect.bisect_left(deletable, a * n + w)]
+                low_side = adj[w] & above & ((1 << w) - 1)
+                while low_side:
+                    low = low_side & -low_side
+                    del deletable[bisect.bisect_left(deletable, (low.bit_length() - 1) * n + w)]
+                    low_side ^= low
     g = Graph.from_adj(adj)
     if g.min_degree() < floor_deg:
         raise VerificationError(f"host minimum degree fell below {floor_deg}")
@@ -183,11 +211,9 @@ def random_bounded_degree_graph(n: int, max_degree: int, seed: int) -> Graph:
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
     rng.shuffle(pairs)
-    deg = [0] * n
-    edges = []
+    adj = [0] * n
     for u, v in pairs:
-        if deg[u] < max_degree and deg[v] < max_degree and rng.random() < 0.5:
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-    return Graph(n, edges)
+        if max(adj[u].bit_count(), adj[v].bit_count()) < max_degree and rng.random() < 0.5:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph.from_adj(adj)

@@ -13,7 +13,7 @@ is fixed red (color swap is a symmetry of the predicate).  The edges are
 visited in colex order, by larger endpoint and then by smaller, so the
 first C(k, 2) edges of K_n span K_k: every prefix of the search colors a
 smaller clique, and a copy is seen as soon as its last vertex arrives.
-(Graph.edges keeps lex order, which random_coloring draws its stream over.)
+(random_coloring draws over the rows' upper triangle: Graph.edges' lex order.)
 So one search serves every n.  K_n is the first admissible host at each
 n, and a copy-free coloring of K_n restricts to one of K_{n-1}
 (McKay-Radziszowski, J. Graph Theory 19, 1995).  The loop searches
@@ -292,8 +292,11 @@ def _least_colorings(host: Graph, copies: _Copies, found: dict[int, list[int]]) 
     the first there to pass, in lex order, is what found[k] keeps, and for
     a trap target both its color graphs must pass anywhere().  Each node
     visited spends one unit of copies.nodes_left; a cut child spends none.
-    BudgetExhausted is raised when none is left.
+    BudgetExhausted is raised when none is left; a host above
+    RAMSEY_HARD_CAP (no blocks in through()) is a ValueError before any node.
     """
+    if host.n > RAMSEY_HARD_CAP:
+        raise ValueError(f"host of {host.n} vertices exceeds RAMSEY_HARD_CAP = {RAMSEY_HARD_CAP}")
     edges, tests = _twin_tests(host)
     ends = [v for _, v in edges] + [host.n]
     stops = [k if i == 0 or ends[i - 1] < k else None for i, k in enumerate(ends)]

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import generators_reference as ref
 from drc_reference import random_coloring_fraction, random_min_degree_host_refiltering
 from ramsey_forge import generators as gen
-from ramsey_forge.graphs import RED
+from ramsey_forge.graphs import RED, Graph
 from ramsey_forge.morphisms import verify_homomorphism
 
 
@@ -106,8 +109,9 @@ def test_random_coloring_extremes_and_determinism():
 
 
 def test_random_coloring_rows_pinned():
-    # the draw runs over Graph.edges in lex order; reordering the edge list
-    # (colex, say) moves these rows and every seeded coloring downstream
+    # the draw walks the rows' upper triangle, the lex order of Graph.edges;
+    # another order (colex, say) moves these rows and every seeded coloring
+    # downstream
     coloring = gen.random_coloring(gen.complete(8), Fraction(1, 2), seed=3)
     assert coloring.red_adj == [202, 89, 40, 135, 130, 68, 163, 89]
 
@@ -120,6 +124,68 @@ def test_random_coloring_matches_fraction_form(n):
         for seed in range(50):
             want = random_coloring_fraction(host, p, seed)
             assert gen.random_coloring(host, p, seed) == want, (p, seed)
+
+
+def _coloring_hosts():
+    yield from (gen.random_min_degree_host(n, Fraction(1, 4), n) for n in (24, 48, 64))
+    yield gen.blowup(gen.cycle(5), (3, 1, 4, 1, 5))[0]
+    yield gen.cycle(9)
+    yield from (Graph(0), Graph(1), Graph(5))
+
+
+@pytest.mark.parametrize("host", list(_coloring_hosts()), ids=repr)
+def test_random_coloring_skips_non_edges(host):
+    # the row walk must draw only on host edges, in Graph.edges' order
+    for p in (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000)):
+        for seed in range(10):
+            got = gen.random_coloring(host, p, seed)
+            assert got == random_coloring_fraction(host, p, seed), (p, seed)
+            assert got == ref.random_coloring_edges(host, p, seed), (p, seed)
+
+
+def test_complete_matches_combinations():
+    for n in range(41):
+        assert gen.complete(n) == ref.complete_edges(n), n
+
+
+def test_named_families_match_edge_lists():
+    for n in range(12):
+        assert gen.path(n) == ref.path_edges(n), n
+        for r in range(n + 2):
+            assert gen.path_power(n, r) == ref.path_power_edges(n, r), (n, r)
+    for n in range(3, 12):
+        assert gen.cycle(n) == ref.cycle_edges(n), n
+    for k in range(4, 12):
+        assert gen.wheel(k) == ref.wheel_edges(k), k
+    for d in range(7):
+        assert gen.hypercube(d) == ref.hypercube_edges(d), d
+    for n, max_degree in itertools.product(range(9), range(5)):
+        want = ref.random_bounded_degree_graph_edges(n, max_degree, n)
+        assert gen.random_bounded_degree_graph(n, max_degree, n) == want
+
+
+def test_blowup_matches_edge_list_reference():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        base = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6])
+        sizes = [rng.randint(1, 5) for _ in range(n)]
+        got, proj = gen.blowup(base, sizes)
+        want, want_proj = ref.blowup_edges(base, sizes)
+        assert got.adj == want.adj, (base.adj, sizes)
+        assert proj == want_proj, (base.adj, sizes)
+
+
+def test_random_min_degree_host_pair_codes_are_never_mutated():
+    eps = Fraction(1, 4)
+    before = [gen.random_min_degree_host(64, eps, seed) for seed in range(5)]
+    for n in (0, 1, 2, 3, 7, 24, 48, 96, 64, 12):
+        for seed in range(3):
+            gen.random_min_degree_host(n, eps, seed)
+    assert [gen.random_min_degree_host(64, eps, seed) for seed in range(5)] == before
+    assert gen._lex_pair_codes(64) == tuple(
+        a * 64 + b for a, b in itertools.combinations(range(64), 2)
+    )
 
 
 def test_random_min_degree_host_certificate():

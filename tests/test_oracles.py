@@ -322,6 +322,18 @@ def test_one_search_spends_the_nodes_of_the_deciding_clique_alone(g, n, nodes):
     assert spent == oracles.COLORING_BUDGET - alone.nodes_left == nodes
 
 
+def test_a_host_above_the_hard_cap_is_refused_before_the_search():
+    # through() has blocks for hosts of up to RAMSEY_HARD_CAP vertices only
+    copies = oracles._Copies(WeightedGraph.unit(gen.complete(5)))
+    host = gen.complete(oracles.RAMSEY_HARD_CAP + 1)
+    with pytest.raises(ValueError, match="RAMSEY_HARD_CAP"):
+        oracles._witness_coloring(host, copies)
+    assert copies.nodes_left == oracles.COLORING_BUDGET
+    # at the cap itself the search runs: r(K5) is far above 10
+    capped = gen.complete(oracles.RAMSEY_HARD_CAP)
+    assert oracles._witness_coloring(capped, oracles._Copies(WeightedGraph.unit(gen.complete(5))))
+
+
 @pytest.mark.parametrize("index", range(len(ATLAS)))
 def test_rooted_pruned_matches_exhaustive_on_atlas(index):
     g = ATLAS[index]
