@@ -11,29 +11,39 @@ counts ordered Delta-tuples from X^D with fewer than beta*n common
 neighbors.  The best-scoring X satisfies, for most hosts, the three
 selection properties re-checked by drc_properties.
 
-drc_select compares scores as integers: with E1 = p1/q1 and E2 = p2/q2 in
-lowest terms, the score times the per-call constant 2 p1 p2 > 0 is
-2 p2 q1 |X0 cap X|^D |X|^D - p1 q2 xi(X) |X0 cap X|^D; when E1 or E2 is 0
-its term is dropped and the other is scaled by its own positive constant.
-Integer codegrees are compared with ceil(beta*n), which is the same test as
-comparing with beta*n.  xi(X) is 0 whenever n - D * (the largest nondegree
-in X) >= beta*n; drc_select masks once per call the vertices whose nondegree
-breaks that bound, and only a set meeting the mask reaches bad_supports'
-enumeration.  The exhaustive scan walks the multisets depth-first, so each
-level ANDs one host row into its prefix's intersection P, and it is a
-branch and bound: every set below P lies inside P and xi >= 0, so no score
-below P exceeds the xi-free term of P itself (2 p2 q1 |X0 cap P|^D |P|^D
-when E1, E2 > 0).  A prefix whose bound does not beat the best score so far
-is skipped with its subtree, and xi(X) is counted only at a leaf whose
-xi-free score beats it.  A skipped multiset could at best tie, and a tie
-never replaces the best (the least tuple wins), so the winner is the one the
-full scan picks.
+Selection compares scores as integers.  With E1, E2 > 0 and alpha = a/b,
+beta = p/q in lowest terms, the score times the positive constant
+2 E1 E2 q^D b^(2 D^2) / (|X0|^D n^D) is |X0 cap X|^D (w_size |X|^D -
+w_bad xi(X)) with w_size = 2 p^D b^(2 D^2) and w_bad = a^(2 D^2) q^D, so
+comparisons are those of the rational scores.  When E1 or E2 is not
+positive (alpha = 0, or beta^D <= 0) its term is dropped and the other gets
+weight 1; with X0 empty every score is 0.  Integer codegrees are compared
+with ceil(beta*n), which is the same test as comparing with beta*n.  xi(X)
+is 0 whenever n - D * (the largest nondegree in X) >= beta*n; selection
+masks once per call the vertices whose nondegree breaks that bound, and
+only a set meeting the mask reaches bad_supports' enumeration.  The
+exhaustive scan walks the multisets depth-first, so each level ANDs one
+host row into its prefix's intersection P, and it is a branch and bound:
+every set below P lies inside P and xi >= 0, so no score below P exceeds
+the xi-free term of P itself (w_size |X0 cap P|^D |P|^D).  A prefix whose
+bound does not beat the best score so far is skipped with its subtree, and
+xi(X) is counted only at a leaf whose xi-free score beats it.  A skipped
+multiset could at best tie, and a tie never replaces the best (the least
+tuple wins), so the winner is the one the full scan picks.
+
+Selection runs inside a scope mask of one host: the rows are g.adj[v] &
+scope for the scope's vertices v in increasing order, n counts the scope,
+and codegrees count scope vertices.  These are the rows of the induced
+subgraph on the scope up to its increasing relabelling, which keeps the
+multisets' order and every popcount, and so the least-tuple tie rule: the
+winner is the one selection on the relabelled induced graph picks, mapped
+back, with no graph built.  drc_select's scope is the whole host.
 
 drc_bandwidth_embed checks its labels with bandwidth.labeling_width and fixes
 its block schedule first: a B vertex goes in block label // (2 budget), a
 non-isolated A vertex in the last block of its B neighbours (so no B vertex
 meets a placed neighbour), B before A within a block, each in label order.
-Each block makes one drc_select on the unused host vertices.  None means only
+Each block selects inside the host's unused-vertex mask.  None means only
 greedy starvation.
 """
 
@@ -47,15 +57,25 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .bandwidth import labeling_width
-from .graphs import Graph, induced, iter_bits, mask_of
+from .graphs import Graph, mask_of
 from .morphisms import VerificationError, VertexMap, verify_homomorphism
 
 DEFAULT_TUPLE_BUDGET = 20_000
-BANDWIDTH_TRIALS = 64  # sampled tuples per drc_select call of drc_bandwidth_embed
+BANDWIDTH_TRIALS = 64  # sampled tuples per block selection of drc_bandwidth_embed
 
 
 class DegenerateBudget(ValueError):
     """The bandwidth budget floor(beta * n) is zero: no block structure exists."""
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a mask in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def surjection_count(k: int, s: int) -> int:
@@ -98,7 +118,7 @@ def bad_supports(
     need = math.ceil(threshold)  # an integer count is < threshold iff it is < need
     if not x_mask & _high_nondegree(g, scope, max_deg, need):
         return []
-    members = list(iter_bits(x_mask))
+    members = _members(x_mask)
     out: list[tuple[int, ...]] = []
 
     def grow(start: int, chosen: list[int], common: int) -> None:
@@ -116,11 +136,21 @@ def bad_supports(
     return out
 
 
-def bad_tuple_count(g: Graph, x_mask: int, max_deg: int, threshold: Fraction) -> int:
-    """xi(X): ordered max_deg-tuples from X^D whose support is bad.  The
+def bad_tuple_count(
+    g: Graph, x_mask: int, max_deg: int, threshold: Fraction, within: int | None = None
+) -> int:
+    """xi(X): ordered max_deg-tuples from X^D whose support is bad, with
+    codegrees counted in the `within` scope as bad_supports counts them.  The
     tuples onto a support of size s number surjection_count(max_deg, s), so
-    the supports are counted by size and that is taken once per size."""
-    sizes = Counter(map(len, bad_supports(g, x_mask, max_deg, threshold)))
+    the supports are counted by size.  Closed form: a support's codegree is
+    at most n', the scope's size, and at most n' - 1 inside the scope (no
+    vertex is its own neighbor), so when need = ceil(threshold) > n', or
+    need = n' with X inside the scope, every support is bad: xi(X) = |X|^D."""
+    scope = within if within is not None else (1 << g.n) - 1
+    need, n_scope = math.ceil(threshold), scope.bit_count()
+    if need > n_scope or need == n_scope and not x_mask & ~scope:
+        return x_mask.bit_count() ** max_deg
+    sizes = Counter(map(len, bad_supports(g, x_mask, max_deg, threshold, within)))
     return sum(k * surjection_count(max_deg, s) for s, k in sizes.items())
 
 
@@ -177,6 +207,61 @@ class DrcSelection:
     mode: str  # exhaustive | sampled
 
 
+def _select(
+    g: Graph, scope: int, x0_mask: int, max_deg: int, beta: Fraction, alpha: Fraction,
+    trials: int, seed: int, tuple_budget: int = DEFAULT_TUPLE_BUDGET,
+) -> tuple[tuple[int, ...], int, str]:
+    """The selection inside the scope mask (module docstring): the winning
+    tuple and its set, both in g's labels, and the mode.  The set is
+    rechecked as the tuple's common neighborhood in the scope."""
+    if max_deg < 1:
+        raise ValueError("max_deg must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    members = _members(scope)
+    n = len(members)
+    if n == 0:
+        raise ValueError("empty host")
+    rows = [g.adj[v] & scope for v in members]
+    threshold = beta * n
+
+    d = max_deg
+    # integer weights of the two score terms; e1 and e2 carry E1's and E2's signs
+    e1, e2 = alpha.numerator ** (2 * d * d), beta.numerator**d
+    if e1 > 0 and e2 > 0:
+        w_size, w_bad = 2 * e2 * alpha.denominator ** (2 * d * d), e1 * beta.denominator**d
+    else:
+        w_size, w_bad = int(e1 > 0), int(e2 > 0)
+    # only a set meeting this mask can have a bad support
+    open_mask = _high_nondegree(g, scope, d, math.ceil(threshold)) if w_bad else 0
+
+    def penalty(common: int) -> int:
+        return w_bad * bad_tuple_count(g, common, d, threshold, scope)
+
+    if math.comb(n + d - 1, d) <= tuple_budget:
+        mode = "exhaustive"
+        picked, common = _best_multiset(rows, d, x0_mask, d, w_size, open_mask, penalty)
+    else:
+        mode = "sampled"
+        rng = random.Random(seed)
+        draws = sorted(
+            {tuple(sorted(rng.randrange(n) for _ in range(d))) for _ in range(trials)}
+        )
+        sets = [common_neighborhood(g, (members[i] for i in t)) & scope for t in draws]
+        # each draw's set scored as a one-row multiset, least draw first
+        (i,), common = _best_multiset(sets, 1, x0_mask, d, w_size, open_mask, penalty)
+        picked = draws[i]
+    tup = tuple(members[i] for i in picked)
+
+    # independent recomputation of the winner's set
+    recheck = scope
+    for v in tup:
+        recheck &= g.adj[v]
+    if recheck != common:
+        raise VerificationError(f"selected set is not the common neighborhood of {tup}")
+    return tup, common, mode
+
+
 def drc_select(
     g: Graph,
     x0: Iterable[int],
@@ -191,63 +276,19 @@ def drc_select(
 
     Candidate tuples are enumerated exhaustively when the number of
     multisets fits the budget, otherwise `trials` seeded samples are drawn.
-    Stats are recomputed from scratch on the winner.
+    The winner's set is rechecked and xi(X) recounted from scratch.
     """
-    if max_deg < 1:
-        raise ValueError("max_deg must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     beta = Fraction(beta)
-    alpha = Fraction(alpha)
-    n = g.n
-    if n == 0:
-        raise ValueError("empty host")
     x0_mask = mask_of(x0)
-    x0_size = x0_mask.bit_count()
-    threshold = beta * n
-
-    d = max_deg
-    e1 = alpha ** (2 * d * d) * Fraction(x0_size) ** d * Fraction(n) ** d
-    e2 = beta**d * Fraction(n) ** d * Fraction(x0_size) ** d
-    # integer weights of the two score terms over one positive scale
-    if e1 > 0 and e2 > 0:
-        w_size, w_bad = 2 * e2.numerator * e1.denominator, e1.numerator * e2.denominator
-    else:
-        w_size, w_bad = int(e1 > 0), int(e2 > 0)
-    # only a set meeting this mask can have a bad support
-    open_mask = _high_nondegree(g, (1 << n) - 1, d, math.ceil(threshold)) if w_bad else 0
-
-    def penalty(common: int) -> int:
-        return w_bad * bad_tuple_count(g, common, d, threshold)
-
-    if math.comb(n + d - 1, d) <= tuple_budget:
-        mode = "exhaustive"
-        tup, common = _best_multiset(g.adj, d, x0_mask, d, w_size, open_mask, penalty)
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        draws = sorted(
-            {tuple(sorted(rng.randrange(n) for _ in range(d))) for _ in range(trials)}
-        )
-        # each draw's set scored as a one-row multiset, least draw first
-        (i,), common = _best_multiset(
-            [common_neighborhood(g, t) for t in draws], 1, x0_mask, d, w_size, open_mask, penalty
-        )
-        tup = draws[i]
-
-    # independent recomputation of the stats for the winner
-    recheck = (1 << n) - 1
-    for v in tup:
-        recheck &= g.adj[v]
-    if recheck != common:
-        raise VerificationError(f"selected set is not the common neighborhood of {tup}")
-    xi = bad_tuple_count(g, common, d, threshold)
+    tup, common, mode = _select(
+        g, (1 << g.n) - 1, x0_mask, max_deg, beta, Fraction(alpha), trials, seed, tuple_budget
+    )
     return DrcSelection(
-        x=frozenset(iter_bits(common)),
+        x=frozenset(_members(common)),
         chosen_tuple=tup,
         size=common.bit_count(),
         overlap=(common & x0_mask).bit_count(),
-        bad_tuples=xi,
+        bad_tuples=bad_tuple_count(g, common, max_deg, beta * g.n),
         mode=mode,
     )
 
@@ -286,7 +327,7 @@ def bipartition_of(g: Graph) -> tuple[int, int]:
         stack = [s]
         while stack:
             v = stack.pop()
-            for u in iter_bits(g.adj[v]):
+            for u in _members(g.adj[v]):
                 if side[u] < 0:
                     side[u] = 1 - side[v]
                     stack.append(u)
@@ -313,11 +354,17 @@ def drc_bandwidth_embed(
     """Block-by-block embedding of a bipartite low-bandwidth graph on the
     block schedule of the module docstring.  h's labels must have width <=
     floor(beta * n) with the default beta = alpha^(6D+1) / (256 D); a zero
-    budget raises DegenerateBudget.  Some is always verified (a failed
-    recheck raises VerificationError); None means that a B, A or isolated
-    vertex found no free candidate (greedy starvation), not nonexistence.
+    budget raises DegenerateBudget, and alpha outside (0, 1] or a negative
+    beta raises ValueError before any work.  Some is always verified (a
+    failed recheck raises VerificationError); None means that a B, A or
+    isolated vertex found no free candidate (greedy starvation), not
+    nonexistence.
     """
     alpha = Fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if beta is not None and Fraction(beta) < 0:
+        raise ValueError(f"beta must be nonnegative, got {beta}")
     n = host.n
     if max_deg is None:
         max_deg = max(h.max_degree(), 1)
@@ -344,7 +391,7 @@ def drc_bandwidth_embed(
         schedule[labels[b] // span][0].append(b)
     for a in by_label:
         if a_mask >> a & 1:
-            schedule[max(labels[u] for u in iter_bits(h.adj[a])) // span][1].append(a)
+            schedule[max(labels[u] for u in _members(h.adj[a])) // span][1].append(a)
 
     rng = random.Random(seed)
     gamma = 16 * beta * alpha ** (-2 * max_deg)
@@ -353,30 +400,24 @@ def drc_bandwidth_embed(
     image = [-1] * h.n
     used = 0
 
-    sel = drc_select(
-        host, range(n), max_deg, 8 * beta, trials=BANDWIDTH_TRIALS,
-        seed=rng.randrange(1 << 30), alpha=alpha,
+    _, x_prev, _ = _select(
+        host, full, full, max_deg, 8 * beta, alpha, BANDWIDTH_TRIALS, rng.randrange(1 << 30)
     )
-    x_prev = mask_of(sel.x)
     for new_b, new_a in schedule:
         v_t = full & ~used
-        members = list(iter_bits(v_t))
-        index = {v: i for i, v in enumerate(members)}
-        x0_next = x_prev & v_t
-        sel_next = drc_select(
-            induced(host, members), [index[v] for v in iter_bits(x0_next)], max_deg, 8 * beta,
-            trials=BANDWIDTH_TRIALS, seed=rng.randrange(1 << 30), alpha=alpha,
+        _, x_next, _ = _select(
+            host, v_t, x_prev & v_t, max_deg, 8 * beta, alpha, BANDWIDTH_TRIALS,
+            rng.randrange(1 << 30),
         )
-        x_next = mask_of(members[i] for i in sel_next.x)
 
         band = x_prev & x_next
         bads = bad_supports(host, x_prev | x_next, max_deg, threshold, within=v_t)
         for b in new_b:
             # avoid x that would push any partly-embedded neighbor's image
-            # set into too many bad tuples
+            # set into too many bad tuples (none when no support is bad)
             avoid = 0
-            for a_nb in iter_bits(h.adj[b]):
-                ni = {image[u] for u in iter_bits(h.adj[a_nb]) if image[u] >= 0}
+            for a_nb in _members(h.adj[b]) if bads else ():
+                ni = {image[u] for u in _members(h.adj[a_nb]) if image[u] >= 0}
                 cap = (gamma * max(x_prev.bit_count(), 1)) ** (
                     max_deg - len(ni) - 1
                 )
@@ -392,17 +433,17 @@ def drc_bandwidth_embed(
             cand = band & ~used & ~avoid
             if cand == 0:
                 return None
-            pick = rng.choice(list(iter_bits(cand)))
+            pick = rng.choice(_members(cand))
             image[b] = pick
             used |= 1 << pick
 
         for a in new_a:
             cand = v_t & ~used & common_neighborhood(
-                host, (image[u] for u in iter_bits(h.adj[a]))
+                host, (image[u] for u in _members(h.adj[a]))
             )
             if cand == 0:
                 return None
-            pick = rng.choice(list(iter_bits(cand)))
+            pick = rng.choice(_members(cand))
             image[a] = pick
             used |= 1 << pick
 
@@ -412,7 +453,7 @@ def drc_bandwidth_embed(
         cand = full & ~used
         if cand == 0:
             return None
-        pick = min(iter_bits(cand))
+        pick = (cand & -cand).bit_length() - 1
         image[v] = pick
         used |= 1 << pick
 

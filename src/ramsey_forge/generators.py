@@ -161,9 +161,12 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     slack above the floor, and a vertex w with none left takes its pairs out
     with it, the (w, b) block as one slice between two bisections and each
     (a, w) by its own bisection, for the a < w still above the floor and
-    adjacent to w.  Each step draws its position with rng.randrange(len(list)),
-    which consumes the stream as rng.choice on that list does, so the RNG
-    stream is the one a full rescan of all pairs per step would give.
+    adjacent to w.  Each step draws its position below size = len(list) by
+    the rejection loop that rng.randrange(size) runs over getrandbits
+    (k = size.bit_length() bits, redrawn while >= size), written out to
+    skip randrange's wrapper frames; it consumes the stream as rng.choice on
+    that list does, so the RNG stream is the one a full rescan of all pairs
+    per step would give.
     """
     eps = Fraction(eps)
     if not 0 <= eps < 1:
@@ -179,11 +182,16 @@ def random_min_degree_host(n: int, eps: Fraction, seed: int) -> Graph:
     slack = [slack_per_vertex] * n
     above = full  # the vertices whose degree is above the floor
     deletable = list(_lex_pair_codes(n)) if slack_per_vertex else []
-    draw, pop = rng.randrange, deletable.pop
+    getrandbits, pop = rng.getrandbits, deletable.pop
     for _ in range(target):
-        if not deletable:
+        size = len(deletable)
+        if not size:
             break
-        u, v = divmod(pop(draw(len(deletable))), n)
+        k = size.bit_length()
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        u, v = divmod(pop(r), n)
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
         slack[u] -= 1

@@ -12,18 +12,32 @@ brings an end to the floor.
 
 random_coloring_fraction is random_coloring as it was before it compared
 integers: one Fraction per edge.
+
+select_on_induced is the bandwidth embedder's block selection as it was
+before selection ran inside a scope mask of the host: drc_select on the
+relabelled induced subgraph, its score weights taken from the Fractions E1
+and E2, and the winner mapped back to host labels.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from ramsey_forge.drc import (
+    DEFAULT_TUPLE_BUDGET,
+    _best_multiset,
+    _high_nondegree,
+    bad_supports,
+    common_neighborhood,
+    surjection_count,
+)
 from ramsey_forge.generators import min_degree_threshold
-from ramsey_forge.graphs import EdgeColoring, Graph
+from ramsey_forge.graphs import EdgeColoring, Graph, induced, iter_bits, mask_of
 
 
 def best_multiset_plain(
@@ -96,3 +110,56 @@ def random_coloring_fraction(host: Graph, red_prob: Fraction, seed: int) -> Edge
     red_prob = Fraction(red_prob)
     rng = random.Random(seed)
     return EdgeColoring(host, [e for e in host.edges() if Fraction(rng.random()) < red_prob])
+
+
+def select_on_induced(
+    host: Graph,
+    scope: int,
+    x0_mask: int,
+    d: int,
+    beta: Fraction,
+    alpha: Fraction,
+    trials: int,
+    seed: int,
+    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
+) -> tuple[tuple[int, ...], int, str]:
+    """(tuple, set, mode) of the selection on induced(host, scope) with X0
+    inside the scope, the tuple and the set in host labels; xi(X) is summed
+    over the enumerated bad supports, with no closed form."""
+    members = list(iter_bits(scope))
+    index = {v: i for i, v in enumerate(members)}
+    g = induced(host, members)
+    x0 = mask_of(index[v] for v in iter_bits(x0_mask))
+    n = g.n
+    x0_size = x0.bit_count()
+    threshold = beta * n
+    e1 = alpha ** (2 * d * d) * Fraction(x0_size) ** d * Fraction(n) ** d
+    e2 = beta**d * Fraction(n) ** d * Fraction(x0_size) ** d
+    if e1 > 0 and e2 > 0:
+        w_size, w_bad = 2 * e2.numerator * e1.denominator, e1.numerator * e2.denominator
+    else:
+        w_size, w_bad = int(e1 > 0), int(e2 > 0)
+    open_mask = _high_nondegree(g, (1 << n) - 1, d, math.ceil(threshold)) if w_bad else 0
+
+    def penalty(common: int) -> int:
+        supports = bad_supports(g, common, d, threshold)
+        return w_bad * sum(surjection_count(d, len(s)) for s in supports)
+
+    if math.comb(n + d - 1, d) <= tuple_budget:
+        mode = "exhaustive"
+        tup, common = _best_multiset(g.adj, d, x0, d, w_size, open_mask, penalty)
+    else:
+        mode = "sampled"
+        rng = random.Random(seed)
+        draws = sorted(
+            {tuple(sorted(rng.randrange(n) for _ in range(d))) for _ in range(trials)}
+        )
+        (i,), common = _best_multiset(
+            [common_neighborhood(g, t) for t in draws], 1, x0, d, w_size, open_mask, penalty
+        )
+        tup = draws[i]
+    return (
+        tuple(members[i] for i in tup),
+        mask_of(members[i] for i in iter_bits(common)),
+        mode,
+    )

@@ -117,6 +117,22 @@ def test_sramsey_eps_outside_the_unit_interval_is_an_error(eps, capsys):
     assert captured.err == "error: eps must lie in [0, 1)\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--alpha", "0", "--beta", "1/16"], "alpha must lie in (0, 1], got 0"),
+        (["--alpha=-1/2", "--beta", "1/16"], "alpha must lie in (0, 1], got -1/2"),
+        (["--alpha", "3/2", "--beta", "1/16"], "alpha must lie in (0, 1], got 3/2"),
+        (["--alpha", "1/2", "--beta=-1/16"], "beta must be nonnegative, got -1/16"),
+    ],
+)
+def test_embed_drc_alpha_or_beta_out_of_range_is_an_error(args, message, capsys):
+    assert _run(["embed-drc", "complete:40", "cycle:8", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["ramsey", "wramsey", "sramsey"])
 def test_oracle_out_of_budget_prints_inconclusive(command, monkeypatch, capsys):
     monkeypatch.setattr(oracles, "COLORING_BUDGET", 0)

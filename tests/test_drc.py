@@ -4,11 +4,12 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from drc_reference import best_multiset_plain
+from drc_reference import best_multiset_plain, select_on_induced
 from ramsey_forge import generators as gen
 from ramsey_forge.bandwidth import heuristic_labeling
 from ramsey_forge.drc import (
@@ -23,7 +24,7 @@ from ramsey_forge.drc import (
     drc_select,
     surjection_count,
 )
-from ramsey_forge.drc import _best_multiset, _high_nondegree
+from ramsey_forge.drc import _best_multiset, _high_nondegree, _select
 from ramsey_forge.graphs import Graph, mask_of
 from ramsey_forge.morphisms import verify_homomorphism
 
@@ -140,6 +141,64 @@ def test_bad_tuple_count_sums_surjections_per_support():
                 supports = brute_bad_supports(g, x_mask, d, threshold, (1 << 18) - 1)
                 expect = sum(surjection_count(d, len(s)) for s in supports)
                 assert bad_tuple_count(g, x_mask, d, threshold) == expect
+
+
+def test_bad_tuple_count_closed_form_matches_enumeration():
+    # need = ceil(threshold) at |scope| - 1, |scope| and |scope| + 1, for X
+    # inside the scope and X reaching outside it; in K_12 every vertex
+    # outside the scope is adjacent to all of it, so a support reaching
+    # outside can meet need = |scope|
+    hosts = [gen.random_min_degree_host(14, Fraction(1, 3), s) for s in range(3)]
+    hosts.append(gen.complete(12))
+    outside_good = 0
+    for seed, g in enumerate(hosts):
+        rng = random.Random(seed)
+        scope = mask_of(rng.sample(range(g.n), 7))
+        inside = mask_of(rng.sample(sorted(v for v in range(g.n) if scope >> v & 1), 5))
+        outside = inside | mask_of(rng.sample([v for v in range(g.n) if not scope >> v & 1], 2))
+        n_scope = scope.bit_count()
+        for d in (1, 2, 3):
+            for need in (n_scope - 1, n_scope, n_scope + 1):
+                for threshold in (Fraction(need), need - Fraction(1, 3)):
+                    for x in (inside, outside, 0):
+                        supports = brute_bad_supports(g, x, d, threshold, scope)
+                        expect = sum(surjection_count(d, len(s)) for s in supports)
+                        assert bad_tuple_count(g, x, d, threshold, scope) == expect
+                        if need > n_scope or need == n_scope and x == inside:
+                            assert expect == x.bit_count() ** d
+                        if need == n_scope and x == outside:
+                            outside_good += expect < x.bit_count() ** d
+    assert outside_good  # the X-in-scope guard of the closed form is needed
+
+
+def test_scoped_selection_matches_selection_on_induced_graph():
+    # the core on scoped host rows against drc_select's path on the
+    # relabelled induced graph with Fraction weights: same tuple, same set,
+    # same mode, in both modes (a budget of 10 forces sampling)
+    rng = random.Random(28)
+    modes = Counter()
+    weights = [
+        (Fraction(3, 4), Fraction(1, 16)),
+        (Fraction(1, 2), Fraction(1, 3)),
+        (Fraction(9, 10), Fraction(3, 5)),
+        (Fraction(0), Fraction(1, 3)),
+        (Fraction(3, 4), Fraction(0)),
+        (Fraction(0), Fraction(0)),
+    ]
+    for case in range(6):
+        n = rng.choice((16, 20, 24))
+        host = gen.random_min_degree_host(n, Fraction(1, 4), case)
+        scope = mask_of(rng.sample(range(n), rng.randrange(6, n + 1)))
+        members = [v for v in range(n) if scope >> v & 1]
+        for x0 in (0, mask_of(rng.sample(members, len(members) // 2)), scope):
+            for d in (1, 2, 3):
+                for alpha, beta in weights:
+                    for budget in (DEFAULT_TUPLE_BUDGET, 10):
+                        args = (host, scope, x0, d, beta, alpha, 30, case, budget)
+                        got = _select(*args)
+                        assert got == select_on_induced(*args), (case, x0, d, alpha, beta)
+                        modes[got[2]] += 1
+    assert modes["exhaustive"] and modes["sampled"]
 
 
 def reference_select(g, x0, d, beta, trials=100, seed=0, alpha=Fraction(1, 2),

@@ -188,6 +188,22 @@ def test_random_min_degree_host_pair_codes_are_never_mutated():
     )
 
 
+def test_host_builder_draw_is_randrange_draw_for_draw():
+    # random_min_degree_host draws each position by randrange's own rejection
+    # loop over getrandbits, written out; on every Python the two must take
+    # the same values from the same stream
+    for seed in (0, 1, 7, 2024):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        getrandbits = ours.getrandbits
+        for size in range(1, 4097):
+            k = size.bit_length()
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            assert r == theirs.randrange(size), (seed, size)
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_random_min_degree_host_certificate():
     for seed in range(5):
         g = gen.random_min_degree_host(16, Fraction(1, 4), seed)

@@ -389,6 +389,21 @@ def test_sramsey_cell_eps_outside_the_unit_interval_is_an_error(tmp_path, capsys
         assert captured.err == "error: eps must lie in [0, 1)\n"
 
 
+def test_embed_drc_cell_alpha_or_beta_out_of_range_raises(monkeypatch):
+    # an input error, raised before the embedder does any work; a cell does
+    # not report it as an outcome
+    from ramsey_forge import drc
+
+    monkeypatch.setattr(drc, "bipartition_of", None)  # never reached
+    host = {"kind": "complete", "params": [40]}
+    h = {"kind": "cycle", "params": [8]}
+    for alpha, beta in (("0", "1/16"), ("-1/2", "1/16"), ("1/2", "-1/16")):
+        instance = {"host": host, "h": h, "alpha": alpha, "beta": beta}
+        with pytest.raises(ValueError, match="^(alpha|beta) must") as info:
+            run_experiment(ExperimentConfig("embed-drc", (instance,), (0,)))
+        assert type(info.value) is ValueError  # not DegenerateBudget
+
+
 def test_drc_cell_outside_the_lemma_hypothesis_is_none(tmp_path, capsys):
     # alpha 1 is above the density of P_10: the selection guarantees are the
     # DRC lemma's conclusions for a dense enough host, so missing them is an
