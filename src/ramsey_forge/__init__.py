@@ -1,7 +1,6 @@
 """Exact small-scale Ramsey oracles, regularity tooling, and constructive
 graph embedders with a reproducible experiment harness."""
 
-from .dense import dense_witness_check
 from .graphs import (
     BLUE,
     COLORS,
@@ -48,7 +47,6 @@ __all__ = [
     "WeightedGraph",
     "codegree",
     "compose",
-    "dense_witness_check",
     "edges_between",
     "find_capacity_homomorphism",
     "find_weighted_embedding",

@@ -1,16 +1,12 @@
-"""Degree-splitting partitions, layered-density witnesses, and the dense
-greedy and wheel embedders.
+"""Degree-splitting partitions and the dense greedy and wheel embedders.
 
-The degree split is a potential-function local search.  Every bi-density
-witness, exhaustive or sampled, is rechecked by exact density.  The greedy
+The degree split is a potential-function local search.  The greedy
 embedders are one-sided: Some is always an independently verified embedding,
 None is a greedy failure and never a nonexistence claim.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,12 +17,9 @@ from .graphs import (
     EdgeColoring,
     Graph,
     WeightedGraph,
-    edges_between,
     iter_bits,
     mask_of,
     other_color,
-    pair_density,
-    threshold_size,
 )
 from .morphisms import (
     CapacityProfile,
@@ -36,12 +29,9 @@ from .morphisms import (
     verify_homomorphism,
 )
 
-PASS = "pass"
-VIOLATED = "violated"
-UNREFUTED = "unrefuted"
-
-BI_DENSE_SIDE_CAP = 16
-BI_DENSE_SAMPLES = 200  # pairs drawn per part in sampled mode
+# unused here; perfbench/layers.py traces this name on this module, and its
+# smoke test fails on an absent binding
+from .graphs import pair_density  # noqa: F401
 
 
 def lovasz_partition(g: Graph, degrees: Sequence[int]) -> tuple[frozenset[int], ...]:
@@ -93,29 +83,6 @@ def lovasz_partition(g: Graph, degrees: Sequence[int]) -> tuple[frozenset[int], 
 
 
 @dataclass(frozen=True)
-class DenseParams:
-    alpha: Fraction
-    beta: Fraction
-    rho: Fraction
-    delta: Fraction
-    max_deg: int
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "rho", "delta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not 0 <= self.beta <= 1:
-            raise ValueError("beta must lie in [0, 1]")
-        if not 0 < self.rho <= 1:
-            raise ValueError("rho must lie in (0, 1]")
-        if not 0 <= self.delta <= 1:
-            raise ValueError("delta must lie in [0, 1]")
-        if self.max_deg < 0:
-            raise ValueError("max_deg must be nonnegative")
-
-
-@dataclass(frozen=True)
 class DenseWitness:
     """Ordered disjoint parts U_1..U_s with per-part internal degree budgets."""
 
@@ -138,131 +105,6 @@ class DenseWitness:
         return cls((frozenset(range(g.n)),), (max_deg,))
 
 
-@dataclass(frozen=True)
-class DenseVerdict:
-    status: str  # PASS | VIOLATED | UNREFUTED
-    condition: str | None = None  # bi_dense | cross_degree | part_size | degree_sum
-    part: int | None = None
-    witness_x: frozenset[int] | None = None
-    witness_y: frozenset[int] | None = None
-
-
-def bi_dense_violation(
-    g: Graph, universe: Sequence[int], eps: Fraction, delta: Fraction
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A disjoint pair X, Y inside the universe with |X|, |Y| >= eps * |U|
-    and d(X, Y) < delta, or None if the universe is bi-(eps, delta)-dense.
-
-    Only threshold-size pairs are enumerated: dropping the vertex of largest
-    contribution from either side never raises the density, so the minimum
-    over all admissible pairs is attained at the threshold size.
-    """
-    universe = sorted(set(universe))
-    u = len(universe)
-    if u == 0:
-        return None
-    m = threshold_size(eps, u)
-    if 2 * m > u:
-        return None  # no admissible disjoint pair exists
-    if universe[0] < 0 or universe[-1] >= g.n:
-        raise ValueError(f"universe has a vertex out of range for n={g.n}")
-    p, q = Fraction(delta).as_integer_ratio()
-    for xsub in itertools.combinations(universe, m):
-        xmask = mask_of(xsub)
-        by_count = sorted(
-            ((g.adj[y] & xmask).bit_count(), y) for y in universe if not xmask >> y & 1
-        )
-        low = by_count[:m]
-        # d(X, Y) < delta in integers: e(X, Y) q < p m^2
-        if sum(c for c, _ in low) * q < p * m * m:
-            return frozenset(xsub), frozenset(y for _, y in low)
-    return None
-
-
-def dense_witness_check(
-    g: Graph, witness: DenseWitness, params: DenseParams, mode: str = "exhaustive", seed: int = 0
-) -> DenseVerdict:
-    """Check the four layered-density conditions; first violation wins.
-
-    (i) each part induces a bi-(rho^{2 d_i}, delta)-dense graph, (ii) every
-    vertex of an earlier part sees >= (1 - beta) of every later part,
-    (iii) parts have size >= alpha * n, (iv) the degree budgets sum to
-    max_deg - s + 1.  Sampled mode cannot certify (i); it can only refute,
-    from BI_DENSE_SAMPLES pairs per part.  A bi-density witness that fails
-    its recheck raises VerificationError.
-    """
-    parts = witness.parts
-    s = len(parts)
-    for i, part in enumerate(parts):
-        if any(not 0 <= v < g.n for v in part):
-            raise ValueError(f"part {i} contains out-of-range vertices")
-
-    for i, part in enumerate(parts):
-        eps_i = params.rho ** (2 * witness.degrees[i])
-        members = sorted(part)
-        if mode == "exhaustive":
-            if len(members) > BI_DENSE_SIDE_CAP:
-                raise ValueError(f"exhaustive mode caps parts at {BI_DENSE_SIDE_CAP}")
-            hit = bi_dense_violation(g, members, eps_i, params.delta)
-        elif mode == "sampled":
-            hit = _sampled_bi_dense_violation(g, members, eps_i, params.delta, seed + i)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        if hit is not None:
-            wx, wy = frozenset(hit[0]), frozenset(hit[1])
-            if not _refutes_bi_density(g, part, eps_i, params.delta, wx, wy):
-                raise VerificationError(f"bi-density witness for part {i} does not violate")
-            return DenseVerdict(VIOLATED, "bi_dense", i, wx, wy)
-
-    for i, j in itertools.combinations(range(s), 2):
-        jmask = mask_of(parts[j])
-        need = (1 - params.beta) * len(parts[j])
-        for v in sorted(parts[i]):
-            if (g.adj[v] & jmask).bit_count() < need:
-                return DenseVerdict(
-                    VIOLATED, "cross_degree", i, frozenset([v]), frozenset(parts[j])
-                )
-
-    for i, part in enumerate(parts):
-        if len(part) < params.alpha * g.n:
-            return DenseVerdict(VIOLATED, "part_size", i, frozenset(part))
-
-    if sum(witness.degrees) != params.max_deg - s + 1:
-        return DenseVerdict(VIOLATED, "degree_sum")
-
-    return DenseVerdict(PASS if mode == "exhaustive" else UNREFUTED)
-
-
-def _refutes_bi_density(
-    g: Graph, part: frozenset[int], eps: Fraction, delta: Fraction, x: frozenset, y: frozenset
-) -> bool:
-    """Independent recheck of a witness: disjoint X, Y inside the part U, each
-    of at least threshold_size(eps, |U|) vertices, with d(X, Y) < delta."""
-    m = threshold_size(eps, len(part))
-    fits = not x & y and x | y <= part and min(len(x), len(y)) >= m
-    return fits and pair_density(g, x, y) < delta
-
-
-def _sampled_bi_dense_violation(
-    g: Graph, universe: list[int], eps: Fraction, delta: Fraction, seed: int
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    u = len(universe)
-    if u == 0:
-        return None
-    m = threshold_size(eps, u)
-    if 2 * m > u:
-        return None
-    p, q = delta.as_integer_ratio()
-    rng = random.Random(seed)
-    for _ in range(BI_DENSE_SAMPLES):
-        xsub = rng.sample(universe, m)
-        rest = [y for y in universe if y not in xsub]
-        ysub = rng.sample(rest, m)
-        if edges_between(g, mask_of(xsub), mask_of(ysub)) * q < p * m * m:
-            return frozenset(xsub), frozenset(ysub)
-    return None
-
-
 def dense_greedy_embed(
     g: Graph,
     witness: DenseWitness,
@@ -275,9 +117,13 @@ def dense_greedy_embed(
     class c going into part U_c.  Within a class, vertices go in
     non-increasing weight order; each placement must keep every still-free
     same-class forward neighbor's candidate set at least (delta/2)-dense and
-    respect the weight-1 load cap.  None means the greedy starved.
+    respect the weight-1 load cap.  None means the greedy starved.  A part
+    with a vertex outside range(g.n) raises ValueError.
     """
     src = gw.graph
+    for i, part in enumerate(witness.parts):
+        if any(not 0 <= v < g.n for v in part):
+            raise ValueError(f"part {i} contains out-of-range vertices")
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
     s = len(witness.parts)

@@ -43,8 +43,8 @@ drc_bandwidth_embed checks its labels with bandwidth.labeling_width and fixes
 its block schedule first: a B vertex goes in block label // (2 budget), a
 non-isolated A vertex in the last block of its B neighbours (so no B vertex
 meets a placed neighbour), B before A within a block, each in label order.
-Each block selects inside the host's unused-vertex mask.  None means only
-greedy starvation.
+Each block selects inside the host's unused-vertex mask; a block that opens
+with that mask empty returns None.  None means only greedy starvation.
 """
 
 from __future__ import annotations
@@ -405,6 +405,8 @@ def drc_bandwidth_embed(
     )
     for new_b, new_a in schedule:
         v_t = full & ~used
+        if v_t == 0:  # this or a later block still holds an unplaced B vertex
+            return None
         _, x_next, _ = _select(
             host, v_t, x_prev & v_t, max_deg, 8 * beta, alpha, BANDWIDTH_TRIALS,
             rng.randrange(1 << 30),

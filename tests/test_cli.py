@@ -133,6 +133,13 @@ def test_embed_drc_alpha_or_beta_out_of_range_is_an_error(args, message, capsys)
     assert captured.err == f"error: {message}\n"
 
 
+def test_embed_drc_starvation_is_an_answer(capsys):
+    # P6 has no injective copy in K_2: a block opens with both vertices used
+    args = ["--alpha", "1/2", "--beta", "1/2", "--max-deg", "1"]
+    assert _run(["embed-drc", "complete:2", "path:6", *args]) == 0
+    assert capsys.readouterr().out == '{"status": "none", "image": null}\n'
+
+
 @pytest.mark.parametrize("command", ["ramsey", "wramsey", "sramsey"])
 def test_oracle_out_of_budget_prints_inconclusive(command, monkeypatch, capsys):
     monkeypatch.setattr(oracles, "COLORING_BUDGET", 0)

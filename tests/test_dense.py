@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import random
 from fractions import Fraction
 
@@ -8,24 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_forge import dense, generators as gen
-from ramsey_forge.dense import (
-    PASS,
-    UNREFUTED,
-    VIOLATED,
-    DenseParams,
-    DenseVerdict,
-    DenseWitness,
-    bi_dense_violation,
-    dense_greedy_embed,
-    dense_witness_check,
-    lovasz_partition,
-    wheel_mono_embed,
-)
-from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph, induced, mask_of, pair_density
+from ramsey_forge import generators as gen
+from ramsey_forge.dense import DenseWitness, dense_greedy_embed, lovasz_partition, wheel_mono_embed
+from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph, induced
 from ramsey_forge.morphisms import (
     CapacityProfile,
-    VerificationError,
     find_weighted_embedding,
     verify_capacity,
     verify_homomorphism,
@@ -99,159 +85,6 @@ def test_lovasz_postcondition_property(inst):
     check_split(g, classes, degrees)
 
 
-def test_bi_dense_complete_passes():
-    g = gen.complete(8)
-    assert bi_dense_violation(g, range(8), Fraction(1, 4), Fraction(1, 2)) is None
-
-
-def test_bi_dense_planted_sparse_block():
-    # complete graph with one emptied 4x4 cut: violation found
-    g = gen.complete(8)
-    adj = list(g.adj)
-    for u in range(4):
-        for v in range(4, 8):
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-    g2 = Graph.from_adj(adj)
-    hit = bi_dense_violation(g2, range(8), Fraction(1, 4), Fraction(1, 2))
-    assert hit is not None
-    xs, ys = hit
-    from ramsey_forge.graphs import pair_density
-
-    assert pair_density(g2, sorted(xs), sorted(ys)) < Fraction(1, 2)
-
-
-def test_bi_dense_density_equal_to_delta_is_not_a_violation():
-    # in C4 every disjoint pair of 2 + 2 vertices has density 1/2 or 1
-    g = gen.cycle(4)
-    assert bi_dense_violation(g, range(4), Fraction(1, 2), Fraction(1, 2)) is None
-    hit = bi_dense_violation(g, range(4), Fraction(1, 2), Fraction(51, 100))
-    assert hit is not None
-    assert pair_density(g, hit[0], hit[1]) == Fraction(1, 2)
-
-
-def test_bi_dense_universe_out_of_range():
-    with pytest.raises(ValueError):
-        bi_dense_violation(gen.complete(4), range(5), Fraction(1, 4), Fraction(1, 2))
-
-
-def params_for(max_deg: int) -> DenseParams:
-    return DenseParams(
-        alpha=Fraction(1, 8),
-        beta=Fraction(1, 4),
-        rho=Fraction(1, 2),
-        delta=Fraction(1, 2),
-        max_deg=max_deg,
-    )
-
-
-def test_witness_check_complete_passes():
-    g = gen.complete(10)
-    w = DenseWitness.trivial(g, 3)
-    assert dense_witness_check(g, w, params_for(3)).status == PASS
-
-
-def test_witness_check_degree_sum():
-    g = gen.complete(10)
-    w = DenseWitness((frozenset(range(5)), frozenset(range(5, 10))), (1, 0))
-    verdict = dense_witness_check(g, w, params_for(3))
-    assert verdict.status == VIOLATED
-    assert verdict.condition == "degree_sum"
-
-
-def test_witness_check_sampled_refutation_only():
-    g = gen.complete(10)
-    w = DenseWitness.trivial(g, 3)
-    verdict = dense_witness_check(g, w, params_for(3), mode="sampled", seed=1)
-    assert verdict.status != PASS  # sampled mode cannot certify
-    assert verdict.status == "unrefuted"
-
-
-def _dense_verdict_batch(mode: str, count: int = 200, seed: int = 2026) -> list[tuple]:
-    """Seeded random graphs cut into 1-3 parts of 2-12 vertices (interleaved
-    labels, a few vertices left out) under random alpha, beta, rho, delta,
-    degree budgets and checker seeds."""
-    rng = random.Random(seed)
-    fracs = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
-    out = []
-    for _ in range(count):
-        sizes = [rng.randint(2, 12) for _ in range(rng.randint(1, 3))]
-        n = sum(sizes) + rng.randint(0, 3)
-        p = rng.random()
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-        order = list(range(n))
-        rng.shuffle(order)
-        parts = tuple(
-            frozenset(order[sum(sizes[:i]) : sum(sizes[: i + 1])]) for i in range(len(sizes))
-        )
-        degrees = tuple(rng.randint(0, 2) for _ in sizes)
-        params = DenseParams(
-            alpha=rng.choice(fracs) / 4,
-            beta=rng.choice(fracs),
-            rho=rng.choice(fracs),
-            delta=rng.choice(fracs),
-            max_deg=sum(degrees) + len(sizes) - 1 + rng.choice([0, 0, 0, 1]),
-        )
-        w = DenseWitness(parts, degrees)
-        v = dense_witness_check(g, w, params, mode=mode, seed=rng.randrange(1000))
-        wx, wy = sorted(v.witness_x or ()), sorted(v.witness_y or ())
-        out.append((v.status, v.condition, v.part, wx, wy))
-    return out
-
-
-# captured from the Fraction-per-pair checkers, before the integer edge-count
-# comparison and the witness recheck; 128 exhaustive and 125 sampled verdicts
-# are bi-density violations
-PINNED_DENSE_BATCH = {
-    "exhaustive": (
-        "31188bba152f9c283e58077674ad667946029856ae1812f3af8e833f7f30e133",
-        {
-            0: (VIOLATED, "degree_sum", None, [], []),
-            1: (VIOLATED, "bi_dense", 0, [2], [9]),
-            3: (VIOLATED, "bi_dense", 0, [0, 1, 2, 3, 4, 5], [6, 7, 9, 10, 11, 12]),
-            9: (PASS, None, None, [], []),
-            13: (VIOLATED, "bi_dense", 1, [2], [10]),
-            43: (VIOLATED, "cross_degree", 0, [10], [8, 9, 11]),
-        },
-    ),
-    "sampled": (
-        "8de904d70a1eec2616c59d4770f8aad8d65433d31453e5ea6e8b16f1e6ddcd63",
-        {
-            1: (VIOLATED, "bi_dense", 0, [9], [20]),
-            3: (VIOLATED, "bi_dense", 0, [1, 2, 4, 5, 11, 12], [0, 3, 6, 7, 9, 10]),
-            9: (UNREFUTED, None, None, [], []),
-            10: (VIOLATED, "part_size", 0, [9, 13], []),
-            13: (VIOLATED, "bi_dense", 1, [5], [16]),
-        },
-    ),
-}
-
-
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-def test_pinned_dense_verdict_batch(mode):
-    batch = _dense_verdict_batch(mode)
-    digest, cases = PINNED_DENSE_BATCH[mode]
-    for i, expected in cases.items():
-        assert batch[i] == expected, i
-    assert hashlib.sha256(repr(batch).encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "host, x, y",
-    [
-        (Graph(10, []), {0, 1}, {1, 2}),  # overlapping sides
-        (Graph(10, []), {0, 1}, {2, 9}),  # 9 lies outside the part
-        (Graph(10, []), {0}, {4}),  # sides below the threshold size 2
-        (gen.complete(10), {0, 1}, {2, 3}),  # density 1, not below delta
-    ],
-)
-def test_bi_dense_witness_recheck(monkeypatch, host, x, y):
-    monkeypatch.setattr(dense, "bi_dense_violation", lambda *args: (frozenset(x), frozenset(y)))
-    w = DenseWitness((frozenset(range(8)),), (1,))
-    with pytest.raises(VerificationError):
-        dense_witness_check(host, w, params_for(1))
-
-
 def test_witness_disjointness():
     with pytest.raises(ValueError):
         DenseWitness((frozenset([0, 1]), frozenset([1, 2])), (1, 1))
@@ -285,6 +118,14 @@ def test_dense_greedy_rejects_a_source_above_the_witness_budget():
     two_parts = DenseWitness((frozenset(range(3)), frozenset(range(3, 6))), (0, 0))
     with pytest.raises(ValueError, match="degree bounds too small"):
         dense_greedy_embed(host, two_parts, gw, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("part", [frozenset({5, 6, 7}), frozenset({-1, 0, 1})])
+def test_dense_greedy_rejects_a_part_outside_the_host(part):
+    host = gen.complete(4)
+    gw = WeightedGraph.unit(gen.path(2))
+    with pytest.raises(ValueError, match="part 0 contains out-of-range vertices"):
+        dense_greedy_embed(host, DenseWitness((part,), (1,)), gw, Fraction(1, 2))
 
 
 def test_dense_greedy_impossible():

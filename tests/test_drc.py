@@ -443,6 +443,28 @@ def test_matching_into_complete_host():
     assert verify_homomorphism(h, host, vmap).valid
 
 
+def test_block_opening_with_every_host_vertex_used_is_starvation():
+    h = gen.path(6)
+    labels, _ = heuristic_labeling(h)
+    host = gen.complete(2)
+    vmap = drc_bandwidth_embed(host, h, labels, Fraction(1, 2), max_deg=1, beta=Fraction(1, 2))
+    assert vmap is None
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(1, 3)])
+def test_path_longer_than_complete_host_starves(beta):
+    # K_n holds no injective copy of P_m for n < m; n >= 3 keeps floor(beta n) >= 1
+    for m in range(6, 14):
+        h = gen.path(m)
+        labels, _ = heuristic_labeling(h)
+        for n in range(3, m):
+            for seed in range(2):
+                vmap = drc_bandwidth_embed(
+                    gen.complete(n), h, labels, Fraction(1, 2), seed=seed, max_deg=1, beta=beta
+                )
+                assert vmap is None, (m, n, seed)
+
+
 def test_odd_cycle_rejected():
     host = gen.complete(40)
     h = gen.cycle(5)

@@ -39,11 +39,6 @@ def reject_into(target, real):
     # fails only maps into `target`, so precondition checks still pass
     return lambda g, h, f: reject() if h is target else real(g, h, f)
 
-
-# degree budget 1 and rho 1/2: each side of a bi-density witness needs 2 of 8
-DENSE = dense.DenseParams(
-    alpha=Fraction(1, 8), beta=Fraction(1, 4), rho=Fraction(1, 2), delta=Fraction(1, 2), max_deg=1
-)
 """
 
 # entry point -> code that stubs its recheck and then calls it; without the
@@ -115,19 +110,6 @@ CASES = {
         regularity.regularity_check(
             gen.complete(8), range(4), range(4, 8), regularity.RegularityParams(Fraction(1, 4)),
             regularity.MODE_SAMPLED,
-        )
-    """,
-    "dense_witness_check": """
-        # a pair that does not violate: every pair of K_8 has density 1
-        dense.bi_dense_violation = lambda *args: (frozenset([0, 1]), frozenset([4, 5]))
-        dense.dense_witness_check(
-            gen.complete(8), dense.DenseWitness.trivial(gen.complete(8), 1), DENSE
-        )
-    """,
-    "dense_witness_check_sampled": """
-        dense._sampled_bi_dense_violation = lambda *args: (frozenset([0, 1]), frozenset([4, 5]))
-        dense.dense_witness_check(
-            gen.complete(8), dense.DenseWitness.trivial(gen.complete(8), 1), DENSE, "sampled"
         )
     """,
     "lovasz_partition": """
@@ -225,8 +207,12 @@ def test_library_imports_only_at_module_level() -> None:
 
 
 # bound but never read on purpose: perfbench/layers.py traces these names on
-# the pipeline module
-TRACED_BINDINGS = {("pipeline.py", "pair_density"), ("pipeline.py", "regularity_check")}
+# the pipeline and dense modules
+TRACED_BINDINGS = {
+    ("dense.py", "pair_density"),
+    ("pipeline.py", "pair_density"),
+    ("pipeline.py", "regularity_check"),
+}
 
 
 def test_library_has_no_unused_imports() -> None:
