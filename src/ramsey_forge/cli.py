@@ -15,7 +15,7 @@ from typing import NoReturn
 
 from . import fileio, generators
 from .bandwidth import exact_bandwidth, heuristic_labeling
-from .dense import DenseWitness, dense_greedy_embed, lovasz_partition, wheel_mono_embed
+from .dense import dense_greedy_embed, lovasz_partition, wheel_mono_embed
 from .drc import DegenerateBudget, drc_bandwidth_embed
 from .graphs import Graph, WeightedGraph
 from .harness import VerificationError, load_config, run_experiment
@@ -181,8 +181,7 @@ def cmd_embed_dense(args: argparse.Namespace) -> int:
     host = _graph_arg(args.host)
     g = _graph_arg(args.source)
     gw = WeightedGraph(g, _weights_arg(args.weights, g.n))
-    witness = DenseWitness.trivial(host, max(g.max_degree(), 1))
-    vmap = dense_greedy_embed(host, witness, gw, Fraction(args.delta))
+    vmap = dense_greedy_embed(host, gw, Fraction(args.delta), (1 << host.n) - 1)
     _print_map(vmap)
     return 0
 

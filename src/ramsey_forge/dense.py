@@ -1,30 +1,30 @@
 """Degree-splitting partitions and the dense greedy and wheel embedders.
 
-The degree split is a potential-function local search.  The greedy
-embedders are one-sided: Some is always an independently verified embedding,
-None is a greedy failure and never a nonexistence claim.
+The degree split is a potential-function local search.  dense_greedy_embed
+is the one greedy weighted embedder, inside a host mask; the wheel places
+its rim through it.  Both are one-sided: Some is always an independently
+verified embedding, None is a greedy failure and never a nonexistence claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .generators import wheel
+from .generators import cycle, wheel
 from .graphs import (
     COLORS,
     EdgeColoring,
     Graph,
     WeightedGraph,
     iter_bits,
-    mask_of,
     other_color,
 )
 from .morphisms import (
     CapacityProfile,
     VerificationError,
     VertexMap,
+    integer_units,
     verify_capacity,
     verify_homomorphism,
 )
@@ -82,126 +82,55 @@ def lovasz_partition(g: Graph, degrees: Sequence[int]) -> tuple[frozenset[int], 
     return tuple(frozenset(iter_bits(m)) for m in masks)
 
 
-@dataclass(frozen=True)
-class DenseWitness:
-    """Ordered disjoint parts U_1..U_s with per-part internal degree budgets."""
-
-    parts: tuple[frozenset[int], ...]
-    degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) != len(self.degrees):
-            raise ValueError("one degree per part required")
-        if not self.parts:
-            raise ValueError("at least one part required")
-        seen: set[int] = set()
-        for part in self.parts:
-            if seen & part:
-                raise ValueError("parts must be disjoint")
-            seen |= part
-
-    @classmethod
-    def trivial(cls, g: Graph, max_deg: int) -> "DenseWitness":
-        return cls((frozenset(range(g.n)),), (max_deg,))
-
-
 def dense_greedy_embed(
-    g: Graph,
-    witness: DenseWitness,
-    gw: WeightedGraph,
-    delta: Fraction,
+    g: Graph, gw: WeightedGraph, delta: Fraction, allowed: int
 ) -> VertexMap | None:
-    """Greedy weighted embedding of gw into g guided by the witness layers.
+    """Greedy weighted embedding of gw into g inside the host mask `allowed`.
 
-    Splits the source by lovasz_partition with the witness degree budgets,
-    class c going into part U_c.  Within a class, vertices go in
-    non-increasing weight order; each placement must keep every still-free
-    same-class forward neighbor's candidate set at least (delta/2)-dense and
-    respect the weight-1 load cap.  None means the greedy starved.  A part
-    with a vertex outside range(g.n) raises ValueError.
+    Source vertices go in (-weight, id) order.  Each takes its least
+    candidate with room under the weight-1 load cap that keeps every forward
+    neighbour's candidate set at least (delta/2)-dense, and those sets are
+    then cut to the chosen vertex's row.  Loads are integer units and the
+    density test is cross-multiplied: kept * 2q >= p * |cand| for
+    delta = p/q.  None means the greedy starved.  A mask with a vertex
+    outside range(g.n) raises ValueError.
     """
     src = gw.graph
-    for i, part in enumerate(witness.parts):
-        if any(not 0 <= v < g.n for v in part):
-            raise ValueError(f"part {i} contains out-of-range vertices")
+    if not 0 <= allowed < 1 << g.n:
+        raise ValueError("allowed mask contains out-of-range vertices")
+    delta = Fraction(delta)
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    s = len(witness.parts)
-    classes = lovasz_partition(src, witness.degrees)
-    part_masks = [mask_of(p) for p in witness.parts]
-
-    order: list[int] = []
-    class_of = [0] * src.n
-    for c in range(s):
-        members = sorted(classes[c], key=lambda v: (-gw.weights[v], v))
-        order.extend(members)
-        for v in classes[c]:
-            class_of[v] = c
+    p, two_q = delta.numerator, 2 * delta.denominator
+    profile = CapacityProfile.weight_cap(gw.weights)
+    demand, room = integer_units(profile, src.n, g.n)
+    order = sorted(range(src.n), key=lambda v: (-gw.weights[v], v))
     pos_of = {v: i for i, v in enumerate(order)}
-
-    cand = [part_masks[class_of[v]] for v in range(src.n)]
-    load = [Fraction(0)] * g.n
+    cand = [allowed] * src.n
     image = [-1] * src.n
-    half_delta = Fraction(delta) / 2
 
     for t, v in enumerate(order):
-        w = gw.weights[v]
-        forward_same = [
-            y
-            for y in iter_bits(src.adj[v])
-            if pos_of[y] > t and class_of[y] == class_of[v]
-        ]
-        chosen = -1
+        d = demand[v]
+        forward = [y for y in iter_bits(src.adj[v]) if pos_of[y] > t]
         for u in iter_bits(cand[v]):
-            if load[u] + w > 1:
-                continue
-            ok = True
-            for y in forward_same:
-                kept = (cand[y] & g.adj[u]).bit_count()
-                if kept < half_delta * cand[y].bit_count():
-                    ok = False
-                    break
-            if ok:
-                chosen = u
+            if d <= room[u] and all(
+                (cand[y] & g.adj[u]).bit_count() * two_q >= p * cand[y].bit_count()
+                for y in forward
+            ):
                 break
-        if chosen < 0:
+        else:
             return None
-        image[v] = chosen
-        load[chosen] += w
-        for y in iter_bits(src.adj[v]):
-            if pos_of[y] > t:
-                cand[y] &= g.adj[chosen]
+        image[v] = u
+        room[u] -= d
+        for y in forward:
+            cand[y] &= g.adj[u]
 
     vmap = VertexMap(src.n, g.n, tuple(image))
     if not (
-        verify_homomorphism(src, g, vmap).valid
-        and verify_capacity(vmap, CapacityProfile.weight_cap(gw.weights)).valid
+        verify_homomorphism(src, g, vmap).valid and verify_capacity(vmap, profile).valid
     ):
         raise VerificationError("dense greedy embedding failed verification")
     return vmap
-
-
-def _greedy_cycle_embed(
-    h: Graph, allowed: int, rim: list[int], weights: Sequence[Fraction]
-) -> dict[int, int] | None:
-    """Greedily place a cycle (rim order gives adjacency) inside the allowed
-    mask of h, heaviest vertices first, loading no host vertex past 1."""
-    k = len(rim)
-    cand = {v: allowed for v in rim}
-    placed: dict[int, int] = {}
-    load: dict[int, Fraction] = {}
-    idx = {v: i for i, v in enumerate(rim)}
-    for v in sorted(rim, key=lambda v: (-weights[v], v)):
-        w = weights[v]
-        pick = next((u for u in iter_bits(cand[v]) if load.get(u, 0) + w <= 1), -1)
-        if pick < 0:
-            return None
-        placed[v] = pick
-        load[pick] = load.get(pick, 0) + w
-        for nb in (rim[(idx[v] + 1) % k], rim[(idx[v] - 1) % k]):
-            if nb not in placed:
-                cand[nb] &= h.adj[pick]
-    return placed
 
 
 def wheel_mono_embed(
@@ -214,8 +143,9 @@ def wheel_mono_embed(
     neighborhood X; if some v2 in X has a rich secondary neighborhood Y
     inside X, greedily embed the rim in the secondary color inside Y with
     hub v2, else greedily embed the rim in the primary color inside X with
-    hub v1.  Every returned map is re-verified, and one that fails raises
-    VerificationError.  None is a greedy failure.
+    hub v1.  The rim goes through dense_greedy_embed at delta 0, and the hub
+    is the image's last vertex.  Every returned map is re-verified, and one
+    that fails raises VerificationError.  None is a greedy failure.
     """
     if k < 4:
         raise ValueError("wheel needs at least 4 vertices")
@@ -223,17 +153,12 @@ def wheel_mono_embed(
     if len(weights) != k:
         raise ValueError("one weight per wheel vertex required")
     target = wheel(k)
-    gw = WeightedGraph(target, weights)
+    WeightedGraph(target, weights)  # ValueError on any weight outside [0, 1], the hub's too
+    rim = WeightedGraph(cycle(k - 1), weights[: k - 1])
     host_n = coloring.host.n
-    rim = list(range(k - 1))
-    hub = k - 1
 
-    def finish(color: str, hub_host: int, placed: dict[int, int]) -> tuple[str, VertexMap]:
-        image = [0] * k
-        image[hub] = hub_host
-        for v, u in placed.items():
-            image[v] = u
-        vmap = VertexMap(k, host_n, tuple(image))
+    def finish(color: str, hub_host: int, rim_map: VertexMap) -> tuple[str, VertexMap]:
+        vmap = VertexMap(k, host_n, rim_map.image + (hub_host,))
         if not (
             verify_homomorphism(target, coloring.subgraph(color), vmap).valid
             and verify_capacity(vmap, CapacityProfile.weight_cap(weights)).valid
@@ -254,11 +179,11 @@ def wheel_mono_embed(
                 iter_bits(x_mask), key=lambda v: ((sec.adj[v] & x_mask).bit_count(), -v)
             )
             y_mask = sec.adj[v2] & x_mask & ~(1 << v2)
-            placed = _greedy_cycle_embed(sec, y_mask, rim, weights)
+            placed = dense_greedy_embed(sec, rim, Fraction(0), y_mask)
             if placed is not None:
                 return finish(other_color(primary), v2, placed)
             # primary branch: rim in the primary color inside X, hub v1
-            placed = _greedy_cycle_embed(pri, x_mask, rim, weights)
+            placed = dense_greedy_embed(pri, rim, Fraction(0), x_mask)
             if placed is not None:
                 return finish(primary, v1, placed)
     return None

@@ -1,4 +1,4 @@
-"""Serialization: edge lists, graph6, edge colorings, and JSON vertex maps.
+"""Serialization: edge lists, graph6 and edge colorings.
 
 Every decoder raises ParseError with a line and column; encode/decode are
 exact inverses for each format.
@@ -6,17 +6,13 @@ exact inverses for each format.
 
 from __future__ import annotations
 
-import json
-
 from .graphs import RED, EdgeColoring, Graph
-from .morphisms import VertexMap
 
 FORMAT_EDGELIST = "edgelist"
 FORMAT_GRAPH6 = "graph6"
 FORMAT_COLORING = "coloring"
-FORMAT_JSON_MAP = "json-map"
 
-FORMATS = (FORMAT_EDGELIST, FORMAT_GRAPH6, FORMAT_COLORING, FORMAT_JSON_MAP)
+FORMATS = (FORMAT_EDGELIST, FORMAT_GRAPH6, FORMAT_COLORING)
 
 
 class ParseError(ValueError):
@@ -155,32 +151,11 @@ def decode_coloring(text: str) -> EdgeColoring:
         raise ParseError(str(exc), 1, 1) from None
 
 
-def encode_json_map(f: VertexMap) -> str:
-    return json.dumps(
-        {"source_n": f.source_n, "target_n": f.target_n, "image": list(f.image)},
-        separators=(",", ":"),
-    ) + "\n"
-
-
-def decode_json_map(text: str) -> VertexMap:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    try:
-        return VertexMap(
-            int(data["source_n"]), int(data["target_n"]), tuple(data["image"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid vertex map payload: {exc}", 1, 1) from None
-
-
 # format -> (type it holds, encoder, decoder)
 _CODECS = {
     FORMAT_EDGELIST: (Graph, encode_edgelist, decode_edgelist),
     FORMAT_GRAPH6: (Graph, encode_graph6, decode_graph6),
     FORMAT_COLORING: (EdgeColoring, encode_coloring, decode_coloring),
-    FORMAT_JSON_MAP: (VertexMap, encode_json_map, decode_json_map),
 }
 
 

@@ -78,14 +78,15 @@ CASES = [
     # no regularity output reads a density threshold
     ("regularity {edges} --epsilon 1/4 --partition 2 --delta 0", 1, None),
     ("regularity {edges} --epsilon 1/4 --pairs 0/1 --delta 1", 1, None),
-    # the dense greedy reads delta and the degree budget only
+    # the dense greedy reads --weights and --delta only
     ("embed-dense complete:8 path:3 --alpha 1/2", 1, None),
-    # each format holds one kind of object: graph, coloring or vertex map
+    # each format holds one kind of object: graph or coloring
     ("gen cycle:5 --format coloring", 1, None),
-    ("gen cycle:5 --format json-map", 1, None),
     ("convert {edges} --from edgelist --to coloring", 1, None),
-    ("convert {edges} --from edgelist --to json-map", 1, None),
     ("convert {coloring} --from coloring --to graph6", 1, None),
+    # json-map is no format: an argparse choice error
+    ("gen cycle:5 --format json-map", 1, None),
+    ("convert {edges} --from edgelist --to json-map", 1, None),
 ]
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ramsey_forge import fileio
 from ramsey_forge import generators as gen
 from ramsey_forge.graphs import EdgeColoring, Graph
-from ramsey_forge.morphisms import VertexMap
 
 
 @st.composite
@@ -56,11 +55,6 @@ def test_coloring_round_trip():
         assert back.color_of(u, v) == c.color_of(u, v)
 
 
-def test_json_map_round_trip():
-    f = VertexMap(4, 2, (0, 1, 1, 0))
-    assert fileio.decode_json_map(fileio.encode_json_map(f)) == f
-
-
 def test_parse_errors_carry_position():
     with pytest.raises(fileio.ParseError) as exc:
         fileio.decode_edgelist("2 1\n1 x\n")
@@ -71,8 +65,6 @@ def test_parse_errors_carry_position():
         fileio.decode_edgelist("3 5\n0 1\n")  # edge count mismatch
     with pytest.raises(fileio.ParseError):
         fileio.decode_coloring("2 1\n0 1 G\n")
-    with pytest.raises(fileio.ParseError):
-        fileio.decode_json_map("{not json")
     with pytest.raises(fileio.ParseError):
         fileio.decode_graph6("")
 

@@ -64,12 +64,19 @@ CASES = {
         dense.verify_capacity = lambda f, profile: CapVerdict(False, ())
         host = gen.complete(6)
         dense.dense_greedy_embed(
-            host, dense.DenseWitness.trivial(host, 2), WeightedGraph.unit(gen.path(4)),
-            Fraction(1, 2),
+            host, WeightedGraph.unit(gen.path(4)), Fraction(1, 2), (1 << host.n) - 1
         )
     """,
     "wheel_mono_embed": """
+        # the rim's own recheck in dense_greedy_embed trips first
         dense.verify_homomorphism = reject
+        host = gen.complete(8)
+        dense.wheel_mono_embed(EdgeColoring(host, host.edges()), 4, [1] * 4)
+    """,
+    "wheel_mono_embed_hub": """
+        # fails only maps of the whole wheel, so the rim passes its recheck
+        real, w4 = dense.verify_homomorphism, gen.wheel(4)
+        dense.verify_homomorphism = lambda g, h, f: reject() if g == w4 else real(g, h, f)
         host = gen.complete(8)
         dense.wheel_mono_embed(EdgeColoring(host, host.edges()), 4, [1] * 4)
     """,
@@ -137,17 +144,25 @@ CASES = {
 }
 
 
+# entry -> the message its VerificationError must carry, where an earlier
+# recheck on the way would trip first if the stub were wrong
+MESSAGES = {"wheel_mono_embed_hub": "red wheel embedding failed verification"}
+
+
 @pytest.mark.parametrize("entry", sorted(CASES))
 def test_tripwire_survives_optimize(entry: str) -> None:
     script = PRELUDE + textwrap.dedent(
         """
         try:
         {body}
-        except VerificationError:
-            sys.exit(0)
+        except VerificationError as exc:
+            sys.exit(0 if {message!r} in str(exc) else f"wrong recheck: {{exc}}")
         sys.exit("invalid result accepted")
         """
-    ).format(body=textwrap.indent(textwrap.dedent(CASES[entry]).strip(), "    "))
+    ).format(
+        body=textwrap.indent(textwrap.dedent(CASES[entry]).strip(), "    "),
+        message=MESSAGES.get(entry, ""),
+    )
     src = str(Path(ramsey_forge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
