@@ -113,10 +113,11 @@ def dense_greedy_embed(
         d = demand[v]
         forward = [y for y in iter_bits(src.adj[v]) if pos_of[y] > t]
         for u in iter_bits(cand[v]):
-            if d <= room[u] and all(
+            # at delta 0 (p == 0) every candidate passes the density test
+            if d <= room[u] and (p == 0 or all(
                 (cand[y] & g.adj[u]).bit_count() * two_q >= p * cand[y].bit_count()
                 for y in forward
-            ):
+            )):
                 break
         else:
             return None

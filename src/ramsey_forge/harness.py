@@ -1,33 +1,38 @@
 """Config-driven experiment harness.
 
-A run is a grid of (instance, seed) cells.  Cells execute in a pool of
-`ExperimentConfig.workers` threads, the one place that sets the count, but
-results are emitted in deterministic cell order, so the CSV is
-byte-identical for any worker count.  Each task declares its required and
-optional instance keys; a missing or unknown instance key, a graph spec
-with a key other than `kind` and `params` or the wrong parameter count, a
-float or boolean where an integer is expected (graph parameters, seeds,
-workers and the integer instance keys) or an exact rational (an integer or
-a "p/q" string: eps, alpha, beta, red_prob, delta, xi, each weight and the
-rational graph parameter), or an unknown top-level key in a config file,
-is a ConfigError before any cell runs; a `weights` list of the wrong
-length, the empty list included, is a ValueError when its cell runs.
-Every positive result and oracle witness is re-verified independently
-(a wheel map as a homomorphism and against its weight capacity); a failed
-verification aborts the run (soundness tripwire).  A drc cell reports the
-DRC lemma's selection properties (i)-(iii), its conclusions for a host of
-density at least alpha: outcome some when all hold, else none with the
-failed ones in its stage.
+A run is a grid of (instance, seed) cells.  `ExperimentConfig.workers` is
+the one place that sets how many run at once.  At 1 the cells run in this
+process; above 1 they run in a pool of that many worker processes, forked
+at the first such run and kept until the interpreter exits, and forked
+again when the worker count or the task table has changed since.  A worker
+sees the library as it stood at the fork.  Results are emitted in
+deterministic cell order, so the CSV is byte-identical for any worker
+count.  Each task declares its required and optional instance keys; a
+missing or unknown instance key, a graph spec with a key other than `kind`
+and `params` or the wrong parameter count, a float or boolean where an
+integer is expected (graph parameters, seeds, workers and the integer
+instance keys) or an exact rational (an integer or a "p/q" string: eps,
+alpha, beta, red_prob, delta, xi, each weight and the rational graph
+parameter), or an unknown top-level key in a config file, is a ConfigError
+before any cell runs; a `weights` list of the wrong length, the empty list
+included, is a ValueError when its cell runs.  Every positive result and
+oracle witness is re-verified independently (a wheel map as a homomorphism
+and against its weight capacity); a failed verification aborts the run
+(soundness tripwire).  A drc cell reports the DRC lemma's selection
+properties (i)-(iii), its conclusions for a host of density at least alpha:
+outcome some when all hold, else none with the failed ones in its stage.
 """
 
 from __future__ import annotations
 
+import atexit
+import concurrent.futures
 import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +79,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(slots=True)
 class CellResult:
     outcome: str  # some | none | value | exceeds | infinite_suspected | inconclusive | error
     value: str = ""
@@ -351,6 +356,49 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
+def _run_cell(task: str, instance: dict, seed: int) -> CellResult:
+    """One cell, timed; a pool worker looks its task up by name."""
+    start = time.perf_counter()
+    result = TASKS[task](instance, seed)
+    result.wall_time = time.perf_counter() - start
+    return result
+
+
+# the worker pool, keyed by what its workers hold: (workers, task table)
+_POOL: tuple[tuple, concurrent.futures.Executor] | None = None
+
+
+def _pool(workers: int) -> concurrent.futures.Executor:
+    """The pool for this worker count and task table, forked on first use.
+
+    Workers are forked, whatever the platform's default start method, so
+    they start without re-importing the library and see the parent's task
+    table.  A pool forked before the table changed would run the old tasks,
+    so it is shut down and a new one forked.  A fork copies only the calling
+    thread: the pool forks its workers before it starts its own manager
+    thread, and a replaced pool's threads are joined before the next fork."""
+    global _POOL
+    key = (workers, tuple(TASKS.items()))
+    if _POOL is not None and _POOL[0] != key:
+        _shutdown_pool()
+    if _POOL is None:
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        )
+        _POOL = (key, pool)
+    return _POOL[1]
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Stop the pool's workers and wait for them; at exit too, so none outlives
+    the interpreter."""
+    global _POOL
+    if _POOL is not None:
+        _POOL[1].shutdown(wait=True)
+        _POOL = None
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResult]], dict]:
     """Execute all cells and return (rows, summary); writes CSV/JSON when the
     config names output paths.  Raises VerificationError on any result
@@ -360,20 +408,23 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResu
     for i, instance in enumerate(cfg.instances):
         _check_instance(cfg.task, i, instance)
     cells = [(i, seed) for i in range(len(cfg.instances)) for seed in cfg.seeds]
-
-    def run(cell: tuple[int, int]) -> CellResult:
-        i, seed = cell
-        start = time.perf_counter()
-        result = TASKS[cfg.task](cfg.instances[i], seed)
-        result.wall_time = time.perf_counter() - start
-        return result
+    tasks = [cfg.task] * len(cells)
+    instances = [cfg.instances[i] for i, _ in cells]
+    seeds = [seed for _, seed in cells]
 
     # both maps return results in cell order and raise the first failing cell's error
-    if cfg.workers <= 1:
-        results = list(map(run, cells))
+    if cfg.workers <= 1 or not cells:
+        results = list(map(_run_cell, tasks, instances, seeds))
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, cells))
+        pool = _pool(cfg.workers)
+        # one contiguous chunk per worker: a chunk per cell pays a round
+        # trip per cell
+        chunksize = -(-len(cells) // cfg.workers)
+        try:
+            results = list(pool.map(_run_cell, tasks, instances, seeds, chunksize=chunksize))
+        except concurrent.futures.BrokenExecutor:
+            _shutdown_pool()  # a worker died; the next run forks a new pool
+            raise
     rows = [(i, seed, res) for (i, seed), res in zip(cells, results)]
     for i, seed, res in rows:
         if res.verified is False:

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
+import ramsey_forge
 from ramsey_forge import harness, oracles
 from ramsey_forge.harness import (
     CSV_COLUMNS,
@@ -450,3 +459,73 @@ def test_repeated_seed_gives_one_row_per_cell_at_any_worker_count():
     assert render_csv(cfg, rows1) == render_csv(cfg, rows4)
     lines = render_csv(cfg, rows1).splitlines()
     assert lines[1] == lines[3] and lines[4] == lines[6]
+
+
+def test_cell_result_keeps_no_instance_dict_and_pickles():
+    # pool workers send their cells back pickled
+    res = CellResult("some", "red", True, "greedy", 0.25)
+    assert not hasattr(res, "__dict__")
+    assert pickle.loads(pickle.dumps(res)) == res
+
+
+def test_pool_cells_run_in_worker_processes_in_cell_order(monkeypatch):
+    # the patched task reaches the workers, so the pool forked after the patch
+    def task(instance, seed):
+        return CellResult("value", str(os.getpid()), True, str(seed))
+
+    monkeypatch.setitem(harness.TASKS, "ramsey", task)
+    rows, _ = run_experiment(ramsey_cfg(seeds=(5, 1, 4, 2, 3), workers=2))
+    assert [(i, seed) for i, seed, _ in rows] == [(0, 5), (0, 1), (0, 4), (0, 2), (0, 3)]
+    assert [res.stage for _, _, res in rows] == ["5", "1", "4", "2", "3"]
+    assert str(os.getpid()) not in {res.value for _, _, res in rows}
+
+
+def test_pool_forked_again_after_a_worker_dies(monkeypatch):
+    def task(instance, seed):
+        if seed == 0:
+            os._exit(1)
+        return CellResult("value", str(seed), True)
+
+    monkeypatch.setitem(harness.TASKS, "ramsey", task)
+    with pytest.raises(concurrent.futures.BrokenExecutor):
+        run_experiment(ramsey_cfg(seeds=(0, 1), workers=2))
+    # same worker count and task table: only the broken pool's shutdown forks anew
+    rows, _ = run_experiment(ramsey_cfg(seeds=(1, 2), workers=2))
+    assert [res.value for _, _, res in rows] == ["1", "2"]
+
+
+def test_pool_run_under_dev_mode_exits_clean_and_leaves_no_worker():
+    script = textwrap.dedent(
+        """
+        import multiprocessing
+        from ramsey_forge.harness import ExperimentConfig, run_experiment
+
+        cfg = ExperimentConfig(
+            "wheel", ({"host": {"kind": "complete", "params": [12]}, "k": 5},), (0, 1, 2), 2
+        )
+        rows, summary = run_experiment(cfg)
+        assert summary["cells"] == 3
+        print(*(p.pid for p in multiprocessing.active_children()))
+        """
+    )
+    src = str(Path(ramsey_forge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+
+    def alive(pid: int) -> bool:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    deadline = time.monotonic() + 5
+    while any(map(alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(alive, pids))
