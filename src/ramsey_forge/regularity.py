@@ -69,6 +69,10 @@ by the population's length alone, so every pair of one partition attempt
 search keeps each vertex's count of neighbours in the other side's current
 subset (Kernighan-Lin gain bookkeeping): a candidate swap's gap costs O(1),
 and an accepted swap updates the other side's counts in O(side).
+
+A partition attempt counts once: each class vertex's neighbour count in each
+class (k n popcounts) gives every pair its e0, d(X, Y), its root peel's first
+round and its scan's root prefix; witness rechecks read g's rows instead.
 """
 
 from __future__ import annotations
@@ -158,26 +162,40 @@ def regularity_check(
     re-checkable violating witness.  Sampled mode never certifies: it returns
     violated or unrefuted.  Either verdict carries d(X, Y).
     """
-    d0 = pair_density(g, xs, ys)  # validates X and Y
-    xs, ys = sorted(set(xs)), sorted(set(ys))
-    if mode == MODE_EXHAUSTIVE and max(len(xs), len(ys)) > EXHAUSTIVE_SIDE_CAP:
-        raise ValueError(f"exhaustive mode caps sides at {EXHAUSTIVE_SIDE_CAP}")
+    pair_density(g, xs, ys)  # validates X and Y
     if mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
         raise ValueError(f"unknown mode {mode!r}")
-    eps = params.eps
-    m_x = threshold_size(eps, len(xs))
-    m_y = threshold_size(eps, len(ys))
-    nxy = len(xs) * len(ys)
-    e0 = d0.numerator * nxy // d0.denominator
+    classes = [sorted(set(xs)), sorted(set(ys))]
+    return _check_pair(g, classes, _count_table(g, classes), 0, 1, params.eps, mode, budget, seed)
+
+
+def _count_table(g: Graph, classes: list[list[int]]) -> list[list[list[int]]]:
+    """table[c][j][a]: the neighbour count of vertex classes[c][a] in class j."""
+    masks, adj = [mask_of(c) for c in classes], g.adj
+    return [[[(adj[v] & m).bit_count() for v in c] for m in masks] for c in classes]
+
+
+def _check_pair(
+    g: Graph, classes: list[list[int]], table: list[list[list[int]]], i: int, j: int,
+    eps: Fraction, mode: str, budget: int, seed: int,
+) -> RegularityVerdict:
+    """The verdict, with d(X, Y), on X = classes[i] and Y = classes[j] (each
+    sorted), from the pair's counts in `table`: degs, each x's in Y and each y's in X."""
+    xs, ys, degs = classes[i], classes[j], (table[i][j], table[j][i])
+    nx, ny, e0 = len(xs), len(ys), sum(degs[0])
+    m_x, m_y, nxy = threshold_size(eps, nx), threshold_size(eps, ny), nx * ny
     limit = eps.numerator * nxy * m_x * m_y // eps.denominator
-    if mode == MODE_EXHAUSTIVE:
-        verdict = _check_exhaustive(g, xs, ys, m_x, m_y, e0, limit)
+    if mode == MODE_SAMPLED:
+        verdict = _check_sampled(g, xs, ys, degs, m_x, m_y, e0, limit, budget, seed)
+    elif max(nx, ny) > EXHAUSTIVE_SIDE_CAP:
+        raise ValueError(f"exhaustive mode caps sides at {EXHAUSTIVE_SIDE_CAP}")
     else:
-        verdict = _check_sampled(g, xs, ys, m_x, m_y, e0, limit, budget, seed)
+        verdict = _scan(g, xs, ys, degs, m_x, m_y, e0, limit, None)
     if verdict.status == VIOLATED and not _violates(g, xs, ys, eps, verdict):
         raise VerificationError("regularity witness does not violate eps-regularity")
     return RegularityVerdict(
-        verdict.status, verdict.witness_x, verdict.witness_y, verdict.samples_tried, d0
+        verdict.status, verdict.witness_x, verdict.witness_y, verdict.samples_tried,
+        Fraction(e0, nxy),
     )
 
 
@@ -196,44 +214,41 @@ def _violates(
     return abs(e * nx * ny - e0 * a * b) * q > p * nx * ny * a * b
 
 
-def _check_exhaustive(
-    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int
-) -> RegularityVerdict:
-    return _scan(g, xs, ys, m_x, m_y, e0, limit, None)
-
-
 def _ruled_out(
-    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, need: int, flip: int
+    g: Graph, xs: list[int], ys: list[int], degs: tuple[list[int], list[int]],
+    m_x: int, m_y: int, need: int, flip: int,
 ) -> bool:
     """Whether the root peel shows that no m_x x m_y subpair of (X, Y) has
     `need` or more edges (need <= m_x m_y): edges of g when flip is 0, of its
-    complement when flip is -1 (row ^ -1 is ~row).  Each cell is a vertex's
-    bit and row; every count is taken inside the live sets, which start as
-    X and Y, so the complement needs no other mask."""
+    complement when flip is -1 (row ^ -1 is ~row; a count is then the side's
+    size less degs').  The first round reads degs; a later round recounts a
+    side on the other's live set when that set has shrunk, and the y keep
+    their counts for the degree sum."""
     adj = g.adj
-    xcells = [(1 << x, adj[x] ^ flip) for x in xs]
-    ycells = [(1 << y, adj[y] ^ flip) for y in ys]
     s = m_x * m_y - need  # the most edges such a subpair lacks
     dx, dy = m_y - s, m_x - s  # so each x of X' has dx neighbours in Y', each y dy in X'
-    ly = sum([b for b, _ in ycells])
-    while True:
-        xcells = [c for c in xcells if (c[1] & ly).bit_count() >= dx]
-        if len(xcells) < m_x:
-            return True
-        lx = sum([b for b, _ in xcells])
-        kept = [c for c in ycells if (c[1] & lx).bit_count() >= dy]
-        if len(kept) < m_y:
-            return True
-        if len(kept) == len(ycells):  # the x kept saw these y: nothing changes
-            break
-        ycells = kept
-        ly = sum([b for b, _ in ycells])
-    return sum(sorted([min(m_x, (row & lx).bit_count()) for _, row in ycells])[-m_y:]) < need
+    nx, ny = len(xs), len(ys)
+    xdeg, ydeg = ([ny - d for d in degs[0]], [nx - d for d in degs[1]]) if flip else degs
+    xcells = [(1 << x, adj[x] ^ flip) for x, d in zip(xs, xdeg) if d >= dx]
+    ycells = [(1 << y, adj[y] ^ flip, d) for y, d in zip(ys, ydeg) if d >= dy]
+    shrunk_x, shrunk_y = len(xcells) < nx, len(ycells) < ny
+    while len(xcells) >= m_x and len(ycells) >= m_y:
+        if shrunk_y:
+            ly = sum([b for b, _, _ in ycells])
+            kept = [c for c in xcells if (c[1] & ly).bit_count() >= dx]
+            shrunk_x, shrunk_y, xcells = shrunk_x or len(kept) < len(xcells), False, kept
+        elif shrunk_x:
+            lx = sum([b for b, _ in xcells])
+            kept = [(b, row, d) for b, row, _ in ycells if (d := (row & lx).bit_count()) >= dy]
+            shrunk_x, shrunk_y, ycells = False, len(kept) < len(ycells), kept
+        else:  # the live sets are the fixed point
+            return sum(sorted([min(m_x, d) for _, _, d in ycells])[-m_y:]) < need
+    return True
 
 
 def _scan(
-    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
-    budget: int | None,
+    g: Graph, xs: list[int], ys: list[int], degs: tuple[list[int], list[int]],
+    m_x: int, m_y: int, e0: int, limit: int, budget: int | None,
 ) -> RegularityVerdict | None:
     """The first violating threshold subpair, X' in combinations order, or
     certified_regular when there is none; None when `budget` X'-prefixes
@@ -243,9 +258,9 @@ def _scan(
     nx, nxy, base, mm = len(xs), len(xs) * len(ys), e0 * m_x * m_y, m_x * m_y
     high = (base + limit) // nxy  # a subpair with e edges is too dense iff e > high
     low = -((limit - base) // nxy)  # and too sparse iff e < low
-    dense = high < mm and not _ruled_out(g, xs, ys, m_x, m_y, high + 1, 0)
+    dense = high < mm and not _ruled_out(g, xs, ys, degs, m_x, m_y, high + 1, 0)
     # too sparse is too dense in the complement
-    sparse = low > 0 and not _ruled_out(g, xs, ys, m_x, m_y, mm - low + 1, -1)
+    sparse = low > 0 and not _ruled_out(g, xs, ys, degs, m_x, m_y, mm - low + 1, -1)
     if not (dense or sparse):
         return RegularityVerdict(CERTIFIED)
     rows = [g.adj[y] for y in ys]
@@ -272,7 +287,10 @@ def _scan(
         # out; y has a of them as neighbours and c in the prefix, so it gets
         # from c + max(0, a - k) to c + min(r, a) edges
         cmask, k = xall >> xs[start] << xs[start], nx - start - r
-        counts = [((row & xmask).bit_count(), (row & cmask).bit_count()) for row in rows]
+        if xmask:
+            counts = [((row & xmask).bit_count(), (row & cmask).bit_count()) for row in rows]
+        else:  # the root: C is X
+            counts = [(0, a) for a in degs[1]]
         if dense:
             dense = sum(sorted([c + (a if a < r else r) for c, a in counts])[-m_y:]) > high
         if sparse:
@@ -301,11 +319,11 @@ def _sample_draws(
 
 
 def _check_sampled(
-    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
-    budget: int, seed: int,
+    g: Graph, xs: list[int], ys: list[int], degs: tuple[list[int], list[int]],
+    m_x: int, m_y: int, e0: int, limit: int, budget: int, seed: int,
 ) -> RegularityVerdict:
     if budget > 0:
-        scan = _scan(g, xs, ys, m_x, m_y, e0, limit, budget)
+        scan = _scan(g, xs, ys, degs, m_x, m_y, e0, limit, budget)
         if scan is not None and scan.status == CERTIFIED:
             # no threshold subpair violates, so no draw or swap could refute
             return RegularityVerdict(UNREFUTED, samples_tried=budget)
@@ -408,11 +426,12 @@ def _quality(
     # the only loop over class pairs that checks regularity
     k = partition.k
     classes = [sorted(c) for c in partition.classes]
+    table = _count_table(g, classes)
     bad = [0] * k
     regular = []
     densities = []
     for i, j in itertools.combinations(range(k), 2):
-        verdict = regularity_check(g, classes[i], classes[j], params, mode, budget, seed)
+        verdict = _check_pair(g, classes, table, i, j, params.eps, mode, budget, seed)
         if verdict.treated_regular:
             regular.append((i, j))
             densities.append(verdict.density)

@@ -138,6 +138,7 @@ def _attempt(
     stats: RgaStats | None,
 ) -> VertexMap:
     n_src = g.n
+    adj = host.adj
     cand = [part_masks[f(y)] for y in range(n_src)]
     embedded_deg = [0] * n_src
     image = [-1] * n_src
@@ -177,13 +178,12 @@ def _attempt(
             free_neighbors = [
                 y for y in iter_bits(g.adj[x]) if image[y] < 0 and y != x
             ]
-            # u keeps y's candidates iff |U(y) & N(u)| >= retention |U(y)|
-            needs = [(cand[y], rn * cand[y].bit_count()) for y in free_neighbors]
-            choices = []
-            for u in iter_bits(free):
-                row = host.adj[u]
-                if all((c & row).bit_count() * rd >= need for c, need in needs):
-                    choices.append(u)
+            # u keeps y's candidates iff |U(y) & N(u)| >= retention |U(y)|;
+            # one pass per y keeps the ascending order of iter_bits
+            choices = list(iter_bits(free))
+            for y in free_neighbors:
+                c, need = cand[y], rn * cand[y].bit_count()
+                choices = [u for u in choices if (c & adj[u]).bit_count() * rd >= need]
             if not choices:
                 raise _Abort("starved")
             u = choices[rng.randrange(len(choices))]
@@ -191,7 +191,7 @@ def _attempt(
             used |= 1 << u
             remaining -= 1
             for y in free_neighbors:
-                cand[y] &= host.adj[u]
+                cand[y] &= adj[u]
                 embedded_deg[y] += 1
                 check_candidate_invariant(y)
             # queue trigger (same-part vertices with few free candidates)

@@ -6,9 +6,9 @@ and exists only to cross-check the library's checker on small pairs.
 
 check_exhaustive_plain is the exhaustive checker as it was before its scan
 pruned X'-prefixes: it runs through every X' of the threshold size in
-itertools.combinations order.  It takes the arguments of
-regularity._check_exhaustive, so a test can put it in that one's place and
-compare whole verdicts, witnesses included.
+itertools.combinations order.  It takes the arguments of regularity._scan
+with no budget, as exhaustive mode calls it, so a test can put it in that
+one's place and compare whole verdicts, witnesses included.
 
 check_sampled_rescanning is the sampled checker as it was before its swap
 search kept per-vertex counts: it draws with rng.sample over the vertices
@@ -17,8 +17,8 @@ takes the arguments of regularity._check_sampled, so a test can put it in
 that one's place and compare whole verdicts.
 
 peel_rules_out is the scan's root peel as its definition states it, on
-vertex sets, and most_edges the brute force that the peel must never
-contradict.
+vertex sets (peel_live_sets gives its live sets round by round), and
+most_edges the brute force that the peel must never contradict.
 """
 
 from __future__ import annotations
@@ -75,10 +75,14 @@ def regularity_check_all_subsets(
 
 
 def check_exhaustive_plain(
-    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int
+    g: Graph, xs: list[int], ys: list[int], degs: tuple, m_x: int, m_y: int, e0: int,
+    limit: int, budget: None,
 ) -> RegularityVerdict:
     """The plain exhaustive checker: for each X' in combinations order, the
-    m_y vertices of Y with fewest neighbours in X', then the m_y with most."""
+    m_y vertices of Y with fewest neighbours in X', then the m_y with most.
+    It reads neither degs nor a budget."""
+    if budget is not None:
+        raise ValueError("the plain checker has no budget")
     nxy, base = len(xs) * len(ys), e0 * m_x * m_y
     for xsub in itertools.combinations(xs, m_x):
         xmask = mask_of(xsub)
@@ -93,11 +97,11 @@ def check_exhaustive_plain(
 
 
 def check_sampled_rescanning(
-    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, e0: int, limit: int,
-    budget: int, seed: int, passes: list[int] | None = None,
+    g: Graph, xs: list[int], ys: list[int], degs: tuple, m_x: int, m_y: int, e0: int,
+    limit: int, budget: int, seed: int, passes: list[int] | None = None,
 ) -> RegularityVerdict:
-    """The rescanning sampled checker; `passes`, when given, gets one entry
-    per swap-search pass."""
+    """The rescanning sampled checker; it does not read degs.  `passes`, when
+    given, gets one entry per swap-search pass."""
     nxy, base = len(xs) * len(ys), e0 * m_x * m_y
     rng = random.Random(seed)
 
@@ -152,6 +156,24 @@ def peel_rules_out(
     (skipped without `degree_sum`).  With `complement` the edges are the
     non-edges of X x Y."""
 
+    live_x, live_y = peel_live_sets(g, xs, ys, m_x, m_y, need, complement, rounds)
+    if len(live_x) < m_x or len(live_y) < m_y:
+        return True
+    if not degree_sum:
+        return False
+    degrees = sorted(
+        min(m_x, sum(bool(g.adj[x] >> y & 1) != complement for x in live_x)) for y in live_y
+    )
+    return sum(degrees[-m_y:]) < need
+
+
+def peel_live_sets(
+    g: Graph, xs: list[int], ys: list[int], m_x: int, m_y: int, need: int,
+    complement: bool = False, rounds: int | None = None,
+) -> tuple[set[int], set[int]]:
+    """The live X and Y of peel_rules_out's peel after `rounds` rounds (None:
+    at its fixed point); a round drops the x, then the y."""
+
     def adjacent(x: int, y: int) -> bool:
         return bool(g.adj[x] >> y & 1) != complement
 
@@ -165,12 +187,7 @@ def peel_rules_out(
         if (new_x, new_y) == (live_x, live_y):
             break
         live_x, live_y = new_x, new_y
-    if len(live_x) < m_x or len(live_y) < m_y:
-        return True
-    if not degree_sum:
-        return False
-    degrees = sorted(min(m_x, sum(adjacent(x, y) for x in live_x)) for y in live_y)
-    return sum(degrees[-m_y:]) < need
+    return live_x, live_y
 
 
 def most_edges(

@@ -107,33 +107,34 @@ C9_ON_K3 = (gen.cycle(9), gen.complete(3), VertexMap(9, 3, (0, 1, 2) * 3))
 
 
 def test_one_regularity_pass_per_partition_attempt(monkeypatch):
-    calls = []
-    real = regularity.regularity_check
+    calls, tables, pairs, attempts = [], [], [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def recording(owner, name, into):
+        real = getattr(owner, name)
 
-    attempts = []
-    real_partition = regularity._partition_for_seed
+        def record(*args, **kwargs):
+            into.append(args)
+            return real(*args, **kwargs)
 
-    def counting_attempts(*args):
-        attempts.append(args)
-        return real_partition(*args)
+        monkeypatch.setattr(owner, name, record)
 
     for owner in (regularity, pipeline):
-        monkeypatch.setattr(owner, "regularity_check", counting)
-    monkeypatch.setattr(regularity, "_partition_for_seed", counting_attempts)
+        recording(owner, "regularity_check", calls)
+    recording(regularity, "_count_table", tables)
+    recording(regularity, "_check_pair", pairs)
+    recording(regularity, "_partition_for_seed", attempts)
     g, h, f = C9_ON_K3
     k = 6
     coloring = gen.random_coloring(gen.complete(48), Fraction(1, 2), 0)
     params = PipelineParams(eps=Fraction(1, 2), xi=Fraction(1, 4), k=k)
     transference_pipeline(g, h, f, coloring, params, seed=0)
     # the pipeline partitions with retries=2, stopping early at 0 irregular
-    # pairs, and reuses the chosen attempt's verdicts instead of checking
-    # every pair again
+    # pairs; each attempt builds one neighbour-count table and checks each
+    # class pair once from it, and the pipeline reuses the chosen attempt's
+    # verdicts instead of checking any pair again
     assert 1 <= len(attempts) <= 3
-    assert len(calls) == len(attempts) * math.comb(k, 2)
+    assert len(tables) == len(attempts) and calls == []
+    assert len(pairs) == len(attempts) * math.comb(k, 2)
 
 
 # (mode, host order, k, seed) -> (color, image, failed stage), C9 -> K3 at

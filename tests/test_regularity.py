@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from regularity_reference import (
     check_exhaustive_plain,
     check_sampled_rescanning,
     most_edges,
+    peel_live_sets,
     peel_rules_out,
     regularity_check_all_subsets,
 )
@@ -165,6 +167,76 @@ def test_pinned_verdict_batch(mode):
     assert hashlib.sha256(repr(batch).encode()).hexdigest() == digest
 
 
+def spy(monkeypatch, owner, name: str) -> list[tuple]:
+    """The positional arguments of every call to owner.name from here on."""
+    calls: list[tuple] = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def _partition_batch(count: int = 150, seed: int = 2026) -> list[tuple]:
+    """fixed_k_partition with retries 2 on seeded graphs of 6-40 vertices in
+    2-5 classes of at most 16, each under both modes at one eps of 1/2, 1/3
+    and 1/4: random graphs, and random graphs with a planted vertex set whose
+    pairs are near 1 or near 0 (so classes meet it in dense or sparse blocks)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(2, 5)
+        n = rng.randint(3 * k, min(40, 16 * k))
+        p = rng.random()
+        q = rng.choice((p, rng.uniform(0.8, 1), rng.uniform(0, 0.2)))
+        block = set(rng.sample(range(n), rng.randint(2, n)))
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < (q if u in block and v in block else p)
+        ]
+        g = Graph(n, edges)
+        for mode in (MODE_EXHAUSTIVE, MODE_SAMPLED):
+            eps = rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)))
+            partition, report = fixed_k_partition(
+                g, k, RegularityParams(eps), rng.randrange(1000), 2, mode, rng.randint(0, 40)
+            )
+            classes = [sorted(c) for c in partition.classes]
+            out.append((mode, sorted(partition.exceptional), classes, report))
+    return out
+
+
+# captured before the partition checks read one neighbour-count table per attempt
+PINNED_PARTITIONS = "da21b80d33b6bcd74e6f4da30e86b4f0b97252a63a2ee26ac4934df493b4a3f7"
+
+
+def test_pinned_partition_batch(monkeypatch):
+    # the partitions and reports, densities included, of a seeded batch;
+    # the batch reaches every branch of the checks: a root peel that drops
+    # vertices after its first round, a scan that opens prefixes, and
+    # violated pairs in both modes
+    real_scan = regularity._scan
+    peels = spy(monkeypatch, regularity, "_ruled_out")
+    scans = spy(monkeypatch, regularity, "_scan")
+    batch = _partition_batch()
+    assert hashlib.sha256(repr(batch).encode()).hexdigest() == PINNED_PARTITIONS
+    for mode in (MODE_EXHAUSTIVE, MODE_SAMPLED):
+        assert sum(r.total_irregular_pairs for m, *_, r in batch if m == mode) >= 200, mode
+
+    def later_rounds_drop(g, xs, ys, degs, m_x, m_y, need, flip):
+        first = peel_live_sets(g, xs, ys, m_x, m_y, need, flip == -1, rounds=1)
+        return (len(first[0]), len(first[1])) >= (m_x, m_y) and first != peel_live_sets(
+            g, xs, ys, m_x, m_y, need, flip == -1
+        )
+
+    assert sum(later_rounds_drop(*args) for args in peels) >= 40
+    assert sum(real_scan(*args[:-1], 0) is None for args in scans) >= 1000
+
+
 def test_violated_witnesses_really_violate():
     # every witness, from either checker, is rechecked here by Fraction densities
     rng = random.Random(7)
@@ -240,28 +312,37 @@ def test_reduced_graph_edgeless():
 
 @pytest.mark.parametrize("mode", [MODE_EXHAUSTIVE, MODE_SAMPLED])
 def test_one_pair_density_per_regularity_check(mode, monkeypatch):
-    densities, checks = [], []
-    real_density, real_check = regularity.pair_density, regularity.regularity_check
-
-    def counting_density(*args):
-        densities.append(args)
-        return real_density(*args)
-
-    def counting_check(*args, **kwargs):
-        checks.append(args)
-        return real_check(*args, **kwargs)
-
-    monkeypatch.setattr(regularity, "pair_density", counting_density)
-    monkeypatch.setattr(regularity, "regularity_check", counting_check)
+    # a partition attempt builds one neighbour-count table and checks each
+    # class pair once from it; neither pair_density nor regularity_check
+    # recounts a pair, and every density reported equals pair_density's
+    real_density = regularity.pair_density
+    densities = spy(monkeypatch, regularity, "pair_density")
+    checks = spy(monkeypatch, regularity, "regularity_check")
+    tables = spy(monkeypatch, regularity, "_count_table")
+    pairs = spy(monkeypatch, regularity, "_check_pair")
+    attempts = spy(monkeypatch, regularity, "_partition_for_seed")
     g = random_graph(30, 0.5, 1)
-    partition, report = fixed_k_partition(
-        g, 5, RegularityParams(Fraction(1, 2)), retries=2, mode=mode, budget=20
-    )
-    assert len(checks) >= 10 and len(densities) == len(checks)
+    params = RegularityParams(Fraction(1, 2))
+    partition, report = fixed_k_partition(g, 5, params, retries=2, mode=mode, budget=20)
+    assert densities == [] and checks == []
+    assert len(tables) == len(attempts) >= 1
+    assert [(classes, i, j) for _, classes, _, i, j, *_ in pairs] == [
+        (classes, i, j)
+        for _, classes in tables
+        for i, j in itertools.combinations(range(len(classes)), 2)
+    ]
     assert 0 < len(report.regular_pairs) == len(report.densities)
     for (i, j), d in zip(report.regular_pairs, report.densities):
         xs, ys = sorted(partition.classes[i]), sorted(partition.classes[j])
         assert d == real_density(g, xs, ys)
+    # regularity_check counts its own pair: one pair_density call, one
+    # table of the two sides, one check
+    for calls in (densities, tables, pairs):
+        calls.clear()
+    xs, ys = sorted(partition.classes[0]), sorted(partition.classes[1])
+    verdict = regularity.regularity_check(g, xs, ys, params, mode, 20)
+    assert (len(densities), len(tables), len(pairs)) == (1, 1, 1)
+    assert tables[0][1] == [xs, ys] and verdict.density == real_density(g, xs, ys)
 
 
 def test_fixed_k_partition_structure():
@@ -354,7 +435,7 @@ def test_scan_keeps_the_first_witness(monkeypatch):
         ]
 
     scanned = run_all()
-    monkeypatch.setattr(regularity, "_check_exhaustive", check_exhaustive_plain)
+    monkeypatch.setattr(regularity, "_scan", check_exhaustive_plain)
     assert scanned == run_all()
     statuses = [v.status for v in scanned]
     assert statuses.count(VIOLATED) >= 20 and statuses.count(CERTIFIED) >= 20
@@ -436,6 +517,14 @@ def planted_pair(rng: random.Random, max_side: int) -> tuple[Graph, list[int], l
     return Graph(n, edges), xs, ys
 
 
+def degrees(g: Graph, xs: list[int], ys: list[int]) -> tuple[list[int], list[int]]:
+    """Each x's neighbour count in Y and each y's in X, as the checks read them."""
+    return (
+        [sum(g.has_edge(x, y) for y in ys) for x in xs],
+        [sum(g.has_edge(x, y) for x in xs) for y in ys],
+    )
+
+
 def test_root_peel_matches_its_definition_and_is_sound():
     # every need, on both sides, at one random threshold size per planted
     # pair and at every size on paths split into their two colour classes
@@ -459,7 +548,7 @@ def test_root_peel_matches_its_definition_and_is_sound():
         for complement, flip in ((False, 0), (True, -1)):
             most = most_edges(g, xs, ys, m_x, m_y, complement)
             for need in range(1, m_x * m_y + 1):
-                ruled = regularity._ruled_out(g, xs, ys, m_x, m_y, need, flip)
+                ruled = regularity._ruled_out(g, xs, ys, degrees(g, xs, ys), m_x, m_y, need, flip)
                 args = (g, xs, ys, m_x, m_y, need, complement)
                 assert ruled == peel_rules_out(*args)
                 if ruled:
@@ -477,7 +566,7 @@ def threshold_args(g: Graph, xs: list[int], ys: list[int], eps: Fraction) -> tup
     m_x, m_y = threshold_size(eps, len(xs)), threshold_size(eps, len(ys))
     d0, nxy = pair_density(g, xs, ys), len(xs) * len(ys)
     limit = eps.numerator * nxy * m_x * m_y // eps.denominator
-    return g, xs, ys, m_x, m_y, d0.numerator * nxy // d0.denominator, limit
+    return g, xs, ys, degrees(g, xs, ys), m_x, m_y, d0.numerator * nxy // d0.denominator, limit
 
 
 PEEL_EPSES = [Fraction(p, q) for p, q in ((1, 4), (1, 3), (2, 5), (1, 2), (2, 3), (3, 4))]
@@ -503,7 +592,7 @@ def test_peeled_scan_keeps_the_first_witness_on_planted_blocks(monkeypatch):
         for g, xs, ys in cases
         for eps in PEEL_EPSES
     ]
-    monkeypatch.setattr(regularity, "_check_exhaustive", check_exhaustive_plain)
+    monkeypatch.setattr(regularity, "_scan", check_exhaustive_plain)
     assert scanned == run_all()
     statuses = [v.status for v in scanned]
     assert statuses.count(VIOLATED) >= 60 and statuses.count(CERTIFIED) >= 120

@@ -104,9 +104,22 @@ CASES = {
         bad = regularity.RegularityVerdict(
             regularity.VIOLATED, frozenset([0, 1]), frozenset([4, 5])
         )
-        regularity._check_exhaustive = lambda *args: bad
+        regularity._scan = lambda *args: bad
         regularity.regularity_check(
             gen.complete(8), range(4), range(4, 8), regularity.RegularityParams(Fraction(1, 4))
+        )
+    """,
+    "fixed_k_partition": """
+        # each class pair's check, fed from the attempt's count table, hands
+        # back threshold-size subsets of its own sides, which in K_8 have density 1
+        def scan(g, xs, ys, degs, m_x, m_y, *rest):
+            return regularity.RegularityVerdict(
+                regularity.VIOLATED, frozenset(xs[:m_x]), frozenset(ys[:m_y])
+            )
+
+        regularity._scan = scan
+        regularity.fixed_k_partition(
+            gen.complete(8), 2, regularity.RegularityParams(Fraction(1, 4))
         )
     """,
     "regularity_check_sampled": """
@@ -146,7 +159,10 @@ CASES = {
 
 # entry -> the message its VerificationError must carry, where an earlier
 # recheck on the way would trip first if the stub were wrong
-MESSAGES = {"wheel_mono_embed_hub": "red wheel embedding failed verification"}
+MESSAGES = {
+    "wheel_mono_embed_hub": "red wheel embedding failed verification",
+    "fixed_k_partition": "regularity witness does not violate eps-regularity",
+}
 
 
 @pytest.mark.parametrize("entry", sorted(CASES))
