@@ -1,11 +1,14 @@
 """Config-driven experiment harness.
 
 A run is a grid of (instance, seed) cells.  `ExperimentConfig.workers` is
-the one place that sets how many run at once.  At 1 the cells run in this
-process; above 1 they run in a pool of that many worker processes, forked
-at the first such run and kept until the interpreter exits, and forked
-again when the worker count or the task table has changed since.  A worker
-sees the library as it stood at the fork.  Results are emitted in
+the one place that sets how many run at once.  At w > 1 the cells split into
+contiguous chunks of ceil(cells / w): this process runs the first, and
+forked workers the rest, each over a pair of pipes that carry pickled chunks
+and replies; no thread is started.  Workers are forked as runs need them, at
+most w - 1, and kept until the interpreter exits.  A worker sees the library
+as it stood at its fork, so the pool is forked anew when the task table
+changes, and after an error escapes a run with replies outstanding.  A
+worker that dies is a ChildProcessError.  Results are emitted in
 deterministic cell order, so the CSV is byte-identical for any worker
 count.  Each task declares its required and optional instance keys; a
 missing or unknown instance key, a graph spec with a key other than `kind`
@@ -26,12 +29,13 @@ outcome some when all hold, else none with the failed ones in its stage.
 from __future__ import annotations
 
 import atexit
-import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import io
 import json
-import multiprocessing
+import os
+import pickle
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,47 +360,77 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def _run_cell(task: str, instance: dict, seed: int) -> CellResult:
-    """One cell, timed; a pool worker looks its task up by name."""
-    start = time.perf_counter()
-    result = TASKS[task](instance, seed)
-    result.wall_time = time.perf_counter() - start
-    return result
+# the task table at the workers' fork, and [(pid, chunk pipe, reply pipe), ...]
+_POOL: tuple[tuple, list[tuple[int, io.BufferedWriter, io.BufferedReader]]] | None = None
 
 
-# the worker pool, keyed by what its workers hold: (workers, task table)
-_POOL: tuple[tuple, concurrent.futures.Executor] | None = None
+def _run_chunk(task: str, instances: list[dict], seeds: list[int]) -> tuple[bool, object]:
+    """A chunk's cells, each timed, as a reply: (True, the results in cell
+    order) or (False, the first failing cell's error)."""
+    results = []
+    try:
+        for instance, seed in zip(instances, seeds):
+            start = time.perf_counter()
+            results.append(TASKS[task](instance, seed))
+            results[-1].wall_time = time.perf_counter() - start
+    except Exception as exc:
+        return False, exc
+    return True, results
 
 
-def _pool(workers: int) -> concurrent.futures.Executor:
-    """The pool for this worker count and task table, forked on first use.
+def _serve(chunks: io.BufferedReader, replies: io.BufferedWriter) -> None:
+    """A worker's loop: a pickled reply to each pickled chunk, until the chunk pipe closes."""
+    while chunks.peek(1):
+        reply = _run_chunk(*pickle.load(chunks))
+        try:
+            data = pickle.dumps(reply)
+        except Exception:
+            data = pickle.dumps((False, RuntimeError(repr(reply[1]))))
+        replies.write(data)
+        replies.flush()
 
-    Workers are forked, whatever the platform's default start method, so
-    they start without re-importing the library and see the parent's task
-    table.  A pool forked before the table changed would run the old tasks,
-    so it is shut down and a new one forked.  A fork copies only the calling
-    thread: the pool forks its workers before it starts its own manager
-    thread, and a replaced pool's threads are joined before the next fork."""
+
+def _workers(count: int) -> list[tuple[int, io.BufferedWriter, io.BufferedReader]]:
+    """The pool's first `count` workers, forking those it lacks.  A worker
+    sees the task table as it stood at its fork, so a pool forked under
+    another table is shut down first."""
     global _POOL
-    key = (workers, tuple(TASKS.items()))
-    if _POOL is not None and _POOL[0] != key:
+    key = tuple(TASKS.items())
+    if _POOL is None or _POOL[0] != key:
         _shutdown_pool()
-    if _POOL is None:
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        )
-        _POOL = (key, pool)
-    return _POOL[1]
+        _POOL = (key, [])
+    workers = _POOL[1]
+    while len(workers) < count:
+        chunk_r, chunk_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # leaves through os._exit: no parent atexit hook, no inherited stdio flush
+            try:
+                os.close(chunk_w)
+                os.close(reply_r)
+                with open(chunk_r, "rb") as chunks, open(reply_w, "wb") as replies:
+                    _serve(chunks, replies)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(chunk_r)
+        os.close(reply_w)
+        workers.append((pid, open(chunk_w, "wb"), open(reply_r, "rb")))
+    return workers[:count]
 
 
 @atexit.register
 def _shutdown_pool() -> None:
-    """Stop the pool's workers and wait for them; at exit too, so none outlives
-    the interpreter."""
+    """Close the workers' pipes, which ends their loops, and reap each; at exit too."""
     global _POOL
     if _POOL is not None:
-        _POOL[1].shutdown(wait=True)
-        _POOL = None
+        workers, _POOL = _POOL[1], None
+        for _, chunks, replies in workers:
+            replies.close()
+            with contextlib.suppress(OSError):  # the unsent rest of a chunk to a dead worker
+                chunks.close()
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResult]], dict]:
@@ -408,23 +442,30 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResu
     for i, instance in enumerate(cfg.instances):
         _check_instance(cfg.task, i, instance)
     cells = [(i, seed) for i in range(len(cfg.instances)) for seed in cfg.seeds]
-    tasks = [cfg.task] * len(cells)
     instances = [cfg.instances[i] for i, _ in cells]
     seeds = [seed for _, seed in cells]
 
-    # both maps return results in cell order and raise the first failing cell's error
-    if cfg.workers <= 1 or not cells:
-        results = list(map(_run_cell, tasks, instances, seeds))
-    else:
-        pool = _pool(cfg.workers)
-        # one contiguous chunk per worker: a chunk per cell pays a round
-        # trip per cell
-        chunksize = -(-len(cells) // cfg.workers)
-        try:
-            results = list(pool.map(_run_cell, tasks, instances, seeds, chunksize=chunksize))
-        except concurrent.futures.BrokenExecutor:
-            _shutdown_pool()  # a worker died; the next run forks a new pool
-            raise
+    # one contiguous chunk per worker (a chunk per cell pays a round trip per
+    # cell): this process runs the first, forked workers the rest
+    size = max(1, -(-len(cells) // max(cfg.workers, 1)))
+    head, *rest = [(cfg.task, instances[i:i + size], seeds[i:i + size])
+                   for i in range(0, max(len(cells), 1), size)]
+    workers = _workers(len(rest))
+    try:
+        for (_, chunks, _), chunk in zip(workers, rest):
+            pickle.dump(chunk, chunks)
+            chunks.flush()
+        replies = [_run_chunk(*head)] + [pickle.load(r) for _, _, r in workers]
+    except BaseException as exc:
+        _shutdown_pool()  # replies may be outstanding, which a later run would read
+        if isinstance(exc, (BrokenPipeError, EOFError, pickle.UnpicklingError)):  # a worker died
+            raise ChildProcessError("a harness worker died") from None
+        raise
+    results = []
+    for ok, value in replies:  # the first failing cell's error, in cell order
+        if not ok:
+            raise value
+        results += value
     rows = [(i, seed, res) for (i, seed), res in zip(cells, results)]
     for i, seed, res in rows:
         if res.verified is False:

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import textwrap
@@ -462,58 +462,174 @@ def test_repeated_seed_gives_one_row_per_cell_at_any_worker_count():
 
 
 def test_cell_result_keeps_no_instance_dict_and_pickles():
-    # pool workers send their cells back pickled
+    # forked workers send their cells back pickled
     res = CellResult("some", "red", True, "greedy", 0.25)
     assert not hasattr(res, "__dict__")
     assert pickle.loads(pickle.dumps(res)) == res
 
 
+def pid_task(instance, seed):
+    # each cell names the process that ran it
+    return CellResult("value", str(seed), True, str(os.getpid()))
+
+
+def pool_pids() -> set[str]:
+    return {str(pid) for pid, _, _ in harness._POOL[1]}
+
+
 def test_pool_cells_run_in_worker_processes_in_cell_order(monkeypatch):
-    # the patched task reaches the workers, so the pool forked after the patch
+    # the patched task reaches the workers, so the pool forked after the
+    # patch; 5 cells on 3 workers are chunks of 2, 2 and 1 cells, the first
+    # run by this process and each other one by its own forked worker
+    monkeypatch.setitem(harness.TASKS, "ramsey", pid_task)
+    rows, _ = run_experiment(ramsey_cfg(seeds=(5, 1, 4, 2, 3), workers=3))
+    assert [(i, seed) for i, seed, _ in rows] == [(0, 5), (0, 1), (0, 4), (0, 2), (0, 3)]
+    assert [res.value for _, _, res in rows] == ["5", "1", "4", "2", "3"]
+    pids = [res.stage for _, _, res in rows]
+    assert pids[:2] == [str(os.getpid())] * 2
+    assert pids[2] == pids[3] != pids[4]
+    assert {pids[2], pids[4]} == pool_pids() and str(os.getpid()) not in pool_pids()
+
+
+def test_pool_forks_only_the_workers_its_chunks_need(monkeypatch):
+    # 3 cells at a huge worker count are 3 one-cell chunks: 2 forks, kept
+    # for a later run that needs fewer
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # a task of its own, so no pool forked before this test serves it
+    monkeypatch.setitem(harness.TASKS, "ramsey", lambda instance, seed: pid_task(instance, seed))
+    rows, _ = run_experiment(ramsey_cfg(seeds=(7, 8, 9), workers=100_000))
+    assert [res.value for _, _, res in rows] == ["7", "8", "9"]
+    assert [res.stage for _, _, res in rows] == [str(os.getpid())] + [str(p) for p in forks]
+    assert len(forks) == 2
+    rows, _ = run_experiment(ramsey_cfg(seeds=(1, 2), workers=2))
+    assert [res.stage for _, _, res in rows] == [str(os.getpid()), str(forks[0])]
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_pool_in_step_after_the_parents_chunk_raises(error, monkeypatch):
+    # seed 0 fails in this process's chunk while the worker's reply to
+    # seeds 2 and 3 is outstanding; the next run reads its own rows
     def task(instance, seed):
-        return CellResult("value", str(os.getpid()), True, str(seed))
+        if seed == 0:
+            raise error("seed 0")
+        return pid_task(instance, seed)
 
     monkeypatch.setitem(harness.TASKS, "ramsey", task)
-    rows, _ = run_experiment(ramsey_cfg(seeds=(5, 1, 4, 2, 3), workers=2))
-    assert [(i, seed) for i, seed, _ in rows] == [(0, 5), (0, 1), (0, 4), (0, 2), (0, 3)]
-    assert [res.stage for _, _, res in rows] == ["5", "1", "4", "2", "3"]
-    assert str(os.getpid()) not in {res.value for _, _, res in rows}
+    with pytest.raises(error, match="^seed 0$"):
+        run_experiment(ramsey_cfg(seeds=(0, 1, 2, 3), workers=2))
+    rows, _ = run_experiment(ramsey_cfg(seeds=(4, 5, 6, 7), workers=2))
+    assert [res.value for _, _, res in rows] == ["4", "5", "6", "7"]
+
+
+def test_pool_reply_that_will_not_pickle_is_a_runtime_error(monkeypatch):
+    def task(instance, seed):
+        if seed == 1:
+            raise ValueError(lambda: None)  # an exception whose args do not pickle
+        return pid_task(instance, seed)
+
+    monkeypatch.setitem(harness.TASKS, "ramsey", task)
+    with pytest.raises(RuntimeError, match=r"^ValueError\(<function "):
+        run_experiment(ramsey_cfg(seeds=(0, 1), workers=2))
+    rows, _ = run_experiment(ramsey_cfg(seeds=(2, 3), workers=2))
+    assert [res.value for _, _, res in rows] == ["2", "3"]
+
+
+def dying_task(instance, seed):
+    if seed == 0:
+        os._exit(1)
+    return CellResult("value", str(seed), True)
 
 
 def test_pool_forked_again_after_a_worker_dies(monkeypatch):
-    def task(instance, seed):
-        if seed == 0:
-            os._exit(1)
-        return CellResult("value", str(seed), True)
-
-    monkeypatch.setitem(harness.TASKS, "ramsey", task)
-    with pytest.raises(concurrent.futures.BrokenExecutor):
-        run_experiment(ramsey_cfg(seeds=(0, 1), workers=2))
-    # same worker count and task table: only the broken pool's shutdown forks anew
+    # seed 0 is in the worker's chunk: the first chunk runs in this process
+    monkeypatch.setitem(harness.TASKS, "ramsey", dying_task)
+    with pytest.raises(ChildProcessError, match="^a harness worker died$"):
+        run_experiment(ramsey_cfg(seeds=(1, 0), workers=2))
+    # same task table: only the dead worker's pool's shutdown forks anew
     rows, _ = run_experiment(ramsey_cfg(seeds=(1, 2), workers=2))
     assert [res.value for _, _, res in rows] == ["1", "2"]
 
 
-def test_pool_run_under_dev_mode_exits_clean_and_leaves_no_worker():
-    script = textwrap.dedent(
-        """
-        import multiprocessing
-        from ramsey_forge.harness import ExperimentConfig, run_experiment
+def test_pool_worker_killed_while_idle_is_a_child_process_error(monkeypatch):
+    monkeypatch.setitem(harness.TASKS, "ramsey", lambda instance, seed: pid_task(instance, seed))
+    rows, _ = run_experiment(ramsey_cfg(seeds=(1, 2), workers=2))
+    pid = int(rows[1][2].stage)
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, left for the pool to reap
+    with pytest.raises(ChildProcessError, match="^a harness worker died$"):
+        run_experiment(ramsey_cfg(seeds=(3, 4), workers=2))
+    rows, _ = run_experiment(ramsey_cfg(seeds=(5, 6), workers=2))
+    assert [res.value for _, _, res in rows] == ["5", "6"]
 
-        cfg = ExperimentConfig(
-            "wheel", ({"host": {"kind": "complete", "params": [12]}, "k": 5},), (0, 1, 2), 2
-        )
-        rows, summary = run_experiment(cfg)
-        assert summary["cells"] == 3
-        print(*(p.pid for p in multiprocessing.active_children()))
-        """
-    )
+
+def test_cli_run_exits_1_when_a_worker_dies(tmp_path, monkeypatch, capsys):
+    from ramsey_forge.cli import main
+
+    monkeypatch.setitem(harness.TASKS, "ramsey", dying_task)
+    path = tmp_path / "cfg.json"
+    cfg = ramsey_cfg(seeds=(1, 0), workers=2)
+    path.write_text(json.dumps({"task": "ramsey", "instances": list(cfg.instances),
+                                "seeds": [1, 0], "workers": 2}))
+    assert main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a harness worker died\n"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(ramsey_forge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-X", "dev", "-c", script], env=env, capture_output=True, text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_cli_import_loads_no_process_pool_module():
+    done = run_python("-c", textwrap.dedent(
+        """
+        import sys
+        import ramsey_forge.cli
+        print(*sorted({"multiprocessing", "concurrent.futures"} & sys.modules.keys()))
+        """
+    ))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
+def test_pool_run_under_dev_mode_exits_clean_and_leaves_no_worker():
+    # 3 cells on 3 workers: the first runs in this process, two are forked;
+    # the workers' pids come back in the cells, and no thread is started
+    done = run_python("-X", "dev", "-c", textwrap.dedent(
+        """
+        import os
+        import threading
+        from ramsey_forge import harness
+
+        wheel = harness.TASKS["wheel"]
+
+        def task(instance, seed):
+            res = wheel(instance, seed)
+            res.stage = str(os.getpid())
+            return res
+
+        harness.TASKS["wheel"] = task
+        cfg = harness.ExperimentConfig(
+            "wheel", ({"host": {"kind": "complete", "params": [12]}, "k": 5},), (0, 1, 2), 3
+        )
+        rows, summary = harness.run_experiment(cfg)
+        assert summary["cells"] == 3 and threading.active_count() == 1
+        print(*sorted({res.stage for _, _, res in rows} - {str(os.getpid())}))
+        """
+    ))
     assert (done.returncode, done.stderr) == (0, "")
     pids = [int(pid) for pid in done.stdout.split()]
     assert len(pids) == 2
