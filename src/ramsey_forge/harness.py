@@ -8,9 +8,10 @@ and replies; no thread is started.  Workers are forked as runs need them, at
 most w - 1, and kept until the interpreter exits.  A worker sees the library
 as it stood at its fork, so the pool is forked anew when the task table
 changes, and after an error escapes a run with replies outstanding.  A
-worker that dies is a ChildProcessError.  Results are emitted in
-deterministic cell order, so the CSV is byte-identical for any worker
-count.  Each task declares its required and optional instance keys; a
+worker that dies is a ChildProcessError; a cell error from a worker is
+raised with the worker's traceback text as its __cause__.  Results are
+emitted in deterministic cell order, so the CSV is byte-identical for any
+worker count.  Each task declares its required and optional instance keys; a
 missing or unknown instance key, a graph spec with a key other than `kind`
 and `params` or the wrong parameter count, a float or boolean where an
 integer is expected (graph parameters, seeds, workers and the integer
@@ -37,6 +38,7 @@ import json
 import os
 import pickle
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,9 +366,17 @@ def load_config(path: str) -> ExperimentConfig:
 _POOL: tuple[tuple, list[tuple[int, io.BufferedWriter, io.BufferedReader]]] | None = None
 
 
-def _run_chunk(task: str, instances: list[dict], seeds: list[int]) -> tuple[bool, object]:
+class _WorkerTraceback(Exception):
+    """A forked worker's formatted traceback, which pickling drops from the
+    error it sends: chained as that error's __cause__."""
+
+
+def _run_chunk(
+    task: str, instances: list[dict], seeds: list[int]
+) -> tuple[bool, object, str | None]:
     """A chunk's cells, each timed, as a reply: (True, the results in cell
-    order) or (False, the first failing cell's error)."""
+    order, None) or (False, the first failing cell's error, its formatted
+    traceback)."""
     results = []
     try:
         for instance, seed in zip(instances, seeds):
@@ -374,8 +384,8 @@ def _run_chunk(task: str, instances: list[dict], seeds: list[int]) -> tuple[bool
             results.append(TASKS[task](instance, seed))
             results[-1].wall_time = time.perf_counter() - start
     except Exception as exc:
-        return False, exc
-    return True, results
+        return False, exc, traceback.format_exc()
+    return True, results, None
 
 
 def _serve(chunks: io.BufferedReader, replies: io.BufferedWriter) -> None:
@@ -385,7 +395,7 @@ def _serve(chunks: io.BufferedReader, replies: io.BufferedWriter) -> None:
         try:
             data = pickle.dumps(reply)
         except Exception:
-            data = pickle.dumps((False, RuntimeError(repr(reply[1]))))
+            data = pickle.dumps((False, RuntimeError(repr(reply[1])), reply[2]))
         replies.write(data)
         replies.flush()
 
@@ -462,8 +472,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[tuple[int, int, CellResu
             raise ChildProcessError("a harness worker died") from None
         raise
     results = []
-    for ok, value in replies:  # the first failing cell's error, in cell order
+    for ok, value, trace in replies:  # the first failing cell's error, in cell order
         if not ok:
+            if value.__traceback__ is None:  # unpickled: a worker's frames survive as text alone
+                raise value from _WorkerTraceback(trace)
             raise value
         results += value
     rows = [(i, seed, res) for (i, seed), res in zip(cells, results)]

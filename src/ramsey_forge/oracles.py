@@ -36,8 +36,12 @@ copy-free coloring to a copy-free one, so W is the least of its orbit and
 passes every such test, as it passes the first-edge-red rule.  The first
 witness, every status and every value are those of the unpruned search; it
 visits a subset of the nodes, so a host it decided within COLORING_BUDGET
-stays decided.  A host's colex edge list and twin tests are built once and
-kept for the 32 hosts used last; each K_n is one shared host object.
+stays decided.  Each cut costs O(1) a node: in colex order a pair compares
+its positions k in increasing k, each once, as its second edge there is
+colored, so the DFS keeps for each vertex the twins still tied with it and
+each colored edge reads or narrows two such masks.  A host's colex edge
+list and twin masks are built once and kept for the 32 hosts used last;
+each K_n is one shared host object.
 
 Each oracle call may visit COLORING_BUDGET nodes of the coloring search,
 K_{n_max}'s and then any other host's.  When that runs out, or a copy
@@ -48,11 +52,11 @@ kept is the one found at the largest n below it, a verified lower bound.
 Copies are sought by search plans compiled once per target, for the 128
 targets used last, and run straight on a color graph's adjacency rows: one
 unrooted plan, and one rooted plan per arc orbit, whose first two images
-are pinned.  The rooted check is the hot path, so it calls each rooted
-plan's kernel directly, with a room list and open masks built once per
-call, and skips run_plan's per-call set-up.  The search checks only the
-edge (u, v), u < v, it just colored, on vertices 0..v, which hold every
-colored edge.  If no target vertex is isolated, a copy lies on them, the
+are pinned.  The rooted check is the hot path, so the DFS calls each
+rooted plan's kernel itself, with a room list and open masks built once
+per oracle call, and skips run_plan's per-call set-up.  It checks only
+the edge (u, v), u < v, it just colored, on vertices 0..v, which hold
+every colored edge.  If no target vertex is isolated, a copy lies on them, the
 parent color graph is copy-free, and a new copy must map some arc (a, b)
 of the target onto (u, v).  If an automorphism of the target that keeps
 the weights maps (a, b) to (c, d), composing with it turns a copy through
@@ -153,12 +157,11 @@ class _Copies:
     anywhere(rows) runs the unrooted plan on the color graph with adjacency
     rows `rows`; its order is non-increasing demand, then decreasing degree,
     then lowest id, which for unit weights is plain_embeds' order.
-    through(rows, u, v), u < v, asks only for copies on vertices 0..v that
-    map an arc of the target onto the edge (u, v), by each arc orbit's
-    rooted kernel with the open mask of 0..v; it answers whether rows holds
-    a copy only when rows without that edge holds none, every edge of rows
-    lies on 0..v and no target vertex is isolated (trap: one is, or the
-    target has none).  Hosts have at most RAMSEY_HARD_CAP vertices.
+    blocks[v] holds, for a DFS check of the edge (u, v), u < v, the open
+    mask of vertices 0..v and each arc orbit's rooted kernel, none where
+    the target does not fit in v + 1 vertices; room is their room list.
+    trap: a target vertex is isolated, or the target has none.  Hosts have
+    at most RAMSEY_HARD_CAP vertices.
     """
 
     def __init__(self, gw: WeightedGraph) -> None:
@@ -173,14 +176,6 @@ class _Copies:
     def anywhere(self, rows: Sequence[int]) -> bool:
         room = [self.unit] * len(rows)
         return run_plan(self.plan, rows, room, morphisms.DEFAULT_BUDGET)[0] is not None
-
-    def through(self, rows: list[int], u: int, v: int) -> bool:
-        open_, kernels = self.blocks[v]
-        room, budget = self.room, morphisms.DEFAULT_BUDGET
-        for kernel in kernels:
-            if kernel(rows, room, open_, budget, u, v)[0] is not None:
-                return True
-        return False
 
 
 @functools.lru_cache(maxsize=128)
@@ -248,31 +243,23 @@ def _arc_roots(gw: WeightedGraph) -> list[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=32)
-def _twin_tests(
-    host: Graph,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
-    """The host's edges (u, v), u < v, in colex order, and for each the
-    (i, j, mask) of every twin pair i < j whose lex-leader test coloring
-    that edge decides.  Built once per host: a Graph is never mutated.
+def _twin_tests(host: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The host's edges (u, v), u < v, in colex order, and for each vertex j
+    its twin mask: the i < j with N(i) - {j} = N(j) - {i}.  Built once per
+    host: a Graph is never mutated.
 
-    Under the swap of i and j the word first changes at the least k outside
-    {i, j} where the edges ik and jk differ, and ik comes first, so the
-    coloring is the lesser of the two iff ik is red there.  A colex prefix
-    holds ik and jk for a down-set of k; coloring (u, v) adds k = u to the
-    pairs (i, v), with i != u (mask: bits 0..u), and k = v to the pairs
-    (i, u) (mask: bits 0..v); mask leaves out i and j.
+    Under the swap of twins i and j the word first changes at the least k
+    outside {i, j} where the edges ik and jk differ, and ik comes first, so
+    the coloring is the lesser of the two iff ik is red there.  A colex
+    prefix holds ik and jk for a down-set of k, gained in increasing k, one
+    k per colored edge: coloring (u, v) decides k = u for the pairs (i, v),
+    i != u, and k = v for the pairs (i, u).
     """
     adj = host.adj
     edges = tuple(sorted(host.edges(), key=lambda e: (e[1], e[0])))
-    twins = [
-        [i for i in range(j) if adj[i] & ~(1 << j) == adj[j] & ~(1 << i)] for j in range(host.n)
-    ]
     return edges, tuple(
-        tuple(
-            [(i, v, ((2 << u) - 1) & ~(1 << i)) for i in twins[v] if i != u]
-            + [(i, u, ((2 << v) - 1) & ~(1 << i | 1 << u)) for i in twins[u]]
-        )
-        for u, v in edges
+        sum(1 << i for i in range(j) if adj[i] & ~(1 << j) == adj[j] & ~(1 << i))
+        for j in range(host.n)
     )
 
 
@@ -281,27 +268,34 @@ def _least_colorings(host: Graph, copies: _Copies, found: dict[int, list[int]]) 
     host's vertices 0..k-1, for each k the DFS reaches, up to k = host.n.
 
     DFS over the edges in colex order (by larger endpoint, then smaller); a
-    branch dies once one color's decided edges already contain a copy, which
-    through() seeks on the newest edge.  The first edge is fixed red: the
-    predicate is invariant under swapping colors.  A branch also dies,
-    before its copy check, once some twin pair (i, j) of the host has its
-    first differing k (see _twin_tests) with ik blue: its colorings are all
-    above their images under the swap.  The least copy-free coloring is the
-    least of its orbit, so it is never cut.  A prefix has colored vertices
-    0..k-1 just before the first edge with larger endpoint k, or at the end;
-    the first there to pass, in lex order, is what found[k] keeps, and for
-    a trap target both its color graphs must pass anywhere().  Each node
+    branch dies once one color's decided edges contain a copy, which the
+    rooted kernels of copies.blocks[v] seek through the newest edge (u, v)
+    (see the module docstring).  The first edge is fixed red: the predicate
+    is invariant under swapping colors.  A branch also dies, before its
+    copy check, once some twin pair (i, j) has its first differing k (see
+    _twin_tests) with ik blue.  tied[j] holds the twins i of j with no
+    differing k yet: red on (u, v) cuts iff a pair in tied[v] has iu blue
+    or one in tied[u] has iv blue, and blue never cuts but unties the
+    pairs whose ik is red there.  The least copy-free coloring is the least
+    of its orbit, so it is never cut.  A prefix has colored vertices 0..k-1
+    just before the first edge with larger endpoint k, or at the end; the
+    first there to pass, in lex order, is what found[k] keeps, and for a
+    trap target both its color graphs must pass anywhere().  Each node
     visited spends one unit of copies.nodes_left; a cut child spends none.
-    BudgetExhausted is raised when none is left; a host above
-    RAMSEY_HARD_CAP (no blocks in through()) is a ValueError before any node.
+    BudgetExhausted is raised when none is left, or when a copy search
+    exhausts morphisms.DEFAULT_BUDGET; a host above RAMSEY_HARD_CAP (no
+    blocks) is a ValueError before any node.
     """
     if host.n > RAMSEY_HARD_CAP:
         raise ValueError(f"host of {host.n} vertices exceeds RAMSEY_HARD_CAP = {RAMSEY_HARD_CAP}")
-    edges, tests = _twin_tests(host)
+    edges, twins = _twin_tests(host)
     ends = [v for _, v in edges] + [host.n]
     stops = [k if i == 0 or ends[i - 1] < k else None for i, k in enumerate(ends)]
     red = [0] * host.n
     blue = [0] * host.n
+    tied = list(twins)
+    blocks, room, budget = copies.blocks, copies.room, morphisms.DEFAULT_BUDGET
+    both, red_only = (red, blue), (red,)
 
     def decide(i: int, fixed_red: bool) -> bool:
         k = stops[i]
@@ -316,21 +310,26 @@ def _least_colorings(host: Graph, copies: _Copies, found: dict[int, list[int]]) 
             raise BudgetExhausted(f"coloring search gave up after {COLORING_BUDGET} nodes")
         copies.nodes_left -= 1
         u, v = edges[i]
-        cuts = tests[i]
-        choices = (RED,) if fixed_red else (RED, BLUE)
-        for color in choices:
-            rows = red if color == RED else blue
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            for a, b, mask in cuts:
-                d = (blue[a] ^ blue[b]) & mask
-                if blue[a] & d & -d:  # this pair's first differing k has ak blue
+        bu, bv = 1 << u, 1 << v
+        open_, kernels = blocks[v]
+        tu, tv = tied[u], tied[v]
+        for rows in red_only if fixed_red else both:
+            if rows is red:
+                if tu & blue[v] or tv & blue[u]:  # a tied pair first differs here, ik blue
+                    continue
+            else:
+                tied[u], tied[v] = tu & blue[v], tv & (blue[u] | bu)
+            rows[u] |= bv
+            rows[v] |= bu
+            for kernel in kernels:
+                if kernel(rows, room, open_, budget, u, v)[0] is not None:
                     break
             else:
-                if not copies.through(rows, u, v) and decide(i + 1, False):
+                if decide(i + 1, False):
                     return True
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
+            rows[u] ^= bv
+            rows[v] ^= bu
+        tied[u], tied[v] = tu, tv
         return False
 
     decide(0, len(edges) > 0)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import traceback
 from pathlib import Path
 
 import pytest
@@ -542,6 +543,28 @@ def test_pool_reply_that_will_not_pickle_is_a_runtime_error(monkeypatch):
         run_experiment(ramsey_cfg(seeds=(0, 1), workers=2))
     rows, _ = run_experiment(ramsey_cfg(seeds=(2, 3), workers=2))
     assert [res.value for _, _, res in rows] == ["2", "3"]
+
+
+def test_worker_error_keeps_the_workers_traceback(monkeypatch):
+    # seed 3 fails in the worker's chunk: pickling drops the error's frames,
+    # so their text comes back beside it as its cause; in this process's
+    # chunk the error keeps its own frames
+    def raising_task(instance, seed):
+        if seed == 3:
+            raise RuntimeError(f"seed {seed}")
+        return pid_task(instance, seed)
+
+    monkeypatch.setitem(harness.TASKS, "ramsey", raising_task)
+    with pytest.raises(RuntimeError, match="^seed 3$") as info:
+        run_experiment(ramsey_cfg(seeds=(0, 1, 2, 3), workers=2))
+    cause = info.value.__cause__
+    assert type(cause).__name__ == "_WorkerTraceback"
+    assert "in raising_task" in str(cause) and 'raise RuntimeError(f"seed {seed}")' in str(cause)
+    assert "raising_task" in "".join(traceback.format_exception(info.value))
+    with pytest.raises(RuntimeError, match="^seed 3$") as info:
+        run_experiment(ramsey_cfg(seeds=(3, 0, 1, 2), workers=2))
+    assert info.value.__cause__ is None
+    assert info.traceback[-1].name == "raising_task"
 
 
 def dying_task(instance, seed):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ramsey_forge import generators as gen
 from ramsey_forge import morphisms, oracles
-from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph
+from ramsey_forge.graphs import EdgeColoring, Graph, WeightedGraph, iter_bits
 from ramsey_forge.morphisms import BudgetExhausted
 from ramsey_forge.oracles import (
     EXCEEDS,
@@ -29,7 +29,7 @@ from ramsey_forge.oracles import (
     weighted_ramsey,
     witness_verified,
 )
-from oracle_reference import reference, witness_coloring_unpruned
+from oracle_reference import least_colorings_rescanning, reference, witness_coloring_unpruned
 
 
 def test_plain_embeds_basics():
@@ -248,9 +248,14 @@ def test_twin_tests_are_built_once_per_host():
         built = oracles._twin_tests(host)
         assert oracles._twin_tests(host) is built
         assert built == oracles._twin_tests.__wrapped__(host)
-        edges, tests = built
+        edges, twins = built
         assert list(edges) == sorted(host.edges(), key=lambda e: (e[1], e[0]))
-        assert len(tests) == len(edges)
+        # twins[j]: the i < j with N(i) - {j} = N(j) - {i}
+        nbrs = [set(iter_bits(row)) for row in host.adj]
+        assert list(twins) == [
+            sum(1 << i for i in range(j) if nbrs[i] - {j} == nbrs[j] - {i}) for j in range(host.n)
+        ]
+    assert oracles._twin_tests(gen.complete(10))[1] == tuple((1 << j) - 1 for j in range(10))
 
 
 @pytest.mark.parametrize("hosts,gw", _twin_cut_cases())
@@ -264,6 +269,49 @@ def test_twin_cuts_keep_the_first_witness(hosts, gw):
 # empty graph, edgeless graphs and graphs with isolated vertices included.
 ATLAS = [Graph(a.number_of_nodes(), list(a.edges())) for a in nx.graph_atlas_g()[:19]]
 WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+def _search(least_colorings, host, copies):
+    found = {}
+    try:
+        least_colorings(host, copies, found)
+    except BudgetExhausted:
+        return found, oracles.COLORING_BUDGET - copies.nodes_left, "exhausted"
+    return found, oracles.COLORING_BUDGET - copies.nodes_left, "done"
+
+
+def _rescan_cases():
+    # hosts where all, some or no pairs of vertices are twins
+    hosts = [gen.complete(n) for n in range(1, 9)]
+    hosts += [gen.complete_multipartite(p) for p in ([2, 2, 2], [3, 3], [1, 2, 3], [2, 2, 2, 2])]
+    hosts += hosts_with_min_degree(6, 4)
+    cases = [pytest.param(hosts, gw, id=t) for t, gw in _twin_cut_targets().items()]
+    cases += [
+        pytest.param(hosts, WeightedGraph.unit(g), id=f"atlas{i}") for i, g in enumerate(ATLAS)
+    ]
+    delta3 = list(hosts_with_min_degree(6, 3))
+    return cases + [
+        pytest.param(delta3, WeightedGraph.unit(g), id=f"delta3-{t}")
+        for t, g in [("P4", gen.path(4)), ("C4", gen.cycle(4))]
+    ]
+
+
+@pytest.mark.parametrize("hosts,gw", _rescan_cases())
+def test_tie_masks_cut_as_the_rescanning_reference(hosts, gw):
+    # the same prefixes found and nodes spent as a DFS that rescans every
+    # twin pair the new edge touches
+    for host in hosts:
+        want = _search(least_colorings_rescanning, host, oracles._Copies(gw))
+        assert _search(oracles._least_colorings, host, oracles._Copies(gw)) == want, host.adj
+
+
+def test_tie_masks_spend_the_budget_as_the_rescanning_reference(monkeypatch):
+    # cut at every budget on the way to r(C4) = 6: the same prefixes and nodes
+    c4 = WeightedGraph.unit(gen.cycle(4))
+    for budget in range(0, 120, 7):
+        monkeypatch.setattr(oracles, "COLORING_BUDGET", budget)
+        want = _search(least_colorings_rescanning, gen.complete(6), oracles._Copies(c4))
+        assert _search(oracles._least_colorings, gen.complete(6), oracles._Copies(c4)) == want
 
 
 @pytest.mark.parametrize(
@@ -307,23 +355,34 @@ def test_targets_with_an_isolated_vertex_or_none(gw, value):
         assert (b.status, b.value, b.witness_n) == (r.status, r.value, r.witness_n)
 
 
+# the ids keep the names the first two cases have always been reported under
 @pytest.mark.parametrize(
-    "g,n,nodes", [(gen.cycle(6), 8, 1_365), (gen.complete_multipartite([2, 3]), 10, 2_095)]
+    "g,n,value,nodes",
+    [
+        pytest.param(gen.cycle(6), 8, 8, 1_365, id="g0-8-1365"),
+        pytest.param(gen.complete_multipartite([2, 3]), 10, 10, 2_095, id="g1-10-2095"),
+        pytest.param(gen.path(7), 9, 9, 1_457, id="g2-9-1457"),
+        pytest.param(gen.complete_multipartite([1, 5]), 10, 10, 9_876, id="g3-10-9876"),
+        # r(C8) = 11: the search reaches K_10, whose witness the clique alone finds too
+        pytest.param(gen.cycle(8), 10, None, 45, id="g4-10-45"),
+    ],
 )
-def test_one_search_spends_the_nodes_of_the_deciding_clique_alone(g, n, nodes):
-    # r(C6) = 8 and r(K2,3) = 10: the search over K_n, never restarted below it
+def test_one_search_spends_the_nodes_of_the_deciding_clique_alone(g, n, value, nodes):
+    # r(C6) = 8, r(K2,3) = 10, r(P7) = 9, r(K1,5) = 10: the search over K_n,
+    # never restarted below it
     gw = WeightedGraph.unit(g)
     copies = oracles._Copies(gw)
     r = oracles._first_forced_n(copies, Fraction(0), n)
-    assert (r.status, r.value, r.witness_n) == (VALUE, n, n - 1)
+    want = (VALUE, n, n - 1) if value else (EXCEEDS, None, n)
+    assert (r.status, r.value, r.witness_n) == want
     alone = oracles._Copies(gw)
-    assert oracles._witness_coloring(gen.complete(n), alone) is None
+    assert (oracles._witness_coloring(gen.complete(n), alone) is None) == bool(value)
     spent = oracles.COLORING_BUDGET - copies.nodes_left
     assert spent == oracles.COLORING_BUDGET - alone.nodes_left == nodes
 
 
 def test_a_host_above_the_hard_cap_is_refused_before_the_search():
-    # through() has blocks for hosts of up to RAMSEY_HARD_CAP vertices only
+    # the rooted checks have blocks for hosts of up to RAMSEY_HARD_CAP vertices only
     copies = oracles._Copies(WeightedGraph.unit(gen.complete(5)))
     host = gen.complete(oracles.RAMSEY_HARD_CAP + 1)
     with pytest.raises(ValueError, match="RAMSEY_HARD_CAP"):
@@ -364,7 +423,15 @@ def test_reference_runs_no_rooted_search(monkeypatch):
     def rooted(*args):
         raise AssertionError("rooted search called")
 
-    monkeypatch.setattr(oracles._Copies, "through", rooted)
+    init = oracles._Copies.__init__
+
+    def poisoned(self, gw):
+        init(self, gw)
+        self.blocks = [(open_, [rooted] * len(kernels)) for open_, kernels in self.blocks]
+
+    monkeypatch.setattr(oracles._Copies, "__init__", poisoned)
+    with pytest.raises(AssertionError, match="rooted search called"):
+        ramsey_number(gen.complete(3), 6)
     assert reference(ramsey_number, gen.complete(3), 6).value == 6
 
 
@@ -475,8 +542,8 @@ def test_oracles_are_inconclusive_when_a_copy_search_runs_out(monkeypatch):
     copies = oracles._Copies(unit_c4)
     monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
-        # through(rows, u, v) looks at vertices 0..v alone: C4 fits in 0..5
-        copies.through(list(gen.complete(6).adj), 4, 5)
+        # the rooted checks of C4 start on vertices 0..3 and soon need two nodes
+        oracles._least_colorings(gen.complete(6), copies, {})
     for r, gw in [
         (ramsey_number(gen.cycle(4), 6), unit_c4),
         (weighted_ramsey(half_c5, 6), half_c5),
