@@ -137,7 +137,6 @@ def cmd_regularity(args: argparse.Namespace) -> int:
             [int(v) for v in ys.split(",")],
             params,
             args.mode,
-            seed=args.seed,
         )
         print(
             json.dumps(
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--partition", type=int, help="class count k")
     s.add_argument("--epsilon", required=True)
     s.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, help="seeds --partition's shuffles")
     s.add_argument("--retries", type=int, default=0)
     s.set_defaults(fn=cmd_regularity)
 

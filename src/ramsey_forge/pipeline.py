@@ -37,7 +37,7 @@ STAGE_LIFT = "capacity_homomorphism"
 STAGE_EMBED = "blowup_embedding"
 
 MAJORITY_DELTA = Fraction(1, 2)  # a regular pair at least this red is red
-SAMPLE_BUDGET = 50  # samples per pair in sampled mode
+SAMPLE_BUDGET = 50  # X'-prefixes the sampled scan may open per pair
 PARTITION_RETRIES = 2
 RGA_RETRIES = 10
 

@@ -55,20 +55,12 @@ combinations order: it returns the same first violating X', with the same
 Y', as a loop over every combination, and no verdict or witness differs
 from that loop's (the tests keep it as a reference).
 
-The sampled checker first runs the same scan, capped at `budget` opened
-prefixes.  When the scan (its root peel included, which opens no prefix)
-rules out every threshold subpair, no draw and no swap could refute the
-pair, so the checker returns unrefuted with `budget` samples tried, which
-is what drawing would return; budget 0 opens no prefix and draws nothing.
-Otherwise (the scan found a violation or ran out of budget) it draws
-`budget` random subpairs of the threshold sizes, keeps the one of largest
-gap and grows that gap by single-vertex swaps.  Its draws are positions
-into the sorted sides, and random.sample picks positions
-by the population's length alone, so every pair of one partition attempt
-(equal class sizes, one seed) reuses one cached list of draws.  The swap
-search keeps each vertex's count of neighbours in the other side's current
-subset (Kernighan-Lin gain bookkeeping): a candidate swap's gap costs O(1),
-and an accepted swap updates the other side's counts in O(side).
+The sampled checker is the same scan, capped at `budget` opened prefixes
+(the root peel opens none; budget 0 lets only the peel run).  It returns
+the scan's violating witness, rechecked like every other, and unrefuted
+when the scan rules out every threshold subpair or runs out of budget, so
+it never certifies; either way its samples_tried is `budget`.  Sides past
+EXHAUSTIVE_SIDE_CAP are open to it, since the budget bounds its search.
 
 A partition attempt counts once: each class vertex's neighbour count in each
 class (k n popcounts) gives every pair its e0, d(X, Y), its root peel's first
@@ -77,7 +69,6 @@ round and its scan's root prefix; witness rechecks read g's rows instead.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -154,19 +145,23 @@ def regularity_check(
     params: RegularityParams,
     mode: str = MODE_EXHAUSTIVE,
     budget: int = DEFAULT_SAMPLE_BUDGET,
-    seed: int = 0,
 ) -> RegularityVerdict:
     """Certify or refute eps-regularity of the pair (X, Y).
 
     Exhaustive mode (sides capped at 16) returns certified_regular or a
-    re-checkable violating witness.  Sampled mode never certifies: it returns
-    violated or unrefuted.  Either verdict carries d(X, Y).
+    re-checkable violating witness.  Sampled mode runs the same scan under
+    `budget` opened X'-prefixes and never certifies: it returns the scan's
+    violating witness, or unrefuted when the scan finds none or runs out.
+    Either verdict carries d(X, Y); samples_tried is the prefix budget
+    sampled mode ran under, and 0 in exhaustive mode.
     """
     pair_density(g, xs, ys)  # validates X and Y
     if mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
         raise ValueError(f"unknown mode {mode!r}")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     classes = [sorted(set(xs)), sorted(set(ys))]
-    return _check_pair(g, classes, _count_table(g, classes), 0, 1, params.eps, mode, budget, seed)
+    return _check_pair(g, classes, _count_table(g, classes), 0, 1, params.eps, mode, budget)
 
 
 def _count_table(g: Graph, classes: list[list[int]]) -> list[list[list[int]]]:
@@ -177,7 +172,7 @@ def _count_table(g: Graph, classes: list[list[int]]) -> list[list[list[int]]]:
 
 def _check_pair(
     g: Graph, classes: list[list[int]], table: list[list[list[int]]], i: int, j: int,
-    eps: Fraction, mode: str, budget: int, seed: int,
+    eps: Fraction, mode: str, budget: int,
 ) -> RegularityVerdict:
     """The verdict, with d(X, Y), on X = classes[i] and Y = classes[j] (each
     sorted), from the pair's counts in `table`: degs, each x's in Y and each y's in X."""
@@ -186,7 +181,7 @@ def _check_pair(
     m_x, m_y, nxy = threshold_size(eps, nx), threshold_size(eps, ny), nx * ny
     limit = eps.numerator * nxy * m_x * m_y // eps.denominator
     if mode == MODE_SAMPLED:
-        verdict = _check_sampled(g, xs, ys, degs, m_x, m_y, e0, limit, budget, seed)
+        verdict = _check_sampled(g, xs, ys, degs, m_x, m_y, e0, limit, budget)
     elif max(nx, ny) > EXHAUSTIVE_SIDE_CAP:
         raise ValueError(f"exhaustive mode caps sides at {EXHAUSTIVE_SIDE_CAP}")
     else:
@@ -303,87 +298,15 @@ def _scan(
     return RegularityVerdict(CERTIFIED)
 
 
-@functools.lru_cache(maxsize=8)
-def _sample_draws(
-    nx: int, ny: int, m_x: int, m_y: int, budget: int, seed: int
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The sampled checker's draws as sorted positions into X and Y, X then Y
-    on each draw: the positions rng.sample(xs, m_x) and rng.sample(ys, m_y)
-    pick, since sample's choices depend only on the population's length.
-    Tuples, so no caller can change what the next one gets."""
-    rng = random.Random(seed)
-    return tuple(
-        (tuple(sorted(rng.sample(range(nx), m_x))), tuple(sorted(rng.sample(range(ny), m_y))))
-        for _ in range(budget)
-    )
-
-
 def _check_sampled(
     g: Graph, xs: list[int], ys: list[int], degs: tuple[list[int], list[int]],
-    m_x: int, m_y: int, e0: int, limit: int, budget: int, seed: int,
+    m_x: int, m_y: int, e0: int, limit: int, budget: int,
 ) -> RegularityVerdict:
-    if budget > 0:
-        scan = _scan(g, xs, ys, degs, m_x, m_y, e0, limit, budget)
-        if scan is not None and scan.status == CERTIFIED:
-            # no threshold subpair violates, so no draw or swap could refute
-            return RegularityVerdict(UNREFUTED, samples_tried=budget)
-    nxy, base = len(xs) * len(ys), e0 * m_x * m_y
-    adj = g.adj
-    xrows = [adj[x] for x in xs]
-    ybits = [1 << y for y in ys]
-
-    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-    for xi, yi in _sample_draws(len(xs), len(ys), m_x, m_y, budget, seed):
-        ymask = 0
-        for j in yi:
-            ymask |= ybits[j]
-        dev = abs(sum((xrows[i] & ymask).bit_count() for i in xi) * nxy - base)
-        if best is None or dev > best[0]:
-            best = (dev, xi, yi)
-    if best is None:
-        return RegularityVerdict(UNREFUTED)
-    dev, xi, yi = best
-    xsub, ysub = list(xi), list(yi)
-    if dev <= limit:
-        # greedy local search: single-element swaps while the deviation grows;
-        # counts[0][i] is xs[i]'s neighbour count in the current Y subset,
-        # counts[1][j] that of ys[j] in the current X subset, and e the
-        # subpair's edge count
-        yrows = [adj[y] for y in ys]
-        counts = (
-            [(row & mask_of(ys[j] for j in ysub)).bit_count() for row in xrows],
-            [(row & mask_of(xs[i] for i in xsub)).bit_count() for row in yrows],
-        )
-        inside = ([False] * len(xs), [False] * len(ys))
-        for i in xsub:
-            inside[0][i] = True
-        for j in ysub:
-            inside[1][j] = True
-        e = sum(counts[0][i] for i in xsub)
-        sides = ((xsub, xs, yrows), (ysub, ys, xrows))
-        improved = True
-        while improved and dev <= limit:
-            improved = False
-            for s, (side, pool, other_rows) in enumerate(sides):
-                own, member, other = counts[s], inside[s], counts[1 - s]
-                for i in range(len(side)):
-                    kept = side[i]
-                    for new in range(len(pool)):
-                        if member[new]:
-                            continue
-                        cand_e = e - own[kept] + own[new]
-                        cand = abs(cand_e * nxy - base)
-                        if cand > dev:
-                            dev, e, improved = cand, cand_e, True
-                            out_bit, in_bit = pool[kept], pool[new]
-                            for j, row in enumerate(other_rows):
-                                other[j] += (row >> in_bit & 1) - (row >> out_bit & 1)
-                            member[kept], member[new] = False, True
-                            side[i] = kept = new
-    if dev > limit:
-        return RegularityVerdict(
-            VIOLATED, frozenset(xs[i] for i in xsub), frozenset(ys[j] for j in ysub), budget
-        )
+    """The scan under `budget` opened prefixes: its violating witness, else
+    unrefuted (certified or out of budget alike, so sampled mode never certifies)."""
+    scan = _scan(g, xs, ys, degs, m_x, m_y, e0, limit, budget)
+    if scan is not None and scan.status == VIOLATED:
+        return RegularityVerdict(VIOLATED, scan.witness_x, scan.witness_y, budget)
     return RegularityVerdict(UNREFUTED, samples_tried=budget)
 
 
@@ -421,7 +344,6 @@ def _quality(
     params: RegularityParams,
     mode: str,
     budget: int,
-    seed: int,
 ) -> QualityReport:
     # the only loop over class pairs that checks regularity
     k = partition.k
@@ -431,7 +353,7 @@ def _quality(
     regular = []
     densities = []
     for i, j in itertools.combinations(range(k), 2):
-        verdict = _check_pair(g, classes, table, i, j, params.eps, mode, budget, seed)
+        verdict = _check_pair(g, classes, table, i, j, params.eps, mode, budget)
         if verdict.treated_regular:
             regular.append((i, j))
             densities.append(verdict.density)
@@ -474,12 +396,14 @@ def fixed_k_partition(
         raise ValueError("retries must be nonnegative")
     if mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):  # k = 1 checks no pair
         raise ValueError(f"unknown mode {mode!r}")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
 
     best: tuple[Partition, QualityReport] | None = None
     for a in range(retries + 1):
         attempt_seed = seed * 1_000_003 + a
         partition = _partition_for_seed(g.n, k, attempt_seed)
-        report = _quality(g, partition, params, mode, budget, attempt_seed)
+        report = _quality(g, partition, params, mode, budget)
         if best is None or report.total_irregular_pairs < best[1].total_irregular_pairs:
             best = partition, report
         if best[1].total_irregular_pairs == 0:

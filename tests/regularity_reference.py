@@ -10,12 +10,6 @@ itertools.combinations order.  It takes the arguments of regularity._scan
 with no budget, as exhaustive mode calls it, so a test can put it in that
 one's place and compare whole verdicts, witnesses included.
 
-check_sampled_rescanning is the sampled checker as it was before its swap
-search kept per-vertex counts: it draws with rng.sample over the vertices
-themselves and recounts the whole subpair for every candidate swap.  It
-takes the arguments of regularity._check_sampled, so a test can put it in
-that one's place and compare whole verdicts.
-
 peel_rules_out is the scan's root peel as its definition states it, on
 vertex sets (peel_live_sets gives its live sets round by round), and
 most_edges the brute force that the peel must never contradict.
@@ -24,13 +18,11 @@ most_edges the brute force that the peel must never contradict.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Sequence
 
 from ramsey_forge.graphs import Graph, mask_of, pair_density, threshold_size
 from ramsey_forge.regularity import (
     CERTIFIED,
-    UNREFUTED,
     VIOLATED,
     RegularityParams,
     RegularityVerdict,
@@ -94,53 +86,6 @@ def check_exhaustive_plain(
         if sum(c for c, _ in high) * nxy - base > limit:
             return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(y for _, y in high))
     return RegularityVerdict(CERTIFIED)
-
-
-def check_sampled_rescanning(
-    g: Graph, xs: list[int], ys: list[int], degs: tuple, m_x: int, m_y: int, e0: int,
-    limit: int, budget: int, seed: int, passes: list[int] | None = None,
-) -> RegularityVerdict:
-    """The rescanning sampled checker; it does not read degs.  `passes`, when
-    given, gets one entry per swap-search pass."""
-    nxy, base = len(xs) * len(ys), e0 * m_x * m_y
-    rng = random.Random(seed)
-
-    def gap(xsub: list[int], ysub: list[int]) -> int:
-        ymask = mask_of(ysub)
-        return abs(sum((g.adj[x] & ymask).bit_count() for x in xsub) * nxy - base)
-
-    best: tuple[int, list[int], list[int]] | None = None
-    tried = 0
-    for _ in range(budget):
-        xsub = sorted(rng.sample(xs, m_x))
-        ysub = sorted(rng.sample(ys, m_y))
-        tried += 1
-        dev = gap(xsub, ysub)
-        if best is None or dev > best[0]:
-            best = (dev, xsub, ysub)
-    if best is not None:
-        # greedy local search: single-element swaps while the deviation grows
-        dev, xsub, ysub = best
-        improved = True
-        while improved and dev <= limit:
-            if passes is not None:
-                passes.append(1)
-            improved = False
-            for side, pool in ((xsub, xs), (ysub, ys)):
-                for i in range(len(side)):
-                    kept = side[i]
-                    for new in pool:
-                        if new in side:
-                            continue
-                        side[i] = new
-                        cand = gap(xsub, ysub)
-                        if cand > dev:
-                            dev, kept, improved = cand, new, True
-                        else:
-                            side[i] = kept
-        if dev > limit:
-            return RegularityVerdict(VIOLATED, frozenset(xsub), frozenset(ysub), tried)
-    return RegularityVerdict(UNREFUTED, samples_tried=tried)
 
 
 def peel_rules_out(

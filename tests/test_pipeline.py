@@ -177,10 +177,10 @@ def test_reduced_graphs_follow_the_partition_report(monkeypatch):
     monkeypatch.setattr(pipeline, "fixed_k_partition", spy_partition)
     monkeypatch.setattr(pipeline, "Graph", spy_graph)
     g, h, f = C9_ON_K3
-    k = 6
-    # sampled eps 1/3 on K_48: the chosen attempt treats some pairs as
-    # regular and refutes the others
-    coloring = gen.random_coloring(gen.complete(48), Fraction(1, 2), 0)
+    k = 4
+    # sampled eps 1/3 on K_64 in classes of 16: the chosen attempt treats
+    # five pairs as regular and refutes the sixth
+    coloring = gen.random_coloring(gen.complete(64), Fraction(1, 2), 0)
     params = PipelineParams(eps=Fraction(1, 3), xi=Fraction(1, 4), k=k)
     res = transference_pipeline(g, h, f, coloring, params, seed=0)
     _, report = seen["fixed_k_partition"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import bisect
+import collections
 import hashlib
 import itertools
 import random
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ramsey_forge import generators as gen, regularity
-from ramsey_forge.graphs import Graph, pair_density, threshold_size
+from ramsey_forge.graphs import RED, Graph, pair_density, threshold_size
 from ramsey_forge.regularity import (
     CERTIFIED,
     MODE_EXHAUSTIVE,
@@ -23,7 +25,6 @@ from ramsey_forge.regularity import (
 from ramsey_forge.rga import blowup_instance
 from regularity_reference import (
     check_exhaustive_plain,
-    check_sampled_rescanning,
     most_edges,
     peel_live_sets,
     peel_rules_out,
@@ -35,7 +36,7 @@ def regular_pairs(g: Graph, partition: Partition, params: RegularityParams):
     """The class pairs (i < j) of the given partition that the exhaustive
     checks treat as regular, with their densities, as its quality report
     keeps them."""
-    report = regularity._quality(g, partition, params, MODE_EXHAUSTIVE, 0, 0)
+    report = regularity._quality(g, partition, params, MODE_EXHAUSTIVE, 0)
     return list(zip(report.regular_pairs, report.densities))
 
 
@@ -132,27 +133,31 @@ def _verdict_batch(mode: str, count: int = 300, seed: int = 2024) -> list[tuple]
         xs, ys = order[:nx_], order[nx_ : nx_ + ny]
         eps = rng.choice(epses)
         budget = rng.randint(0, 30)
-        vseed = rng.randrange(1000)
-        v = regularity_check(Graph(n, edges), xs, ys, RegularityParams(eps), mode, budget, vseed)
+        rng.randrange(1000)  # once the draws' seed; still drawn, so the cases stay as pinned
+        v = regularity_check(Graph(n, edges), xs, ys, RegularityParams(eps), mode, budget)
         out.append((v.status, sorted(v.witness_x or ()), sorted(v.witness_y or ()), v.samples_tried))
     return out
 
 
 # the exhaustive half was captured from the Fraction-per-subpair checkers,
-# before the integer gap rule; the sampled half was re-captured once its swap
-# search kept improving swaps (17 of its 300 witnesses moved, and 3 verdicts
-# went from unrefuted to violated)
+# before the integer gap rule; the sampled half was re-captured once sampled
+# mode became the budgeted scan: 52 of its violated witnesses became the
+# exhaustive ones (index 1), 12 verdicts went from unrefuted to violated
+# (index 46) and 9, at budgets 1-7, from violated to unrefuted (index 216:
+# one prefix reaches no leaf)
 PINNED_BATCH = {
     MODE_EXHAUSTIVE: (
         "cbc88a7b4b2a601f5d56f4f4d2b4092a4159ac9fef93062d139ca13f5aa9a0ca",
         {1: (VIOLATED, [1, 11], [0, 8, 9], 0), 2: (CERTIFIED, [], [], 0)},
     ),
     MODE_SAMPLED: (
-        "8f0f9542a63e6794ebe62d634b12b979500e7bf2093f633e2ffc0e021c5634b9",
+        "27b6baf7e80dd8c411e2b94060714c7c381383066918e2b4050a38585cee24cf",
         {
             0: (UNREFUTED, [], [], 6),
-            1: (VIOLATED, [3, 10], [0, 4, 9], 19),
+            1: (VIOLATED, [1, 11], [0, 8, 9], 19),
             3: (UNREFUTED, [], [], 26),
+            46: (VIOLATED, [0, 3, 5], [11, 14, 15], 17),
+            216: (UNREFUTED, [], [], 1),
         },
     ),
 }
@@ -210,8 +215,13 @@ def _partition_batch(count: int = 150, seed: int = 2026) -> list[tuple]:
     return out
 
 
-# captured before the partition checks read one neighbour-count table per attempt
-PINNED_PARTITIONS = "da21b80d33b6bcd74e6f4da30e86b4f0b97252a63a2ee26ac4934df493b4a3f7"
+# each mode's half of the batch: the exhaustive half as captured before the
+# partition checks read one neighbour-count table per attempt, the sampled
+# half re-captured once sampled mode became the budgeted scan
+PINNED_PARTITIONS = {
+    MODE_EXHAUSTIVE: "06fce5d4a6a578a244c7e1c327acab89d41d82341d14d59f91015f959b20e505",
+    MODE_SAMPLED: "2cb65999abe539fc0eba5117a257817937ed6e7b645299dfbb0ff178f01879e0",
+}
 
 
 def test_pinned_partition_batch(monkeypatch):
@@ -223,9 +233,10 @@ def test_pinned_partition_batch(monkeypatch):
     peels = spy(monkeypatch, regularity, "_ruled_out")
     scans = spy(monkeypatch, regularity, "_scan")
     batch = _partition_batch()
-    assert hashlib.sha256(repr(batch).encode()).hexdigest() == PINNED_PARTITIONS
     for mode in (MODE_EXHAUSTIVE, MODE_SAMPLED):
-        assert sum(r.total_irregular_pairs for m, *_, r in batch if m == mode) >= 200, mode
+        half = [entry for entry in batch if entry[0] == mode]
+        assert hashlib.sha256(repr(half).encode()).hexdigest() == PINNED_PARTITIONS[mode], mode
+        assert sum(r.total_irregular_pairs for *_, r in half) >= 200, mode
 
     def later_rounds_drop(g, xs, ys, degs, m_x, m_y, need, flip):
         first = peel_live_sets(g, xs, ys, m_x, m_y, need, flip == -1, rounds=1)
@@ -248,7 +259,7 @@ def test_violated_witnesses_really_violate():
         eps = rng.choice([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)])
         d0 = pair_density(g, xs, ys)
         for mode in (MODE_EXHAUSTIVE, MODE_SAMPLED):
-            v = regularity_check(g, xs, ys, RegularityParams(eps), mode, budget=5, seed=trial)
+            v = regularity_check(g, xs, ys, RegularityParams(eps), mode, budget=5)
             if v.status != VIOLATED:
                 continue
             assert v.witness_x <= set(xs) and v.witness_y <= set(ys), (trial, mode)
@@ -277,16 +288,12 @@ def test_exhaustive_size_cap():
 
 def test_sampled_never_certifies():
     g, xs, ys = bipartite_pair(6, 6, [(u, v) for u in range(6) for v in range(6)])
-    verdict = regularity_check(
-        g, xs, ys, RegularityParams(Fraction(1, 4)), mode=MODE_SAMPLED, seed=1
-    )
+    verdict = regularity_check(g, xs, ys, RegularityParams(Fraction(1, 4)), mode=MODE_SAMPLED)
     assert verdict.status == UNREFUTED  # complete pair: cannot be violated
-    # planted block gets refuted by sampling + local search
+    # planted block gets refuted by the budgeted scan
     edges = [(u, v) for u in range(4) for v in range(4)]
     g2, xs2, ys2 = bipartite_pair(8, 8, edges)
-    verdict = regularity_check(
-        g2, xs2, ys2, RegularityParams(Fraction(1, 4)), mode=MODE_SAMPLED, seed=1
-    )
+    verdict = regularity_check(g2, xs2, ys2, RegularityParams(Fraction(1, 4)), mode=MODE_SAMPLED)
     assert verdict.status == VIOLATED
     assert verdict.density == Fraction(1, 4)
 
@@ -375,43 +382,6 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
-def test_sampled_matches_rescanning_reference(monkeypatch):
-    # seeded pairs with sides 4-16 (unequal too), interleaved labels and edges
-    # inside the sides; every verdict, witness and sample count must equal the
-    # rescanning checker's
-    rng = random.Random(12)
-    cases = []
-    for _ in range(40):
-        nx_, ny = rng.randint(4, 16), rng.randint(4, 16)
-        n = nx_ + ny + rng.randint(0, 3)
-        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
-        order = list(range(n))
-        rng.shuffle(order)
-        xs, ys = order[:nx_], order[nx_ : nx_ + ny]
-        for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-            for budget in (1, 50, 200):
-                cases.append((g, xs, ys, eps, budget, rng.randrange(1000)))
-
-    def run_all():
-        return [
-            regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, budget, seed)
-            for g, xs, ys, eps, budget, seed in cases
-        ]
-
-    fast = run_all()
-    passes: list[list[int]] = []
-
-    def reference(*args):
-        passes.append([])
-        return check_sampled_rescanning(*args, passes=passes[-1])
-
-    monkeypatch.setattr(regularity, "_check_sampled", reference)
-    assert fast == run_all()
-    statuses = [v.status for v in fast]
-    assert statuses.count(VIOLATED) >= 20 and statuses.count(UNREFUTED) >= 20
-    assert sum(len(p) > 1 for p in passes) >= 20  # the swap search made several passes
-
-
 def test_scan_keeps_the_first_witness(monkeypatch):
     # seeded pairs with sides 1-16 (unequal too), interleaved labels and
     # edges inside the sides; every verdict and witness must equal the plain
@@ -441,9 +411,9 @@ def test_scan_keeps_the_first_witness(monkeypatch):
     assert statuses.count(VIOLATED) >= 20 and statuses.count(CERTIFIED) >= 20
 
 
-def test_sampled_shortcut(monkeypatch):
+def test_sampled_shortcut():
     # pairs the scan settles within the budget: no threshold subpair
-    # violates, so the verdict is what every draw would give, and none runs
+    # violates, so the verdict is unrefuted with the budget as samples tried
     complete, xs, ys = bipartite_pair(12, 12, [(u, v) for u in range(12) for v in range(12)])
     half = random_graph(24, 0.5, 0)  # a pair whose root peel leaves the dense side open
     evens, odds = list(range(0, 24, 2)), list(range(1, 24, 2))
@@ -453,43 +423,15 @@ def test_sampled_shortcut(monkeypatch):
         (half, evens, odds, Fraction(1, 2), 8),
         (half, evens, odds, Fraction(1, 2), 50),
     ]
-
-    def no_draws(*args):
-        raise AssertionError("the scan settled the pair, yet draws were made")
-
-    with monkeypatch.context() as m:
-        m.setattr(regularity, "_sample_draws", no_draws)
-        for g, xs, ys, eps, budget in settled:
-            v = regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, budget, 5)
-            assert (v.status, v.samples_tried) == (UNREFUTED, budget)
-    # a budget of fewer prefixes than the scan needs settles nothing: the
-    # draws run and give the rescanning checker's verdict
-    draws = []
-    real_draws = regularity._sample_draws
-
-    def counting_draws(*args):
-        draws.append(args)
-        return real_draws(*args)
-
-    monkeypatch.setattr(regularity, "_sample_draws", counting_draws)
-
-    def run_all():
-        return [
-            regularity_check(half, evens, odds, RegularityParams(eps), MODE_SAMPLED, budget, s)
-            for eps, budget in ((Fraction(1, 2), 7), (Fraction(1, 4), 1))
-            for s in range(20)
-        ]
-
-    fast = run_all()
-    assert len(draws) == 40
-    # budget 0 opens no prefix and draws nothing
+    assert scan_prefixes(complete, xs, ys, Fraction(1, 4)) == 0
+    assert scan_prefixes(half, evens, odds, Fraction(1, 2)) == 8
+    for g, xs, ys, eps, budget in settled:
+        v = regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, budget)
+        assert (v.status, v.samples_tried) == (UNREFUTED, budget)
+    # budget 0 opens no prefix
     for g, xs, ys, eps, _ in settled:
-        v = regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, 0, 5)
+        v = regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, 0)
         assert (v.status, v.samples_tried) == (UNREFUTED, 0)
-    assert [budget for *_, budget, _ in draws[40:]] == [0] * len(settled)
-    monkeypatch.setattr(regularity, "_check_sampled", check_sampled_rescanning)
-    assert fast == run_all()
-    assert {v.status for v in fast[20:]} == {VIOLATED, UNREFUTED}
 
 
 def planted_pair(rng: random.Random, max_side: int) -> tuple[Graph, list[int], list[int]]:
@@ -599,43 +541,112 @@ def test_peeled_scan_keeps_the_first_witness_on_planted_blocks(monkeypatch):
     assert sum(at_root) >= 100 and statuses.count(CERTIFIED) > sum(at_root)
 
 
-def test_peeled_sampled_matches_rescanning_on_planted_blocks(monkeypatch):
-    # the sampled checker returns the rescanning checker's verdict, sample
-    # count included, on pairs the root settles and on pairs it leaves open
-    rng = random.Random(43)
-    cases = [planted_pair(rng, 14) for _ in range(30)]
-
-    def run_all():
-        return [
-            regularity_check(g, xs, ys, RegularityParams(eps), MODE_SAMPLED, budget, 9)
-            for g, xs, ys in cases
-            for eps in PEEL_EPSES
-            for budget in (1, 20)
-        ]
-
-    fast = run_all()
-    at_root = sum(
-        regularity._scan(*threshold_args(g, xs, ys, eps), 0) is not None
-        for g, xs, ys in cases
-        for eps in PEEL_EPSES
+def scan_prefixes(g: Graph, xs: list[int], ys: list[int], eps: Fraction) -> int:
+    """The X'-prefixes the unbudgeted scan opens: the least budget under
+    which the budgeted scan reaches its verdict (the prefix tree has at most
+    2^|X| nodes)."""
+    args = threshold_args(g, xs, ys, eps)
+    return bisect.bisect_left(
+        range((1 << len(xs)) + 1), True, key=lambda b: regularity._scan(*args, b) is not None
     )
-    monkeypatch.setattr(regularity, "_check_sampled", check_sampled_rescanning)
-    assert fast == run_all()
-    statuses = [v.status for v in fast]
-    assert statuses.count(VIOLATED) >= 60 and statuses.count(UNREFUTED) >= 200
-    assert 80 <= at_root < len(cases) * len(PEEL_EPSES)
 
 
-def test_sample_positions_pick_what_sampling_the_sides_picks():
-    # _check_sampled draws positions with rng.sample(range(n), m) in place of
-    # rng.sample(xs, m); random.sample picks by position alone, through its
-    # pool branch and its set branch alike (here: n > 21 and small m)
-    for seed in (0, 1, 12345):
-        for n in range(121):
-            xs = sorted(random.Random(n).sample(range(4 * n), n))
-            for m in range(n + 1):
-                positions = sorted(random.Random(seed).sample(range(n), m))
-                assert sorted(random.Random(seed).sample(xs, m)) == [xs[i] for i in positions]
+def sampled_against_exhaustive(cases: list[tuple]) -> collections.Counter:
+    """Check sampled mode on each (g, xs, ys, eps) under budgets 0, 1, 50
+    and 200: a sampled violation is the exhaustive witness, a certified pair
+    reads unrefuted, and a budget of at least the prefixes the exhaustive
+    scan opens gives its verdict (certified read as unrefuted), a smaller
+    one unrefuted.  Returns how often each (exhaustive status, budget
+    reached the verdict) came up."""
+    seen = collections.Counter()
+    for g, xs, ys, eps in cases:
+        params = RegularityParams(eps)
+        exact = regularity_check(g, xs, ys, params)
+        settled = UNREFUTED if exact.status == CERTIFIED else exact.status
+        prefixes = scan_prefixes(g, xs, ys, eps)
+        for budget in (0, 1, 50, 200):
+            v = regularity_check(g, xs, ys, params, MODE_SAMPLED, budget)
+            verdict = (v.status, v.witness_x, v.witness_y, v.density, v.samples_tried)
+            if v.status == VIOLATED:
+                assert verdict == (VIOLATED, exact.witness_x, exact.witness_y, exact.density, budget)
+            if exact.status == CERTIFIED:
+                assert v.status == UNREFUTED
+            if budget >= prefixes:
+                assert verdict == (settled, exact.witness_x, exact.witness_y, exact.density, budget)
+            else:
+                assert verdict == (UNREFUTED, None, None, exact.density, budget)
+            seen[exact.status, budget >= prefixes] += 1
+    return seen
+
+
+# The next two tests keep the names they had when they compared sampled mode
+# with the rescanning draw-and-swap checker; sampled mode is now the budgeted
+# scan, so they compare it with the exhaustive scan on the same seeded cases.
+
+
+def test_sampled_matches_rescanning_reference():
+    # seeded random pairs with sides 4-16 (unequal too), interleaved labels
+    # and edges inside the sides
+    rng = random.Random(12)
+    cases = []
+    for _ in range(40):
+        nx_, ny = rng.randint(4, 16), rng.randint(4, 16)
+        n = nx_ + ny + rng.randint(0, 3)
+        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+        order = list(range(n))
+        rng.shuffle(order)
+        xs, ys = order[:nx_], order[nx_ : nx_ + ny]
+        cases += [(g, xs, ys, eps) for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))]
+    seen = sampled_against_exhaustive(cases)
+    # violations within and past the budget, certified pairs at the root
+    # and after a scan
+    assert seen[VIOLATED, True] >= 100 and seen[VIOLATED, False] >= 100
+    assert seen[CERTIFIED, True] >= 150 and seen[CERTIFIED, False] >= 10
+
+
+def test_peeled_sampled_matches_rescanning_on_planted_blocks():
+    # dense and sparse planted blocks, sides 1-14: pairs the root settles
+    # and pairs it leaves open
+    rng = random.Random(43)
+    cases = [(*planted_pair(rng, 14), eps) for _ in range(30) for eps in PEEL_EPSES]
+    seen = sampled_against_exhaustive(cases)
+    assert seen[VIOLATED, True] >= 100 and seen[VIOLATED, False] >= 100
+    assert seen[CERTIFIED, True] >= 300 and seen[CERTIFIED, False] >= 10
+
+
+def test_sampled_keeps_the_witness_its_scan_finds():
+    # the red graph of a random 1/2-colouring of K_48, classes 0 and 2 of
+    # a 4-class partition, eps 1/3: the scan finds a violation within 50
+    # prefixes that random subpair draws miss, and sampled mode returns it,
+    # the exhaustive witness
+    red = gen.random_coloring(gen.complete(48), Fraction(1, 2), 0).subgraph(RED)
+    partition = regularity._partition_for_seed(48, 4, 0)
+    xs, ys = sorted(partition.classes[0]), sorted(partition.classes[2])
+    params = RegularityParams(Fraction(1, 3))
+    sampled = regularity_check(red, xs, ys, params, MODE_SAMPLED, 50)
+    exact = regularity_check(red, xs, ys, params)
+    witness = (VIOLATED, {0, 1, 7, 12}, {6, 8, 38, 40})
+    assert (exact.status, exact.witness_x, exact.witness_y) == witness
+    assert (sampled.status, sampled.witness_x, sampled.witness_y) == witness
+    assert sampled.density == exact.density and sampled.samples_tried == 50
+
+
+def test_regularity_check_rejects_a_negative_budget():
+    # a negative budget would leave the scan unbudgeted, past the side cap
+    g, xs, ys = bipartite_pair(17, 17, [])
+    for mode in (MODE_SAMPLED, MODE_EXHAUSTIVE):
+        with pytest.raises(ValueError, match="budget"):
+            regularity_check(g, xs, ys, RegularityParams(Fraction(1, 4)), mode, -1)
+
+
+def test_fixed_k_partition_rejects_a_negative_budget():
+    # checked up front, in either mode and at k = 1, which checks no pair
+    for mode in (MODE_SAMPLED, MODE_EXHAUSTIVE):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="budget"):
+                fixed_k_partition(
+                    gen.complete(34), k, RegularityParams(Fraction(1, 4)), mode=mode, budget=-1
+                )
 
 
 def count_attempts(monkeypatch) -> list[tuple]:
@@ -683,7 +694,7 @@ def best_of_all_attempts(g, k, params, seed, retries, mode, budget):
     for a in range(retries + 1):
         attempt_seed = seed * 1_000_003 + a
         partition = regularity._partition_for_seed(g.n, k, attempt_seed)
-        report = regularity._quality(g, partition, params, mode, budget, attempt_seed)
+        report = regularity._quality(g, partition, params, mode, budget)
         attempts.append((partition, report))
     return min(attempts, key=lambda pr: pr[1].total_irregular_pairs)
 
